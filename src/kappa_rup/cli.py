@@ -31,17 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import __version__
-from .coherent_states import (
-    StateSpec,
-    delta_p,
-    delta_x,
-    f_expectation,
-    f_expectation_quadrature,
-    normalization_constant,
-    psi,
-    quadrature_moment,
-    second_moment,
-)
+from .coherent_states import StateSpec, moment_report, normalization_constant, psi
 from .deformed_algebra import GridFunction, annihilation_residual, commutator_residual, ode_residual
 from .errors import KappaRupError, NonConvergenceError
 from .kappa_math import as_kappa
@@ -180,47 +170,34 @@ def _run_checks(cfg: RunConfig) -> list:
 
     z, hb = cfg.zeta, cfg.hbar
     specs = [StateSpec(as_kappa(k), z, hb) for k in cfg.kappas]
+    reports = [moment_report(s) for s in specs]
 
-    add(
-        "normalization",
-        max(abs(quadrature_moment(0, s, 1e-10) - 1.0) for s in specs),
-        1e-8,
-    )
+    add("normalization", max(abs(r.probability_quad - 1.0) for r in reports), 1e-8)
     add(
         "moment_agreement",
-        max(
-            abs(second_moment(s) - quadrature_moment(2, s, 1e-10)) / second_moment(s)
-            for s in specs
-        ),
+        max(abs(r.second_moment - r.second_moment_quad) / r.second_moment for r in reports),
         1e-6,
     )
     add(
         "saturation_closed",
         max(
-            abs(delta_x(s) * delta_p(s) - 0.5 * s.hbar * f_expectation(s.kappa))
-            / (0.5 * s.hbar * f_expectation(s.kappa))
-            for s in specs
+            abs(r.delta_x * r.delta_p - 0.5 * hb * r.f_expect) / (0.5 * hb * r.f_expect)
+            for r in reports
         ),
         1e-12,
     )
     add(
         "saturation_quadrature",
-        max(
-            abs(f_expectation(s.kappa) - f_expectation_quadrature(s, 1e-10))
-            / f_expectation(s.kappa)
-            for s in specs
-        ),
+        max(abs(r.f_expect - r.f_expect_quad) / r.f_expect for r in reports),
         1e-6,
     )
 
     p_grid = np.linspace(-5.0 / math.sqrt(z), 5.0 / math.sqrt(z), 200)
     ode_worst = 0.0
-    for s in specs:
+    for s, r in zip(specs, reports):
         if s.kappa.value == 0.0:
             continue
-        dp_val = delta_p(s)
-        dx_val = hb * z * (1.0 - s.kappa.value**2) * dp_val
-        res = ode_residual(p_grid, s.kappa, z, dx_val, dp_val, hb)
+        res = ode_residual(p_grid, s.kappa, z, r.delta_x, r.delta_p, hb)
         ode_worst = max(ode_worst, float(np.max(np.abs(res))))
     add("ode_residual", ode_worst, 1e-9)
 
@@ -298,6 +275,16 @@ _TABLE_HEADER = (
 )
 
 
+def _table_status(report, rel_tol: float) -> str:
+    # "ok" needs F >= 1 and every closed form within 10 rel_tol of its
+    # quadrature, the slack the quadrature's own convergence check allows
+    if report.f_expect < 1.0:
+        return "fail: F_closed < 1"
+    if report.max_rel_discrepancy > 10.0 * rel_tol:
+        return f"fail: closed-vs-quadrature gap {report.max_rel_discrepancy:.3g}"
+    return "ok"
+
+
 def cmd_table(cfg: RunConfig) -> int:
     rel_tol = cfg.tol if cfg.tol is not None else 1e-10
     if not 1e-12 <= rel_tol <= 1e-3:
@@ -305,24 +292,19 @@ def cmd_table(cfg: RunConfig) -> int:
     rows = []
     for k in cfg.kappas:
         spec = StateSpec(as_kappa(k), cfg.zeta, cfg.hbar)
-        n_val = normalization_constant(spec)
         if not spec.kappa.moment_safe:
             rows.append(
-                (_f17(k), _f17(n_val)) + ("",) * 7
+                (_f17(k), _f17(normalization_constant(spec))) + ("",) * 7
                 + ("error: moments diverge for kappa >= 2/3",)
             )
             continue
-        p2c = second_moment(spec)
-        p2q = quadrature_moment(2, spec, rel_tol)
-        dpv = delta_p(spec)
-        dxv = delta_x(spec)
-        fc = f_expectation(spec.kappa)
-        fq = f_expectation_quadrature(spec, rel_tol)
-        ratio = dxv * dpv / (0.5 * cfg.hbar)
+        r = moment_report(spec, rel_tol)
         rows.append(
             (
-                _f17(k), _f17(n_val), _f17(p2c), _f17(p2q), _f17(dpv),
-                _f17(dxv), _f17(fc), _f17(fq), _f17(ratio), "ok",
+                _f17(k), _f17(r.norm_constant), _f17(r.second_moment),
+                _f17(r.second_moment_quad), _f17(r.delta_p), _f17(r.delta_x),
+                _f17(r.f_expect), _f17(r.f_expect_quad),
+                _f17(r.delta_x * r.delta_p / (0.5 * cfg.hbar)), _table_status(r, rel_tol),
             )
         )
     _emit(cfg, _csv_document(_meta(cfg), _TABLE_HEADER, rows))

@@ -36,12 +36,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, NonConvergenceError
 from .kappa_math import (
     TINY_KAPPA,
     KappaLike,
     KappaParameter,
     as_kappa,
+    elementwise,
     log_gamma,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "second_moment",
     "delta_p",
     "delta_x",
+    "deformation_f",
     "f_expectation",
     "f_expectation_quadrature",
     "quadrature_moment",
@@ -79,14 +81,11 @@ class StateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", as_kappa(self.kappa))
-        z = float(self.zeta)
-        hb = float(self.hbar)
-        if not (math.isfinite(z) and z > 0.0):
-            raise DomainError(f"zeta must be > 0, got {self.zeta!r}")
-        if not (math.isfinite(hb) and hb > 0.0):
-            raise DomainError(f"hbar must be > 0, got {self.hbar!r}")
-        object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "hbar", hb)
+        for name in ("zeta", "hbar"):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
 
     def require_moment_safe(self):
         if not self.kappa.moment_safe:
@@ -94,11 +93,29 @@ class StateSpec:
                 f"moment queries need kappa < 2/3, got kappa={self.kappa.value}"
             )
 
+    def delta_x_for(self, dp: float) -> float:
+        """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp."""
+        k = self.kappa.value
+        return self.hbar * self.zeta * (1.0 - k * k) * dp
+
 
 def _deformation_shape(p, k: float, z: float):
     """sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, overflow-safe via hypot."""
     x = k * z * np.square(p)
     return np.hypot(1.0, x) + k * x
+
+
+@elementwise
+def deformation_f(p, kappa: KappaLike, zeta: float):
+    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2."""
+    return _deformation_shape(p, as_kappa(kappa).value, zeta)
+
+
+def _log_profile(p, k: float, z: float):
+    """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
+    if k < TINY_KAPPA:
+        return -z * np.square(p)
+    return -np.arcsinh(k * z * np.square(p)) / k
 
 
 def normalization_constant(spec: StateSpec) -> float:
@@ -116,6 +133,7 @@ def normalization_constant(spec: StateSpec) -> float:
     return math.exp(0.5 * log_n2)
 
 
+@elementwise
 def psi(p, spec: StateSpec):
     """Wavefunction amplitude at momentum p (real, positive, even).
 
@@ -123,50 +141,20 @@ def psi(p, spec: StateSpec):
     decaying branch of the deformed exponential.
     """
     k, z = spec.kappa.value, spec.zeta
-    n = normalization_constant(spec)
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    if k < TINY_KAPPA:
-        out = n * np.exp(-0.5 * z * np.square(arr))
-    else:
-        out = n * np.exp(-np.arcsinh(k * z * np.square(arr)) / (2.0 * k))
-    return float(out) if scalar else out
+    return normalization_constant(spec) * np.exp(0.5 * _log_profile(p, k, z))
 
 
+@elementwise
 def pdf(p, spec: StateSpec):
     """Momentum probability density |psi(p)|^2."""
-    out = np.exp(log_pdf(p, spec))
-    return out
+    return np.exp(log_pdf(p, spec))
 
 
+@elementwise
 def log_pdf(p, spec: StateSpec):
     """ln |psi(p)|^2, useful deep in the power-law tail where pdf underflows."""
     k, z = spec.kappa.value, spec.zeta
-    log_n2 = 2.0 * math.log(normalization_constant(spec))
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    if k < TINY_KAPPA:
-        out = log_n2 - z * np.square(arr)
-    else:
-        out = log_n2 - np.arcsinh(k * z * np.square(arr)) / k
-    return float(out) if scalar else out
-
-
-def _log_pdf_at_logp(w: float, spec: StateSpec, log_n2: float) -> float:
-    """ln pdf at p = exp(w) without ever forming p (tail-safe)."""
-    k, z = spec.kappa.value, spec.zeta
-    if k < TINY_KAPPA:
-        t = math.log(z) + 2.0 * w
-        if t > 700.0:
-            return -math.inf
-        return log_n2 - math.exp(t)
-    x_log = math.log(k * z) + 2.0 * w
-    if x_log > 40.0:
-        # asinh(X) = ln(2X) + O(1/X^2); the correction is < 1e-35 here
-        asinh_val = _LN2 + x_log
-    else:
-        asinh_val = math.asinh(math.exp(x_log))
-    return log_n2 - asinh_val / k
+    return 2.0 * math.log(normalization_constant(spec)) + _log_profile(p, k, z)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +184,7 @@ def delta_p(spec: StateSpec) -> float:
 
 def delta_x(spec: StateSpec) -> float:
     """Position uncertainty, dx = hbar zeta (1 - kappa^2) dp."""
-    k = spec.kappa.value
-    return spec.hbar * spec.zeta * (1.0 - k * k) * delta_p(spec)
+    return spec.delta_x_for(delta_p(spec))
 
 
 def f_expectation(kappa: KappaLike) -> float:
@@ -246,7 +233,7 @@ def _quad_checked(fn, a, b, rel_tol: float, what: str) -> float:
     res = quad(fn, a, b, epsabs=1e-290, epsrel=rel_tol, limit=300, full_output=1)
     value, abserr = res[0], res[1]
     if len(res) > 3 and abserr > 10.0 * rel_tol * abs(value) + 1e-280:
-        raise RuntimeError(f"quadrature for {what} did not converge: {res[3]}")
+        raise NonConvergenceError(f"quadrature for {what} did not converge: {res[3]}")
     return value
 
 
@@ -268,15 +255,30 @@ def expectation_quadrature(
     """
     _check_rel_tol(rel_tol)
     _check_integrable(spec.kappa, growth_degree)
-    half_width = _CORE_HALF_WIDTH / math.sqrt(spec.zeta)
+    k, z = spec.kappa.value, spec.zeta
+    half_width = _CORE_HALF_WIDTH / math.sqrt(z)
     log_n2 = 2.0 * math.log(normalization_constant(spec))
 
     core = _quad_checked(
-        lambda p: weight(p) * pdf(p, spec), 0.0, half_width, 0.5 * rel_tol, "core"
+        lambda p: weight(p) * np.exp(log_n2 + _log_profile(p, k, z)),
+        0.0, half_width, 0.5 * rel_tol, "core",
     )
 
     def tail_integrand(w: float) -> float:
-        lp = _log_pdf_at_logp(w, spec, log_n2)
+        # ln pdf at p = e^w, without ever forming p
+        if k < TINY_KAPPA:
+            t = math.log(z) + 2.0 * w
+            if t > 700.0:
+                return 0.0
+            lp = log_n2 - math.exp(t)
+        else:
+            x_log = math.log(k * z) + 2.0 * w
+            if x_log > 40.0:
+                # asinh(X) = ln(2X) + O(1/X^2); the correction is < 1e-35 here
+                asinh_val = _LN2 + x_log
+            else:
+                asinh_val = math.asinh(math.exp(x_log))
+            lp = log_n2 - asinh_val / k
         total = log_weight_at_logp(w) + w + lp
         if total < -700.0:
             return 0.0
@@ -361,6 +363,8 @@ class MomentReport:
     delta_x_quad: float
     f_expect_quad: float
     max_rel_discrepancy: float
+    # integral of the closed-form pdf by quadrature; 1 for an exact N
+    probability_quad: float = 1.0
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -371,40 +375,21 @@ class MomentReport:
 def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     """Evaluate all closed forms and their quadrature counterparts."""
     spec.require_moment_safe()
-    k = spec.kappa.value
-    n_closed = normalization_constant(spec)
-    p2_closed = second_moment(spec)
-    dp_closed = math.sqrt(p2_closed)
-    dx_closed = spec.hbar * spec.zeta * (1.0 - k * k) * dp_closed
-    f_closed = f_expectation(spec.kappa)
 
+    def with_uncertainties(n, p2, f):
+        dp = math.sqrt(p2)
+        return n, p2, dp, spec.delta_x_for(dp), f
+
+    closed = with_uncertainties(
+        normalization_constant(spec), second_moment(spec), f_expectation(spec.kappa)
+    )
     # quadrature of pdf integrates N^2 * exp_k(-zeta p^2); solving for the
     # normalization that would make it exactly 1 gives the independent N
     total = quadrature_moment(0, spec, rel_tol)
-    n_quad = n_closed / math.sqrt(total)
-    p2_quad = quadrature_moment(2, spec, rel_tol)
-    dp_quad = math.sqrt(p2_quad)
-    dx_quad = spec.hbar * spec.zeta * (1.0 - k * k) * dp_quad
-    f_quad = f_expectation_quadrature(spec, rel_tol)
-
-    pairs = [
-        (n_closed, n_quad),
-        (p2_closed, p2_quad),
-        (dp_closed, dp_quad),
-        (dx_closed, dx_quad),
-        (f_closed, f_quad),
-    ]
-    disc = max(abs(c - q) / abs(c) for c, q in pairs)
-    return MomentReport(
-        norm_constant=n_closed,
-        second_moment=p2_closed,
-        delta_p=dp_closed,
-        delta_x=dx_closed,
-        f_expect=f_closed,
-        norm_constant_quad=n_quad,
-        second_moment_quad=p2_quad,
-        delta_p_quad=dp_quad,
-        delta_x_quad=dx_quad,
-        f_expect_quad=f_quad,
-        max_rel_discrepancy=disc,
+    quadrature = with_uncertainties(
+        closed[0] / math.sqrt(total),
+        quadrature_moment(2, spec, rel_tol),
+        f_expectation_quadrature(spec, rel_tol),
     )
+    disc = max(abs(c - q) / abs(c) for c, q in zip(closed, quadrature))
+    return MomentReport(*closed, *quadrature, disc, total)

@@ -46,12 +46,12 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .coherent_states import StateSpec, _deformation_shape
+from .coherent_states import StateSpec, deformation_f
 from .coherent_states import delta_p as state_delta_p
 from .coherent_states import delta_x as state_delta_x
 from .coherent_states import psi as state_psi
 from .errors import DomainError, GridTooSmallError
-from .kappa_math import KappaLike, as_kappa, kappa_exp
+from .kappa_math import KappaLike, as_kappa, elementwise, kappa_exp
 
 __all__ = [
     "OrderingParameter",
@@ -136,54 +136,42 @@ class GridFunction:
 # deformation function and friends
 # ---------------------------------------------------------------------------
 
-def deformation_f(p, kappa: KappaLike, zeta: float):
-    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2."""
-    k = as_kappa(kappa).value
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    out = _deformation_shape(arr, k, zeta)
-    return float(out) if scalar else out
-
-
+@elementwise
 def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
     """(f, f', f'') of the selected deformation, analytic forms."""
     k = as_kappa(kappa).value
     z = zeta
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    x = k * z * np.square(arr)        # k z p^2
+    x = k * z * np.square(p)        # k z p^2
     s = np.hypot(1.0, x)
     f = s + k * x
-    f1 = 2.0 * k * k * z * arr * (1.0 + z * np.square(arr) / s)
+    f1 = 2.0 * k * k * z * p * (1.0 + z * np.square(p) / s)
     f2 = (
         2.0 * k * k * z
-        + 6.0 * (k * z) ** 2 * np.square(arr) / s
-        - 4.0 * (k * z) ** 4 * arr**6 / s**3
+        + 6.0 * (k * z) ** 2 * np.square(p) / s
+        - 4.0 * (k * z) ** 4 * p**6 / s**3
     )
-    if scalar:
-        return float(f), float(f1), float(f2)
     return f, f1, f2
 
 
 def _general_f_derivatives(p, k: float, z: float, dx: float, dp: float,
                            hbar: float, c1: float):
     """(f, f', f'') for the general two-parameter solution family."""
-    arr = np.asarray(p, dtype=float)
-    c0 = dx / (hbar * z * (1.0 - k * k) * dp)
-    f, f1, f2 = deformation_f_derivatives(arr, k, z)
+    c0 = dx / StateSpec(k, z, hbar).delta_x_for(dp)
+    f, f1, f2 = deformation_f_derivatives(p, k, z)
     f, f1, f2 = c0 * f, c0 * f1, c0 * f2
     if c1 != 0.0:
-        x = k * z * np.square(arr)
+        x = k * z * np.square(p)
         s = np.hypot(1.0, x)
-        big_x = kappa_exp(z * np.square(arr), k)
+        big_x = kappa_exp(z * np.square(p), k)
         f = f + c1 * big_x
-        f1 = f1 + c1 * 2.0 * z * arr * big_x / s
+        f1 = f1 + c1 * 2.0 * z * p * big_x / s
         f2 = f2 + c1 * (2.0 * z * big_x / s**3) * (
-            s * s + 2.0 * z * np.square(arr) * s - 2.0 * (k * z) ** 2 * arr**4
+            s * s + 2.0 * z * np.square(p) * s - 2.0 * (k * z) ** 2 * p**4
         )
     return f, f1, f2
 
 
+@elementwise
 def deformation_general(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
                         hbar: float = 1.0, c1: float = 0.0):
     """General solution family for f(p); reduces to deformation_f when
@@ -191,10 +179,7 @@ def deformation_general(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     if not dp > 0.0:
         raise DomainError("deformation_general requires dp > 0")
     k = as_kappa(kappa).value
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    f, _, _ = _general_f_derivatives(arr, k, zeta, dx, dp, hbar, c1)
-    return float(f) if scalar else f
+    return _general_f_derivatives(p, k, zeta, dx, dp, hbar, c1)[0]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
@@ -213,13 +198,11 @@ def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     return hbar * as_kappa(kappa).value * math.sqrt(zeta)
 
 
+@elementwise
 def approx_commutator_factor(p, kappa: KappaLike, zeta: float):
     """Leading-order commutator factor 1 + k^2 z p^2 (valid for z p^2 << 1)."""
     k = as_kappa(kappa).value
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    out = 1.0 + k * k * zeta * np.square(arr)
-    return float(out) if scalar else out
+    return 1.0 + k * k * zeta * np.square(p)
 
 
 def ordering_weight(p, A: OrderingLike, kappa: KappaLike, zeta: float):
@@ -320,6 +303,7 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
 # minimum-uncertainty ODE residual
 # ---------------------------------------------------------------------------
 
+@elementwise
 def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
                  hbar: float = 1.0, c1: float = 0.0,
                  f_parts: Optional[Tuple] = None):
@@ -334,18 +318,15 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     """
     k = as_kappa(kappa).value
     z = zeta
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
     if f_parts is None:
-        f, f1, f2 = _general_f_derivatives(arr, k, z, dx, dp, hbar, c1)
+        f, f1, f2 = _general_f_derivatives(p, k, z, dx, dp, hbar, c1)
     else:
         f, f1, f2 = (np.asarray(part, dtype=float) for part in f_parts)
-    s = np.hypot(1.0, k * z * np.square(arr))
-    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(arr) * z * (k * k * np.square(arr) * z + s)) * dp**2 * f**2
-    t2 = s**3 * (4.0 * np.square(arr) * dx**2 - hbar**2 * dp**2 * f1**2)
+    s = np.hypot(1.0, k * z * np.square(p))
+    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
+    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
     t3 = 2.0 * hbar * s**2 * dp * f * (
-        4.0 * hbar * arr * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
+        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
     )
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
-    out = (t1 + t2 + t3) / scale
-    return float(out) if scalar else out
+    return (t1 + t2 + t3) / scale

@@ -25,6 +25,7 @@ like 1/(2k) and overflow Gamma directly for k below ~0.01.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -76,10 +77,6 @@ class KappaParameter:
         """True in the more restrictive domain kappa < 2/5."""
         return self.value < STRONG_DOMAIN_LIMIT
 
-    @property
-    def is_classical(self) -> bool:
-        return self.value < TINY_KAPPA
-
 
 KappaLike = Union[KappaParameter, float, int]
 
@@ -91,10 +88,25 @@ def as_kappa(kappa: KappaLike) -> KappaParameter:
     return KappaParameter(float(kappa))
 
 
-def _maybe_scalar(out: np.ndarray, scalar_input: bool):
-    return float(out) if scalar_input else out
+def _maybe_scalar(out):
+    return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
+def elementwise(fn):
+    """Decorator: ``fn`` gets its first argument as a float ndarray, and each
+    0-d result (alone or in a tuple) comes back as a Python float."""
+
+    @functools.wraps(fn)
+    def wrapper(x, *args, **kwargs):
+        out = fn(np.asarray(x, dtype=float), *args, **kwargs)
+        if isinstance(out, tuple):
+            return tuple(map(_maybe_scalar, out))
+        return _maybe_scalar(out)
+
+    return wrapper
+
+
+@elementwise
 def kappa_exp(y, kappa: KappaLike):
     """Deformed exponential exp_k(y), defined and positive for all real y.
 
@@ -102,29 +114,23 @@ def kappa_exp(y, kappa: KappaLike):
     exactly exp(y).
     """
     k = as_kappa(kappa).value
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
     if k < TINY_KAPPA:
-        out = np.exp(arr)
-    else:
-        out = np.exp(np.arcsinh(k * arr) / k)
-    return _maybe_scalar(out, scalar)
+        return np.exp(y)
+    return np.exp(np.arcsinh(k * y) / k)
 
 
+@elementwise
 def kappa_log(y, kappa: KappaLike):
     """Deformed logarithm ln_k(y) for y > 0; inverse of kappa_exp."""
     k = as_kappa(kappa).value
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    if np.any(~(arr > 0.0)):
+    if np.any(~(y > 0.0)):
         raise DomainError("kappa_log requires y > 0")
     if k < TINY_KAPPA:
-        out = np.log(arr)
-    else:
-        out = np.sinh(k * np.log(arr)) / k
-    return _maybe_scalar(out, scalar)
+        return np.log(y)
+    return np.sinh(k * np.log(y)) / k
 
 
+@elementwise
 def log_gamma(x):
     """ln Gamma(x) for x > 0 (scalar or array).
 
@@ -133,22 +139,19 @@ def log_gamma(x):
     moment formulas. Negative arguments are out of scope: every Gamma
     argument reachable from kappa < 1 is positive.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if np.any(~(arr > 0.0)):
+    if np.any(~(x > 0.0)):
         raise DomainError("log_gamma requires x > 0")
-    return _maybe_scalar(gammaln(arr), scalar)
+    return gammaln(x)
 
 
+@elementwise
 def gamma_ratio(a, b):
     """Gamma(a)/Gamma(b) via exp(lgamma(a) - lgamma(b)), a, b > 0.
 
     Safe where the direct ratio overflows (a, b ~ 1/(2 kappa) for small
     kappa).
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    scalar = a_arr.ndim == 0 and b_arr.ndim == 0
-    if np.any(~(a_arr > 0.0)) or np.any(~(b_arr > 0.0)):
+    b = np.asarray(b, dtype=float)
+    if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
         raise DomainError("gamma_ratio requires a > 0 and b > 0")
-    return _maybe_scalar(np.exp(gammaln(a_arr) - gammaln(b_arr)), scalar)
+    return np.exp(gammaln(a) - gammaln(b))

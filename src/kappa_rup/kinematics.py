@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kappa_math import KappaLike, KappaParameter, as_kappa
+from .kappa_math import KappaLike, KappaParameter, as_kappa, elementwise
 
 __all__ = [
     "ParticleFrame",
@@ -81,32 +81,26 @@ def _require_positive_kappa(kappa: KappaLike) -> float:
     return k
 
 
+@elementwise
 def aux_velocity(p_tilde, kappa: KappaLike):
     """u = p~ / sqrt(1 + k^2 p~^2); bounded by 1/k."""
     k = _require_positive_kappa(kappa)
-    arr = np.asarray(p_tilde, dtype=float)
-    scalar = arr.ndim == 0
-    out = arr / np.hypot(1.0, k * arr)
-    return float(out) if scalar else out
+    return p_tilde / np.hypot(1.0, k * p_tilde)
 
 
+@elementwise
 def aux_kinetic(p_tilde, kappa: KappaLike):
     """W~ = (sqrt(1 + k^2 p~^2) - 1) / k^2, computed cancellation-free."""
     k = _require_positive_kappa(kappa)
-    arr = np.asarray(p_tilde, dtype=float)
-    scalar = arr.ndim == 0
     # (sqrt(1+x) - 1)/k^2 with x = k^2 p~^2 rewritten as p~^2/(1 + sqrt(1+x))
-    out = np.square(arr) / (1.0 + np.hypot(1.0, k * arr))
-    return float(out) if scalar else out
+    return np.square(p_tilde) / (1.0 + np.hypot(1.0, k * p_tilde))
 
 
+@elementwise
 def aux_energy(p_tilde, kappa: KappaLike):
     """eps = sqrt(1 + k^2 p~^2) / k^2; satisfies eps - W~ = 1/k^2."""
     k = _require_positive_kappa(kappa)
-    arr = np.asarray(p_tilde, dtype=float)
-    scalar = arr.ndim == 0
-    out = np.hypot(1.0, k * arr) / (k * k)
-    return float(out) if scalar else out
+    return np.hypot(1.0, k * p_tilde) / (k * k)
 
 
 def physical_map(frame: ParticleFrame, v: float) -> PhysicalState:

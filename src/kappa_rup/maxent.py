@@ -167,10 +167,9 @@ def _phi_inv(y: np.ndarray, k: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if k < TINY_KAPPA:
         return np.exp(np.clip(y - 1.0, -700.0, 700.0))
-    root = np.sqrt(k * k * y * y + 1.0 - k * k)
-    # conjugate form for y < 0 avoids cancellation in k y + root
-    num = np.where(y >= 0.0, k * y + root, (1.0 - k * k) / (root - k * y))
-    log_n = (np.log(num) - math.log1p(k)) / k
+    # ln[(k y + sqrt(k^2 y^2 + 1 - k^2)) / (1 + k)] = asinh(k y / sqrt(1 - k^2)) - atanh(k),
+    # free of the cancellation that ln(~1) - ln1p(k) suffers as k -> 0
+    log_n = (np.arcsinh(k / math.sqrt((1.0 - k) * (1.0 + k)) * y) - math.atanh(k)) / k
     return np.exp(np.clip(log_n, -700.0, 700.0))
 
 
@@ -199,13 +198,11 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
         n = _phi_inv(-l0 - l1 * e, k)
         g0 = float(n.sum()) - 1.0
         g1 = float(n @ e)
-        return n, g0, g1
+        return n, g0, g1, max(abs(g0), abs(g1) / e_scale)
 
-    n, g0, g1 = residuals(lam0, lam1)
-    err = max(abs(g0), abs(g1) / e_scale)
-    converged = err <= target
+    n, g0, g1, err = residuals(lam0, lam1)
     for _ in range(max_iter):
-        if converged:
+        if err <= target:
             break
         r = 1.0 / _phi_prime(n, k)
         s0, s1, s2 = float(r.sum()), float(r @ e), float(r @ (e * e))
@@ -216,15 +213,13 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
         d1 = (s0 * g1 - s1 * g0) / det
         step = 1.0
         for _ in range(40):
-            n_new, g0_new, g1_new = residuals(lam0 + step * d0, lam1 + step * d1)
-            err_new = max(abs(g0_new), abs(g1_new) / e_scale)
-            if err_new < err or err_new <= target:
+            trial = residuals(lam0 + step * d0, lam1 + step * d1)
+            if trial[3] < err or trial[3] <= target:
                 break
             step *= 0.5
         lam0, lam1 = lam0 + step * d0, lam1 + step * d1
-        n, g0, g1, err = n_new, g0_new, g1_new, err_new
-        converged = err <= target
-    if not converged:
+        n, g0, g1, err = trial
+    if not err <= target:
         raise NonConvergenceError(
             f"maxent_solve did not reach {target} in {max_iter} iterations (err={err})"
         )
@@ -233,7 +228,7 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
     stat = np.max(np.abs(_phi(n, k) + lam0 + lam1 * e)) / max(
         1.0, abs(lam0) + abs(lam1) * e_scale
     )
-    kkt = max(abs(g0), abs(g1) / e_scale, float(stat))
+    kkt = max(err, float(stat))
     lam0_unshifted = lam0 - lam1 * u
     beta = lam1
     if beta != 0.0:
@@ -269,14 +264,13 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     slope = np.polyfit(e, np.log(n), 1)[0]
     b0 = -float(slope)
 
-    def best_amplitude(b):
-        u = kappa_exp(-b * e, k)
-        return float(u @ n) / float(u @ u)
-
-    def ssq(b):
+    def fitted(b):
         u = kappa_exp(-b * e, k)
         a = float(u @ n) / float(u @ u)
-        return float(np.sum((a * u - n) ** 2))
+        return a, a * u
+
+    def ssq(b):
+        return float(np.sum((fitted(b)[1] - n) ** 2))
 
     span = 10.0 * (abs(b0) + 1.0 / float(e.max() - e.min()))
     res = minimize_scalar(
@@ -289,7 +283,6 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     # data is exactly exponential (kappa = 0) the regression estimate b0 is
     # already optimal, so keep whichever of the two scores better
     b = float(res.x) if ssq(float(res.x)) < ssq(b0) else b0
-    a = best_amplitude(b)
-    model = a * kappa_exp(-b * e, k)
+    a, model = fitted(b)
     max_residual = float(np.max(np.abs(model - n) / n))
     return KappaExponentialFit(amplitude=a, beta_fit=b, max_residual=max_residual)

@@ -271,3 +271,31 @@ class TestDeterminism:
         assert first == second
         assert first.endswith("\n")
         assert "\r" not in first
+
+
+class TestTableStatus:
+    def test_default_rows_are_ok(self, tmp_path):
+        code, text = run(tmp_path, "--command", "table")
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(text)
+        assert [dict(zip(header, cells))["status"] for cells in rows] == ["ok"] * len(rows)
+
+    def test_closed_form_below_one_is_not_ok(self, tmp_path):
+        # the Gamma-ratio closed form cancels at small kappa and returns F < 1
+        code, text = run(tmp_path, "--command", "table", "--kappa", "1e-5")
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(text)
+        row = dict(zip(header, rows[0]))
+        assert float(row["F_closed"]) < 1.0
+        assert row["status"] != "ok"
+
+
+def test_quadrature_nonconvergence_exits_2(monkeypatch, capsys):
+    from kappa_rup import coherent_states
+
+    def failing_quad(fn, a, b, **kwargs):
+        return 1.0, 1.0, {"neval": 21}, "the maximum number of subdivisions has been reached"
+
+    monkeypatch.setattr(coherent_states, "quad", failing_quad)
+    assert main(["--command", "table", "--kappa", "0.2"]) == EXIT_FAIL
+    assert "did not converge" in capsys.readouterr().err

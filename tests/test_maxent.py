@@ -171,3 +171,21 @@ class TestFit:
         sol = maxent_solve(problem(0.2), 1e-12)
         with pytest.raises(DomainError):
             fit_kappa_exponential(sol, np.arange(4.0))
+
+
+class TestSmallKappa:
+    @pytest.mark.parametrize("k", [1e-7, 1e-5, 1e-3, 0.3, 0.9])
+    def test_stationarity_inverse_round_trip(self, k):
+        from kappa_rup.maxent import _phi, _phi_inv
+
+        y = np.linspace(-30.0, 30.0, 6001)
+        err = np.abs(_phi(_phi_inv(y, k), k) - y) / np.maximum(1.0, np.abs(y))
+        assert float(np.max(err)) < 1e-14
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-5])
+    @pytest.mark.parametrize("seed", [2, 6, 10])
+    def test_many_levels_converge(self, k, seed):
+        e = np.random.default_rng(seed).uniform(0.0, 10.0, 200)
+        mean = e.min() + 0.3 * (e.max() - e.min())
+        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(k)))
+        assert sol.kkt_residual < 1e-10
