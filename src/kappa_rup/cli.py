@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .coherent_states import StateSpec, moment_report, normalization_constant, psi
@@ -56,6 +55,10 @@ _DEFAULT_KAPPAS = {
 }
 
 _JSON_COMMANDS = ("verify", "bound-alpha", "maxent-demo")
+
+# scipy.optimize.brentq, imported by the first call that needs it so that a
+# command pays only for the scipy it uses; a module global, so it can be wrapped
+brentq = None
 
 
 class ConfigError(KappaRupError):
@@ -132,6 +135,7 @@ def _json_document(doc: dict) -> str:
 
 def _gibbs_distribution(energies: np.ndarray, mean: float) -> np.ndarray:
     """Analytic kappa = 0 reference: n ~ exp(-beta E) solving the mean."""
+    global brentq
     e = energies - mean
 
     def gap(beta):
@@ -143,6 +147,8 @@ def _gibbs_distribution(energies: np.ndarray, mean: float) -> np.ndarray:
         lo *= 2.0
     while gap(hi) >= 0.0:
         hi *= 2.0
+    if brentq is None:
+        from scipy.optimize import brentq
     beta = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     wgt = np.exp(-beta * (e - e.min()))
     return wgt / wgt.sum()
@@ -357,7 +363,7 @@ def cmd_maxent_demo(cfg: RunConfig) -> int:
         raise ConfigError(f"maxent-demo needs tol in [1e-12, 1e-4], got {tol}")
     try:
         problem = MaxEntProblem(np.asarray(energies, dtype=float), float(mean), as_kappa(kap))
-    except KappaRupError as exc:
+    except (KappaRupError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid maxent problem: {exc}") from exc
     try:
         solution = maxent_solve(problem, tol=tol)
@@ -443,6 +449,20 @@ def _parse_kappa_list(text: str) -> Tuple[float, ...]:
     return values
 
 
+def _config_number(value, name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _config_object(file_cfg: dict, key: str) -> Optional[dict]:
+    value = file_cfg.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must hold a JSON object, got {value!r}")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config)
     command = args.command
@@ -451,11 +471,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.kappa is not None:
         kappas = _parse_kappa_list(args.kappa)
     elif "kappas" in file_cfg:
-        kappas = tuple(float(v) for v in file_cfg["kappas"])
+        values = file_cfg["kappas"]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"config key 'kappas' must be a non-empty list, got {values!r}")
+        kappas = tuple(_config_number(v, "kappa") for v in values)
     else:
         kappas = _DEFAULT_KAPPAS[command]
 
-    grid_file = file_cfg.get("grid", {})
+    grid_file = _config_object(file_cfg, "grid") or {}
 
     def pick(flag_value, file_value, default):
         if flag_value is not None:
@@ -472,7 +495,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
-    pheno_dict = dict(file_cfg.get("pheno", {}))
+    pheno_dict = dict(_config_object(file_cfg, "pheno") or {})
     for name in (
         "alpha_inverse",
         "alpha_inverse_uncertainty",
@@ -484,20 +507,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             pheno_dict[name] = value
 
+    tol = args.tol if args.tol is not None else file_cfg.get("tol")
+    out = pick(args.out, file_cfg.get("out"), None)
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     try:
         cfg = RunConfig(
             command=command,
             kappas=kappas,
-            zeta=float(pick(args.zeta, file_cfg.get("zeta"), 1.0)),
-            hbar=float(pick(args.hbar, file_cfg.get("hbar"), 1.0)),
-            grid_min=float(pick(args.grid_min, grid_file.get("min"), -8.0)),
-            grid_max=float(pick(args.grid_max, grid_file.get("max"), 8.0)),
-            grid_n=int(pick(args.grid_n, grid_file.get("n"), 321)),
-            tol=args.tol if args.tol is not None else file_cfg.get("tol"),
-            out=pick(args.out, file_cfg.get("out"), None),
+            zeta=_config_number(pick(args.zeta, file_cfg.get("zeta"), 1.0), "zeta"),
+            hbar=_config_number(pick(args.hbar, file_cfg.get("hbar"), 1.0), "hbar"),
+            grid_min=_config_number(pick(args.grid_min, grid_file.get("min"), -8.0), "grid min"),
+            grid_max=_config_number(pick(args.grid_max, grid_file.get("max"), 8.0), "grid max"),
+            grid_n=_config_number(pick(args.grid_n, grid_file.get("n"), 321), "grid n", int),
+            tol=None if tol is None else _config_number(tol, "tol"),
+            out=out,
             fmt=fmt,
             pheno=PhenoConfig.from_json_dict(pheno_dict),
-            maxent=file_cfg.get("maxent"),
+            maxent=_config_object(file_cfg, "maxent"),
         )
     except KappaRupError as exc:
         raise ConfigError(str(exc)) from exc

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
 from .kappa_math import (
@@ -43,7 +42,6 @@ from .kappa_math import (
     KappaParameter,
     as_kappa,
     elementwise,
-    log_gamma,
 )
 
 __all__ = [
@@ -66,6 +64,14 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# scipy.special.gammaln and scipy.integrate.quad, each imported by the first
+# call that needs it so that importing this module loads no scipy; module
+# globals, so they can be wrapped or replaced from outside. The closed forms
+# call gammaln without log_gamma's validation: once their domain checks have
+# run, every argument a + c (a = 1/(2k), c >= -3/4) is positive.
+gammaln = None
+quad = None
 
 # Core/tail split point of the quadrature, in units of 1/sqrt(zeta).
 _CORE_HALF_WIDTH = 20.0
@@ -120,15 +126,18 @@ def _log_profile(p, k: float, z: float):
 
 def normalization_constant(spec: StateSpec) -> float:
     """N such that the state integrates to unit probability."""
+    global gammaln
     k, z = spec.kappa.value, spec.zeta
     if k < TINY_KAPPA:
         return (z / math.pi) ** 0.25
+    if gammaln is None:
+        from scipy.special import gammaln
     a = 0.5 / k
     log_n2 = (
         math.log(2.0 + k)
         + 0.5 * (math.log(k * z) - math.log(2.0 * math.pi))
-        + log_gamma(a + 0.25)
-        - log_gamma(a - 0.25)
+        + gammaln(a + 0.25)
+        - gammaln(a - 0.25)
     )
     return math.exp(0.5 * log_n2)
 
@@ -163,16 +172,19 @@ def log_pdf(p, spec: StateSpec):
 
 def second_moment(spec: StateSpec) -> float:
     """<p^2> of the state; requires kappa < 2/3."""
+    global gammaln
     spec.require_moment_safe()
     k, z = spec.kappa.value, spec.zeta
     if k < TINY_KAPPA:
         return 0.5 / z
+    if gammaln is None:
+        from scipy.special import gammaln
     a = 0.5 / k
     log_ratio = (
-        log_gamma(a - 0.75)
-        + log_gamma(a + 0.25)
-        - log_gamma(a + 0.75)
-        - log_gamma(a - 0.25)
+        gammaln(a - 0.75)
+        + gammaln(a + 0.25)
+        - gammaln(a + 0.75)
+        - gammaln(a - 0.25)
     )
     return (2.0 + k) / (4.0 * k * z * (2.0 + 3.0 * k)) * math.exp(log_ratio)
 
@@ -193,17 +205,20 @@ def f_expectation(kappa: KappaLike) -> float:
     Equals the mean of the commutator deformation function over the
     state; F -> 1 in the classical limit.
     """
+    global gammaln
     k = as_kappa(kappa).value
     if k >= 2.0 / 3.0:
         raise DomainError(f"F(kappa) requires kappa < 2/3, got {k}")
     if k < TINY_KAPPA:
         return 1.0
+    if gammaln is None:
+        from scipy.special import gammaln
     a = 0.5 / k
     log_ratio = (
-        log_gamma(a - 0.75)
-        + log_gamma(a + 1.25)
-        - log_gamma(a + 1.75)
-        - log_gamma(a - 0.25)
+        gammaln(a - 0.75)
+        + gammaln(a + 1.25)
+        - gammaln(a + 1.75)
+        - gammaln(a - 0.25)
     )
     return (1.0 - k * k) / (2.0 * k) * math.exp(log_ratio)
 
@@ -230,6 +245,9 @@ def _check_integrable(kappa: KappaParameter, growth_degree: float):
 
 
 def _quad_checked(fn, a, b, rel_tol: float, what: str) -> float:
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
     res = quad(fn, a, b, epsabs=1e-290, epsrel=rel_tol, limit=300, full_output=1)
     value, abserr = res[0], res[1]
     if len(res) > 3 and abserr > 10.0 * rel_tol * abs(value) + 1e-280:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -47,6 +46,10 @@ __all__ = [
 # Below this the deformed and classical branches are indistinguishable in
 # double precision (k^2 y^3 corrections < 1e-16 for any y of interest).
 TINY_KAPPA = 1e-8
+
+# scipy.special.gammaln, imported by the first call that needs it so that
+# importing this module loads no scipy; a module global, so it can be wrapped
+gammaln = None
 
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
 STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
@@ -139,8 +142,11 @@ def log_gamma(x):
     moment formulas. Negative arguments are out of scope: every Gamma
     argument reachable from kappa < 1 is positive.
     """
+    global gammaln
     if np.any(~(x > 0.0)):
         raise DomainError("log_gamma requires x > 0")
+    if gammaln is None:
+        from scipy.special import gammaln
     return gammaln(x)
 
 
@@ -151,7 +157,10 @@ def gamma_ratio(a, b):
     Safe where the direct ratio overflows (a, b ~ 1/(2 kappa) for small
     kappa).
     """
+    global gammaln
     b = np.asarray(b, dtype=float)
     if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
         raise DomainError("gamma_ratio requires a > 0 and b > 0")
+    if gammaln is None:
+        from scipy.special import gammaln
     return np.exp(gammaln(a) - gammaln(b))

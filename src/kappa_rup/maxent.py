@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, InfeasibleMeanError, NonConvergenceError
 from .kappa_math import TINY_KAPPA, KappaLike, KappaParameter, as_kappa, kappa_exp, kappa_log
@@ -46,6 +45,10 @@ __all__ = [
     "maxent_solve",
     "fit_kappa_exponential",
 ]
+
+# scipy.optimize.minimize_scalar, imported by the first fit so that importing
+# this module loads no scipy; a module global, so it can be wrapped
+minimize_scalar = None
 
 
 @dataclass(frozen=True)
@@ -255,6 +258,7 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     starts from the log-linear (Gibbs) estimate and is refined by
     bounded scalar minimization.
     """
+    global minimize_scalar
     e = np.asarray(energies, dtype=float)
     n = np.asarray(solution.distribution, dtype=float)
     if e.shape != n.shape:
@@ -273,6 +277,8 @@ def fit_kappa_exponential(solution: MaxEntSolution,
         return float(np.sum((fitted(b)[1] - n) ** 2))
 
     span = 10.0 * (abs(b0) + 1.0 / float(e.max() - e.min()))
+    if minimize_scalar is None:
+        from scipy.optimize import minimize_scalar
     res = minimize_scalar(
         ssq,
         bounds=(b0 - span, b0 + span),

@@ -253,6 +253,28 @@ class TestConfigHandling:
     def test_bad_kappa_list(self):
         assert main(["--command", "table", "--kappa", "a,b"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [
+            ("table", {"zeta": "abc"}),
+            ("plot-psi", {"grid": {"n": "x"}}),
+            ("plot-psi", {"grid": 5}),
+            ("table", {"kappas": 0.2}),
+            ("table", {"kappas": []}),
+            ("bound-alpha", {"pheno": [1]}),
+            ("verify", {"tol": "x"}),
+            ("bound-alpha", {"out": ["x"]}),
+            ("maxent-demo", {"maxent": 5}),
+            ("maxent-demo", {"maxent": {"energies": ["a", 1]}}),
+            ("maxent-demo", {"maxent": {"mean_energy": "x"}}),
+        ],
+    )
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys, command, file_cfg):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        assert main(["--command", command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
