@@ -19,6 +19,7 @@ from .coherent_states import (
     StateSpec,
     delta_p,
     delta_x,
+    f_excess,
     f_expectation,
     moment_report,
     normalization_constant,
@@ -26,6 +27,7 @@ from .coherent_states import (
     psi,
     quadrature_moment,
     second_moment,
+    second_moment_excess,
     tail_exponent_estimate,
 )
 from .deformed_algebra import (

@@ -44,17 +44,8 @@ EXIT_FAIL = 2
 
 ENV_CONFIG = "KAPPA_RUP_CONFIG"
 
-_COMMANDS = ("verify", "table", "plot-psi", "bound-alpha", "maxent-demo")
-
-_DEFAULT_KAPPAS = {
-    "verify": (0.05, 0.1, 0.3, 0.6),
-    "table": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-    "plot-psi": (0.0, 0.2, 0.4, 0.6),
-    "bound-alpha": (0.2,),
-    "maxent-demo": (0.2,),
-}
-
-_JSON_COMMANDS = ("verify", "bound-alpha", "maxent-demo")
+# plot-psi grid points, at most: 8 bytes per point and curve
+_MAX_GRID_N = 10**7
 
 # scipy.optimize.brentq, imported by the first call that needs it so that a
 # command pays only for the scipy it uses; a module global, so it can be wrapped
@@ -318,8 +309,8 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def cmd_plot_psi(cfg: RunConfig) -> int:
-    if not cfg.grid_max > cfg.grid_min or cfg.grid_n < 2:
-        raise ConfigError("plot-psi needs grid_max > grid_min and grid_n >= 2")
+    if not cfg.grid_max > cfg.grid_min or not 2 <= cfg.grid_n <= _MAX_GRID_N:
+        raise ConfigError(f"plot-psi needs grid_max > grid_min and 2 <= grid_n <= {_MAX_GRID_N}")
     p = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_n)
     curves = [
         psi(p, StateSpec(as_kappa(k), cfg.zeta, cfg.hbar)) for k in cfg.kappas
@@ -449,11 +440,14 @@ def _parse_kappa_list(text: str) -> Tuple[float, ...]:
     return values
 
 
-def _config_number(value, name: str, kind=float):
+def _config_number(value, name: str, integral: bool = False):
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if integral and not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(number) if integral else number
 
 
 def _config_object(file_cfg: dict, key: str) -> Optional[dict]:
@@ -466,6 +460,7 @@ def _config_object(file_cfg: dict, key: str) -> Optional[dict]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config)
     command = args.command
+    _, command_fmt, default_kappas = _COMMANDS[command]
 
     kappas: Tuple[float, ...]
     if args.kappa is not None:
@@ -476,7 +471,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key 'kappas' must be a non-empty list, got {values!r}")
         kappas = tuple(_config_number(v, "kappa") for v in values)
     else:
-        kappas = _DEFAULT_KAPPAS[command]
+        kappas = default_kappas
 
     grid_file = _config_object(file_cfg, "grid") or {}
 
@@ -487,13 +482,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return file_value
         return default
 
-    fmt = pick(args.fmt, file_cfg.get("format"), None)
-    if fmt is None:
-        fmt = "json" if command in _JSON_COMMANDS else "csv"
-    if command in _JSON_COMMANDS and fmt != "json":
-        raise ConfigError(f"command {command} emits JSON only")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    fmt = pick(args.fmt, file_cfg.get("format"), command_fmt)
+    if fmt != command_fmt:
+        raise ConfigError(f"command {command} emits {command_fmt} only, got {fmt!r}")
 
     pheno_dict = dict(_config_object(file_cfg, "pheno") or {})
     for name in (
@@ -519,7 +510,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             hbar=_config_number(pick(args.hbar, file_cfg.get("hbar"), 1.0), "hbar"),
             grid_min=_config_number(pick(args.grid_min, grid_file.get("min"), -8.0), "grid min"),
             grid_max=_config_number(pick(args.grid_max, grid_file.get("max"), 8.0), "grid max"),
-            grid_n=_config_number(pick(args.grid_n, grid_file.get("n"), 321), "grid n", int),
+            grid_n=_config_number(pick(args.grid_n, grid_file.get("n"), 321), "grid n", True),
             tol=None if tol is None else _config_number(tol, "tol"),
             out=out,
             fmt=fmt,
@@ -541,12 +532,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "plot-psi": cmd_plot_psi,
-    "bound-alpha": cmd_bound_alpha,
-    "maxent-demo": cmd_maxent_demo,
+# per command: its function, the one document format it emits and its default
+# kappas; 1e-6 and 1e-5 put the paper's regime (bound kappa ~ 1.8e-5) in every
+# verify run
+_COMMANDS = {
+    "verify": (cmd_verify, "json", (1e-6, 1e-5, 0.05, 0.1, 0.3, 0.6)),
+    "table": (cmd_table, "csv", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
+    "plot-psi": (cmd_plot_psi, "csv", (0.0, 0.2, 0.4, 0.6)),
+    "bound-alpha": (cmd_bound_alpha, "json", (0.2,)),
+    "maxent-demo": (cmd_maxent_demo, "json", (0.2,)),
 }
 
 
@@ -562,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -8,8 +8,7 @@ real, even, positive, with a characteristic inverse squared momentum
 scale zeta > 0. For k = 0 it is the ordinary Gaussian wave packet; for
 k > 0 the tails turn into power laws, psi ~ |p|^(-1/k).
 
-Closed forms implemented here (all as ratios of Gamma functions taken
-through log-Gamma differences, with a = 1/(2k)):
+Closed forms implemented here, with a = 1/(2k):
 
     N^2   = (2+k) sqrt(k zeta / 2 pi) Gamma(a+1/4) / Gamma(a-1/4)
     <p^2> = (2+k) / (4 k zeta (2+3k))
@@ -19,6 +18,10 @@ through log-Gamma differences, with a = 1/(2k)):
             * Gamma(a-3/4) Gamma(a+5/4) / [Gamma(a+7/4) Gamma(a-1/4)]
 
 <p^2> (and everything built on it) exists only for k < 2/3.
+
+Each is its k = 0 value times exp(R(k)), R(0) = 0, with R evaluated
+without the ln Gamma differences that cancel as k -> 0 (_LogGammaRatio),
+so F - 1 and <p^2> - 1/(2 zeta) keep full relative accuracy via expm1.
 
 Each closed form has an independent quadrature route: the integral is
 split into a core [-P, P] handled by adaptive Gauss-Kronrod and two
@@ -36,13 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import (
-    TINY_KAPPA,
-    KappaLike,
-    KappaParameter,
-    as_kappa,
-    elementwise,
-)
+from .kappa_math import KappaLike, KappaParameter, as_kappa, elementwise
 
 __all__ = [
     "StateSpec",
@@ -52,10 +49,12 @@ __all__ = [
     "pdf",
     "log_pdf",
     "second_moment",
+    "second_moment_excess",
     "delta_p",
     "delta_x",
     "deformation_f",
     "f_expectation",
+    "f_excess",
     "f_expectation_quadrature",
     "quadrature_moment",
     "expectation_quadrature",
@@ -65,12 +64,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# scipy.special.gammaln and scipy.integrate.quad, each imported by the first
-# call that needs it so that importing this module loads no scipy; module
-# globals, so they can be wrapped or replaced from outside. The closed forms
-# call gammaln without log_gamma's validation: once their domain checks have
-# run, every argument a + c (a = 1/(2k), c >= -3/4) is positive.
-gammaln = None
+# scipy.integrate.quad, imported by the first integral so that importing this
+# module loads no scipy; a module global, so it can be wrapped from outside
 quad = None
 
 # Core/tail split point of the quadrature, in units of 1/sqrt(zeta).
@@ -119,27 +114,14 @@ def deformation_f(p, kappa: KappaLike, zeta: float):
 
 def _log_profile(p, k: float, z: float):
     """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
-    if k < TINY_KAPPA:
+    if k == 0.0:
         return -z * np.square(p)
     return -np.arcsinh(k * z * np.square(p)) / k
 
 
 def normalization_constant(spec: StateSpec) -> float:
     """N such that the state integrates to unit probability."""
-    global gammaln
-    k, z = spec.kappa.value, spec.zeta
-    if k < TINY_KAPPA:
-        return (z / math.pi) ** 0.25
-    if gammaln is None:
-        from scipy.special import gammaln
-    a = 0.5 / k
-    log_n2 = (
-        math.log(2.0 + k)
-        + 0.5 * (math.log(k * z) - math.log(2.0 * math.pi))
-        + gammaln(a + 0.25)
-        - gammaln(a - 0.25)
-    )
-    return math.exp(0.5 * log_n2)
+    return (spec.zeta / math.pi) ** 0.25 * math.exp(0.5 * _LN_N2(spec.kappa.value))
 
 
 @elementwise
@@ -170,23 +152,77 @@ def log_pdf(p, spec: StateSpec):
 # closed-form moments
 # ---------------------------------------------------------------------------
 
+# Bernoulli numbers B_0 .. B_18 (B_2, B_4, ... as numerator/denominator; the
+# odd ones past B_1 vanish). For a >= 12 the series alone is used, and its
+# 18 terms leave an error < 1e-20.
+_BERNOULLI = {0: 1.0, 1: -0.5, **{2 * i: n / d for i, (n, d) in enumerate(
+    ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+     (-3617, 510), (43867, 798)), 1)}}
+_SERIES_MIN_A = 12.0
+_SERIES_TERMS = 18
+
+
+class _LogGammaRatio:
+    """R(k) = ln[prod Gamma(a+x) / prod Gamma(a+y)] - (sum x - sum y) ln a,
+    a = 1/t = 1/(2k), for as many x as y; R(0) = 0.
+
+    For a >= 12, R is the Tricomi-Erdelyi series in t, with coefficients
+    (-1)^(n+1) [sum B_{n+1}(x) - sum B_{n+1}(y)] / (n(n+1)) (B_n the
+    Bernoulli polynomials): each order cancels once, in its coefficient.
+    For a < 12, Gamma(a+x) = Gamma(b+x) / prod_{j<m} (a+x+j) lifts a to
+    b = a + m >= 12; pairing each x with a y leaves log1p terms of size ~t.
+    """
+
+    def __init__(self, xs, ys):
+        xs, ys = sorted(xs), sorted(ys)
+        shift = sum(xs) - sum(ys)
+        # step j: shift * ln((a+j+1)/(a+j)), summing to shift * ln(b/a), and each
+        # pair's ln((a+y+j)/(a+x+j)); all are w ln(1 + d t / (1 + c t)), c += j
+        step = [(shift, 1.0, 0.0)] + [(1.0, y - x, x) for x, y in zip(xs, ys)]
+        self.steps = tuple((w, d, c + j) for j in range(int(_SERIES_MIN_A)) for w, d, c in step)
+        self.per_step = len(step)
+        gaps = [sum(x**p for x in xs) - sum(y**p for y in ys)
+                for p in range(_SERIES_TERMS + 2)]
+        self.coeffs = [
+            (-1) ** (n + 1) / (n * (n + 1)) * sum(
+                math.comb(n + 1, i) * _BERNOULLI.get(i, 0.0) * gaps[n + 1 - i]
+                for i in range(n + 1))
+            for n in range(_SERIES_TERMS, 0, -1)
+        ]
+
+    def __call__(self, k: float) -> float:
+        t = 2.0 * k
+        m = math.ceil(_SERIES_MIN_A - 1.0 / t) if t * _SERIES_MIN_A > 1.0 else 0
+        # t_hi on a 2^-40 grid makes 1 + c t_hi exact for the quarter-integers c
+        # here, so 1 + c t rounds once even next to its zero at a + x -> 0
+        t_hi = math.floor(t * 2.0**40) * 2.0**-40
+        t_lo = t - t_hi
+        log1p = math.log1p
+        terms = [w * log1p(d * t / (1.0 + c * t_hi + c * t_lo))
+                 for w, d, c in self.steps[: m * self.per_step]]
+        t_b, series = t / (1.0 + m * t), 0.0
+        for c in self.coeffs:  # highest order first
+            series = series * t_b + c
+        return math.fsum(terms + [series * t_b])
+
+
+# ln(N^2 / sqrt(zeta/pi)) and ln(2 zeta <p^2>), each with its prefactor
+# (2+k)/2 = (a + 1/4)/a or (2+k)/(2+3k) = (a + 1/4)/(a + 3/4) written as
+# Gamma ratios too; F = (1 - k^2) 2 zeta <p^2>.
+_LN_N2 = _LogGammaRatio((0.0, 1.25), (-0.25, 1.0))
+_LN_P2 = _LogGammaRatio((-0.75, 1.25), (-0.25, 1.75))
+
+
 def second_moment(spec: StateSpec) -> float:
     """<p^2> of the state; requires kappa < 2/3."""
-    global gammaln
     spec.require_moment_safe()
-    k, z = spec.kappa.value, spec.zeta
-    if k < TINY_KAPPA:
-        return 0.5 / z
-    if gammaln is None:
-        from scipy.special import gammaln
-    a = 0.5 / k
-    log_ratio = (
-        gammaln(a - 0.75)
-        + gammaln(a + 0.25)
-        - gammaln(a + 0.75)
-        - gammaln(a - 0.25)
-    )
-    return (2.0 + k) / (4.0 * k * z * (2.0 + 3.0 * k)) * math.exp(log_ratio)
+    return 0.5 / spec.zeta * math.exp(_LN_P2(spec.kappa.value))
+
+
+def second_moment_excess(spec: StateSpec) -> float:
+    """<p^2> - 1/(2 zeta), to full relative accuracy as kappa -> 0."""
+    spec.require_moment_safe()
+    return 0.5 / spec.zeta * math.expm1(_LN_P2(spec.kappa.value))
 
 
 def delta_p(spec: StateSpec) -> float:
@@ -199,28 +235,25 @@ def delta_x(spec: StateSpec) -> float:
     return spec.delta_x_for(delta_p(spec))
 
 
+def _ln_f(kappa: KappaLike) -> float:
+    k = as_kappa(kappa).value
+    if k >= 2.0 / 3.0:
+        raise DomainError(f"F(kappa) requires kappa < 2/3, got {k}")
+    return _LN_P2(k) + math.log1p(-k * k)
+
+
 def f_expectation(kappa: KappaLike) -> float:
-    """State-independent saturation value F(kappa) = 2 dx dp / hbar.
+    """State-independent saturation value F(kappa) = 2 dx dp / hbar >= 1.
 
     Equals the mean of the commutator deformation function over the
     state; F -> 1 in the classical limit.
     """
-    global gammaln
-    k = as_kappa(kappa).value
-    if k >= 2.0 / 3.0:
-        raise DomainError(f"F(kappa) requires kappa < 2/3, got {k}")
-    if k < TINY_KAPPA:
-        return 1.0
-    if gammaln is None:
-        from scipy.special import gammaln
-    a = 0.5 / k
-    log_ratio = (
-        gammaln(a - 0.75)
-        + gammaln(a + 1.25)
-        - gammaln(a + 1.75)
-        - gammaln(a - 0.25)
-    )
-    return (1.0 - k * k) / (2.0 * k) * math.exp(log_ratio)
+    return math.exp(_ln_f(kappa))
+
+
+def f_excess(kappa: KappaLike) -> float:
+    """F(kappa) - 1, to full relative accuracy as kappa -> 0 (~ 7/8 kappa^2)."""
+    return math.expm1(_ln_f(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +268,7 @@ def _check_rel_tol(rel_tol: float):
 def _check_integrable(kappa: KappaParameter, growth_degree: float):
     """Tail of weight * pdf ~ p^(growth - 2/k): integrable iff growth < 2/k - 1."""
     k = kappa.value
-    if k < TINY_KAPPA:
-        return
-    if growth_degree >= 2.0 / k - 1.0:
+    if k > 0.0 and growth_degree >= 2.0 / k - 1.0:
         raise DivergentIntegralError(
             f"integral of p^{growth_degree} * pdf diverges for kappa={k} "
             f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})"
@@ -284,7 +315,7 @@ def expectation_quadrature(
 
     def tail_integrand(w: float) -> float:
         # ln pdf at p = e^w, without ever forming p
-        if k < TINY_KAPPA:
+        if k == 0.0:
             t = math.log(z) + 2.0 * w
             if t > 700.0:
                 return 0.0
@@ -332,7 +363,7 @@ def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
     k, z = spec.kappa.value, spec.zeta
 
     def log_f_at_logp(w: float) -> float:
-        if k < TINY_KAPPA:
+        if k == 0.0:
             return 0.0
         x_log = math.log(k * z) + 2.0 * w
         if x_log > 40.0:
@@ -354,8 +385,7 @@ def tail_exponent_estimate(spec: StateSpec, n_points: int = 41) -> float:
 
     Converges to -2/kappa; only meaningful for kappa > 0.
     """
-    k = spec.kappa.value
-    if k < TINY_KAPPA:
+    if spec.kappa.value == 0.0:
         raise DomainError("tail exponent is defined only for kappa > 0")
     p = np.geomspace(1e2 / math.sqrt(spec.zeta), 1e4 / math.sqrt(spec.zeta), n_points)
     slope = np.polyfit(np.log(p), log_pdf(p, spec), 1)[0]

@@ -18,15 +18,16 @@ reciprocal identity exp_k(y) * exp_k(-y) = 1 holds at rounding level,
 and the decaying branch (k y << -1) never hits the catastrophic
 cancellation of the naive power form.
 
-Gamma ratios Gamma(a)/Gamma(b) are always evaluated as
-exp(lgamma(a) - lgamma(b)); the arguments that appear downstream grow
-like 1/(2k) and overflow Gamma directly for k below ~0.01.
+gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe where Gamma overflows.
+Kernels that divide by k take their classical form at k == 0 only; a
+subnormal k, whose k y would lose its low bits, is stored as 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,16 +37,11 @@ from .errors import DomainError
 
 __all__ = [
     "KappaParameter",
-    "TINY_KAPPA",
     "kappa_exp",
     "kappa_log",
     "log_gamma",
     "gamma_ratio",
 ]
-
-# Below this the deformed and classical branches are indistinguishable in
-# double precision (k^2 y^3 corrections < 1e-16 for any y of interest).
-TINY_KAPPA = 1e-8
 
 # scipy.special.gammaln, imported by the first call that needs it so that
 # importing this module loads no scipy; a module global, so it can be wrapped
@@ -57,7 +53,7 @@ STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
 
 @dataclass(frozen=True)
 class KappaParameter:
-    """Validated deformation parameter, 0 <= value < 1.
+    """Validated deformation parameter, 0 <= value < 1 (a subnormal one is 0).
 
     value = 0 denotes the exact classical (Boltzmann-Gibbs) limit.
     """
@@ -68,7 +64,7 @@ class KappaParameter:
         v = float(self.value)
         if not math.isfinite(v) or not 0.0 <= v < 1.0:
             raise DomainError(f"kappa must satisfy 0 <= kappa < 1, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", v if v >= sys.float_info.min else 0.0)
 
     @property
     def moment_safe(self) -> bool:
@@ -113,11 +109,10 @@ def elementwise(fn):
 def kappa_exp(y, kappa: KappaLike):
     """Deformed exponential exp_k(y), defined and positive for all real y.
 
-    Accepts scalars or arrays in ``y``. For kappa below TINY_KAPPA this is
-    exactly exp(y).
+    Accepts scalars or arrays in ``y``. For kappa = 0 this is exactly exp(y).
     """
     k = as_kappa(kappa).value
-    if k < TINY_KAPPA:
+    if k == 0.0:
         return np.exp(y)
     return np.exp(np.arcsinh(k * y) / k)
 
@@ -128,7 +123,7 @@ def kappa_log(y, kappa: KappaLike):
     k = as_kappa(kappa).value
     if np.any(~(y > 0.0)):
         raise DomainError("kappa_log requires y > 0")
-    if k < TINY_KAPPA:
+    if k == 0.0:
         return np.log(y)
     return np.sinh(k * np.log(y)) / k
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleMeanError, NonConvergenceError
-from .kappa_math import TINY_KAPPA, KappaLike, KappaParameter, as_kappa, kappa_exp, kappa_log
+from .kappa_math import KappaLike, KappaParameter, as_kappa, kappa_exp, kappa_log
 
 __all__ = [
     "MaxEntProblem",
@@ -153,22 +153,20 @@ def kaniadakis_entropy(n, kappa: KappaLike) -> float:
 def _phi(n: np.ndarray, k: float) -> np.ndarray:
     """d/dn [n ln_k n], strictly increasing on n > 0."""
     t = np.log(n)
-    if k < TINY_KAPPA:
+    if k == 0.0:
         return t + 1.0
     return np.sinh(k * t) / k + np.cosh(k * t)
 
 
 def _phi_prime(n: np.ndarray, k: float) -> np.ndarray:
     t = np.log(n)
-    if k < TINY_KAPPA:
-        return 1.0 / n
     return (np.cosh(k * t) + k * np.sinh(k * t)) / n
 
 
 def _phi_inv(y: np.ndarray, k: float) -> np.ndarray:
     """Unique n > 0 with phi(n) = y (exponent clamped to keep n finite)."""
     y = np.asarray(y, dtype=float)
-    if k < TINY_KAPPA:
+    if k == 0.0:
         return np.exp(np.clip(y - 1.0, -700.0, 700.0))
     # ln[(k y + sqrt(k^2 y^2 + 1 - k^2)) / (1 + k)] = asinh(k y / sqrt(1 - k^2)) - atanh(k),
     # free of the cancellation that ln(~1) - ln1p(k) suffers as k -> 0

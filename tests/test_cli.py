@@ -250,6 +250,12 @@ class TestConfigHandling:
         code = main(["--command", "verify", "--format", "csv"])
         assert code == EXIT_CONFIG
 
+    def test_csv_only_command_rejects_json(self, tmp_path, capsys):
+        code, text = run(tmp_path, "--command", "table", "--format", "json")
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_bad_kappa_list(self):
         assert main(["--command", "table", "--kappa", "a,b"]) == EXIT_CONFIG
 
@@ -267,6 +273,9 @@ class TestConfigHandling:
             ("maxent-demo", {"maxent": 5}),
             ("maxent-demo", {"maxent": {"energies": ["a", 1]}}),
             ("maxent-demo", {"maxent": {"mean_energy": "x"}}),
+            ("plot-psi", {"grid": {"n": 1e30}}),
+            ("plot-psi", {"grid": {"n": 2.5}}),
+            ("plot-psi", {"format": "json"}),
         ],
     )
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, command, file_cfg):
@@ -302,14 +311,26 @@ class TestTableStatus:
         _, header, rows = parse_csv(text)
         assert [dict(zip(header, cells))["status"] for cells in rows] == ["ok"] * len(rows)
 
-    def test_closed_form_below_one_is_not_ok(self, tmp_path):
-        # the Gamma-ratio closed form cancels at small kappa and returns F < 1
+    def test_closed_form_below_one_is_not_ok(self, tmp_path, monkeypatch):
+        # the closed form keeps F >= 1, so a broken one is injected
+        from kappa_rup import coherent_states
+
+        monkeypatch.setattr(coherent_states, "f_expectation", lambda kappa: 1.0 - 1e-12)
         code, text = run(tmp_path, "--command", "table", "--kappa", "1e-5")
         assert code == EXIT_OK
         _, header, rows = parse_csv(text)
         row = dict(zip(header, rows[0]))
         assert float(row["F_closed"]) < 1.0
         assert row["status"] != "ok"
+
+    @pytest.mark.parametrize("kappa", ["1e-6", "1e-5", "1.8e-5"])
+    def test_paper_regime_reads_ok(self, tmp_path, kappa):
+        code, text = run(tmp_path, "--command", "table", "--kappa", kappa)
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(text)
+        row = dict(zip(header, rows[0]))
+        assert float(row["F_closed"]) > 1.0
+        assert row["status"] == "ok"
 
 
 def test_quadrature_nonconvergence_exits_2(monkeypatch, capsys):
