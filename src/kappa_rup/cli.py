@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,68 +55,63 @@ class ConfigError(KappaRupError):
     """Bad flags or config file; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    kappas: Tuple[float, ...]
-    zeta: float = 1.0
-    hbar: float = 1.0
-    grid_min: float = -8.0
-    grid_max: float = 8.0
-    grid_n: int = 321
-    tol: Optional[float] = None
-    out: Optional[str] = None
-    fmt: str = "json"
-    pheno: PhenoConfig = field(default_factory=PhenoConfig)
-    maxent: Optional[dict] = None
+# The number settings, in echo order. Each gives its key path in the config
+# file, which is also its path in the echoed configuration and, joined by "-",
+# its flag; its default (tol's None leaves each command its own); and whether
+# it must be an integer.
+_SETTINGS = (
+    (("zeta",), 1.0, False),
+    (("hbar",), 1.0, False),
+    (("grid", "min"), -8.0, False),
+    (("grid", "max"), 8.0, False),
+    (("grid", "n"), 321, True),
+    (("tol",), None, False),
+)
 
-    def resolved_dict(self) -> dict:
-        d = {
-            "command": self.command,
-            "kappa": list(self.kappas),
-            "zeta": self.zeta,
-            "hbar": self.hbar,
-            "grid": {"min": self.grid_min, "max": self.grid_max, "n": self.grid_n},
-            "tol": self.tol,
-            "format": self.fmt,
-        }
-        if self.command == "bound-alpha":
-            d["pheno"] = self.pheno.to_json_dict()
-        if self.command == "maxent-demo":
-            d["maxent"] = self.maxent
-        return d
+# bound-alpha's overrides: PhenoConfig fields, which hold their defaults
+_PHENO_FLAGS = (
+    "alpha_inverse", "alpha_inverse_uncertainty", "characteristic_momentum",
+    "electron_mass", "zeta_fixing",
+)
+
+# the config file's keys besides the settings' own
+_FILE_KEYS = ("kappas", "format", "out", "pheno", "maxent")
+_MAXENT_KEYS = ("energies", "mean_energy", "kappa")
 
 
 def _f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _meta(cfg: RunConfig) -> dict:
+def _meta(config: dict) -> dict:
     return {
         "tool": "kappa-rup",
         "version": __version__,
-        "command": cfg.command,
-        "config": cfg.resolved_dict(),
+        "command": config["command"],
+        "config": config,
     }
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _emit(out: Optional[str], text: str):
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _csv_document(meta: dict, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = ["# " + json.dumps(meta)]
+def _csv_document(config: dict, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    lines = ["# " + json.dumps(_meta(config))]
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _json_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _json_document(config: dict, body: dict) -> str:
+    return json.dumps({"meta": _meta(config), **body}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +143,11 @@ def _convergence_ratios(residuals: Sequence[float]) -> float:
     return min(residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1))
 
 
-def _run_checks(cfg: RunConfig) -> list:
+def _run_checks(c: dict) -> list:
     checks = []
 
     def add(name, measured, tolerance, comparator="<="):
-        tol = cfg.tol if cfg.tol is not None else tolerance
+        tol = c["tol"] if c["tol"] is not None else tolerance
         ok = measured <= tol if comparator == "<=" else measured >= tol
         checks.append(
             {
@@ -165,8 +159,8 @@ def _run_checks(cfg: RunConfig) -> list:
             }
         )
 
-    z, hb = cfg.zeta, cfg.hbar
-    specs = [StateSpec(as_kappa(k), z, hb) for k in cfg.kappas]
+    z, hb = c["zeta"], c["hbar"]
+    specs = [StateSpec(as_kappa(k), z, hb) for k in c["kappa"]]
     reports = [moment_report(s) for s in specs]
 
     add("normalization", max(abs(r.probability_quad - 1.0) for r in reports), 1e-8)
@@ -241,17 +235,19 @@ def _run_checks(cfg: RunConfig) -> list:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    for k in cfg.kappas:
+# Each command maps the resolved configuration to its exit code and the
+# document to write (None for none); main writes it.
+
+def cmd_verify(c: dict) -> Tuple[int, Optional[str]]:
+    for k in c["kappa"]:
         if not as_kappa(k).moment_safe:
             raise ConfigError(
                 f"verify runs moment checks and needs kappa < 2/3, got {k}"
             )
-    checks = _run_checks(cfg)
-    all_passed = all(c["status"] == "pass" for c in checks)
-    doc = {"meta": _meta(cfg), "checks": checks, "all_passed": all_passed}
-    _emit(cfg, _json_document(doc))
-    return EXIT_OK if all_passed else EXIT_FAIL
+    checks = _run_checks(c)
+    all_passed = all(check["status"] == "pass" for check in checks)
+    doc = _json_document(c, {"checks": checks, "all_passed": all_passed})
+    return (EXIT_OK if all_passed else EXIT_FAIL), doc
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +278,11 @@ def _table_status(report, rel_tol: float) -> str:
     return "ok"
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    rel_tol = cfg.tol if cfg.tol is not None else 1e-10
-    if not 1e-12 <= rel_tol <= 1e-3:
-        raise ConfigError(f"table needs a quadrature rel_tol in [1e-12, 1e-3], got {rel_tol}")
+def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
+    rel_tol = c["tol"] if c["tol"] is not None else 1e-10
     rows = []
-    for k in cfg.kappas:
-        spec = StateSpec(as_kappa(k), cfg.zeta, cfg.hbar)
+    for k in c["kappa"]:
+        spec = StateSpec(as_kappa(k), c["zeta"], c["hbar"])
         if not spec.kappa.moment_safe:
             rows.append(
                 (_f17(k), _f17(normalization_constant(spec))) + ("",) * 7
@@ -301,69 +295,62 @@ def cmd_table(cfg: RunConfig) -> int:
                 _f17(k), _f17(r.norm_constant), _f17(r.second_moment),
                 _f17(r.second_moment_quad), _f17(r.delta_p), _f17(r.delta_x),
                 _f17(r.f_expect), _f17(r.f_expect_quad),
-                _f17(r.delta_x * r.delta_p / (0.5 * cfg.hbar)), _table_status(r, rel_tol),
+                _f17(r.delta_x * r.delta_p / (0.5 * c["hbar"])), _table_status(r, rel_tol),
             )
         )
-    _emit(cfg, _csv_document(_meta(cfg), _TABLE_HEADER, rows))
-    return EXIT_OK
+    return EXIT_OK, _csv_document(c, _TABLE_HEADER, rows)
 
 
-def cmd_plot_psi(cfg: RunConfig) -> int:
-    if not cfg.grid_max > cfg.grid_min or not 2 <= cfg.grid_n <= _MAX_GRID_N:
-        raise ConfigError(f"plot-psi needs grid_max > grid_min and 2 <= grid_n <= {_MAX_GRID_N}")
-    p = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_n)
-    curves = [
-        psi(p, StateSpec(as_kappa(k), cfg.zeta, cfg.hbar)) for k in cfg.kappas
-    ]
-    header = ["p"] + [f"psi_k{i}" for i in range(len(cfg.kappas))]
+def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
+    lo, hi, n = c["grid"]["min"], c["grid"]["max"], c["grid"]["n"]
+    # a span that overflows to inf would put nan and inf in the grid
+    if not 0.0 < hi - lo < math.inf or not 2 <= n <= _MAX_GRID_N:
+        raise ConfigError(f"plot-psi needs 0 < grid max - min < inf and 2 <= n <= {_MAX_GRID_N}")
+    p = np.linspace(lo, hi, n)
+    curves = [psi(p, StateSpec(as_kappa(k), c["zeta"], c["hbar"])) for k in c["kappa"]]
+    header = ["p"] + [f"psi_k{i}" for i in range(len(curves))]
     rows = [
         [_f17(p[j])] + [_f17(curve[j]) for curve in curves]
         for j in range(p.size)
     ]
-    _emit(cfg, _csv_document(_meta(cfg), header, rows))
-    return EXIT_OK
+    return EXIT_OK, _csv_document(c, header, rows)
 
 
 # ---------------------------------------------------------------------------
 # phenomenology / maxent commands
 # ---------------------------------------------------------------------------
 
-def cmd_bound_alpha(cfg: RunConfig) -> int:
-    bound = kappa_bound(cfg.pheno)
-    doc = {
-        "meta": _meta(cfg),
-        "alpha_inverse": cfg.pheno.alpha_inverse,
-        "alpha_inverse_uncertainty": cfg.pheno.alpha_inverse_uncertainty,
-        "delta_alpha_exp": cfg.pheno.delta_alpha_exp,
-        "characteristic_momentum": cfg.pheno.characteristic_momentum,
-        "zeta_fixing": cfg.pheno.zeta_fixing,
+def cmd_bound_alpha(c: dict) -> Tuple[int, Optional[str]]:
+    pheno = PhenoConfig(**c["pheno"])
+    bound = kappa_bound(pheno)
+    return EXIT_OK, _json_document(c, {
+        "alpha_inverse": pheno.alpha_inverse,
+        "alpha_inverse_uncertainty": pheno.alpha_inverse_uncertainty,
+        "delta_alpha_exp": pheno.delta_alpha_exp,
+        "characteristic_momentum": pheno.characteristic_momentum,
+        "zeta_fixing": pheno.zeta_fixing,
         "bound_kappa_sqrt_zeta": bound.bound_kappa_sqrt_zeta,
         "bound_kappa": bound.bound_kappa,
-    }
-    _emit(cfg, _json_document(doc))
-    return EXIT_OK
+    })
 
 
-def cmd_maxent_demo(cfg: RunConfig) -> int:
-    section = dict(cfg.maxent or {})
+def cmd_maxent_demo(c: dict) -> Tuple[int, Optional[str]]:
+    section = c["maxent"] or {}
     energies = section.get("energies", [0.0, 1.0, 2.0, 3.0, 4.0])
     mean = section.get("mean_energy", 1.2)
-    kap = section.get("kappa", cfg.kappas[0])
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    if not 1e-12 <= tol <= 1e-4:
-        raise ConfigError(f"maxent-demo needs tol in [1e-12, 1e-4], got {tol}")
+    kap = section.get("kappa", c["kappa"][0])
+    tol = c["tol"] if c["tol"] is not None else 1e-10
     try:
         problem = MaxEntProblem(np.asarray(energies, dtype=float), float(mean), as_kappa(kap))
-    except (KappaRupError, TypeError, ValueError) as exc:
+    except KappaRupError as exc:
         raise ConfigError(f"invalid maxent problem: {exc}") from exc
     try:
         solution = maxent_solve(problem, tol=tol)
     except NonConvergenceError as exc:
         sys.stderr.write(f"maxent solver failed: {exc}\n")
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     fit = fit_kappa_exponential(solution, problem.energies)
-    doc = {
-        "meta": _meta(cfg),
+    return EXIT_OK, _json_document(c, {
         "problem": problem.to_json_dict(),
         "solution": solution.to_json_dict(),
         "fit": {
@@ -371,9 +358,7 @@ def cmd_maxent_demo(cfg: RunConfig) -> int:
             "beta_fit": fit.beta_fit,
             "max_residual": fit.max_residual,
         },
-    }
-    _emit(cfg, _json_document(doc))
-    return EXIT_OK
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--command", required=True, choices=_COMMANDS)
     parser.add_argument("--kappa", help="comma-separated kappa list, e.g. 0,0.2,0.4")
-    parser.add_argument("--zeta", type=float)
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--grid-min", type=float, dest="grid_min")
-    parser.add_argument("--grid-max", type=float, dest="grid_max")
-    parser.add_argument("--grid-n", type=int, dest="grid_n")
-    parser.add_argument("--tol", type=float)
+    for path, _, integral in _SETTINGS:
+        parser.add_argument(
+            "--" + "-".join(path), type=int if integral else float, dest="_".join(path)
+        )
     parser.add_argument("--config", help=f"JSON config path (fallback: ${ENV_CONFIG})")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
     pheno = parser.add_argument_group("phenomenology overrides")
-    pheno.add_argument("--alpha-inverse", type=float, dest="alpha_inverse")
-    pheno.add_argument(
-        "--alpha-inverse-uncertainty", type=float, dest="alpha_inverse_uncertainty"
-    )
-    pheno.add_argument(
-        "--characteristic-momentum", type=float, dest="characteristic_momentum"
-    )
-    pheno.add_argument("--electron-mass", type=float, dest="electron_mass")
-    pheno.add_argument("--zeta-fixing", dest="zeta_fixing")
+    for name in _PHENO_FLAGS:
+        # typed like the field's default: float, or str for zeta_fixing
+        pheno.add_argument(
+            "--" + name.replace("_", "-"), type=type(getattr(PhenoConfig, name)), dest=name
+        )
     return parser
 
 
@@ -423,124 +402,124 @@ def _load_config_file(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers both malformed JSON and bytes that are not UTF-8
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
 
 
-def _parse_kappa_list(text: str) -> Tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad --kappa list {text!r}") from exc
-    if not values:
-        raise ConfigError("empty --kappa list")
-    return values
-
-
 def _config_number(value, name: str, integral: bool = False):
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if integral and not number.is_integer():
+    # a JSON number (true and false are not) within the float range
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if integral and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(number) if integral else number
+    return int(value) if integral else float(value)
 
 
-def _config_object(file_cfg: dict, key: str) -> Optional[dict]:
-    value = file_cfg.get(key)
-    if value is not None and not isinstance(value, dict):
+def _reject_unknown(data: dict, known, where: str):
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys in {where}: {unknown}")
+
+
+def _config_object(data: dict, key: str, known) -> dict:
+    """data[key], a JSON object ({} if absent or null) of known keys only."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must hold a JSON object, got {value!r}")
+    _reject_unknown(value, known, repr(key))
     return value
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def _given(flag, file_cfg: dict, key: str):
+    """The flag's value if given, else the config file's (None if absent)."""
+    return flag if flag is not None else file_cfg.get(key)
+
+
+def _resolve_kappas(flag: Optional[str], file_value, default: list) -> list:
+    values = default if file_value is None else file_value
+    if flag is not None:
+        try:
+            values = [float(part) for part in flag.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"bad --kappa list {flag!r}") from exc
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"the kappa list must be a non-empty list, got {values!r}")
+    return [_config_number(k, "kappa") for k in values]
+
+
+def resolve_config(args: argparse.Namespace) -> Tuple[dict, Optional[str]]:
+    """The resolved configuration, each value from its flag, else the config
+    file, else its default; and the output path."""
     file_cfg = _load_config_file(args.config)
     command = args.command
-    _, command_fmt, default_kappas = _COMMANDS[command]
+    _, command_fmt, default_kappas, (tol_lo, tol_hi) = _COMMANDS[command]
+    _reject_unknown(file_cfg, {path[0] for path, *_ in _SETTINGS}.union(_FILE_KEYS), "the file")
 
-    kappas: Tuple[float, ...]
-    if args.kappa is not None:
-        kappas = _parse_kappa_list(args.kappa)
-    elif "kappas" in file_cfg:
-        values = file_cfg["kappas"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"config key 'kappas' must be a non-empty list, got {values!r}")
-        kappas = tuple(_config_number(v, "kappa") for v in values)
-    else:
-        kappas = default_kappas
+    config = {
+        "command": command,
+        "kappa": _resolve_kappas(args.kappa, file_cfg.get("kappas"), list(default_kappas)),
+    }
+    for path, default, integral in _SETTINGS:
+        *sections, key = path
+        file_node, node = file_cfg, config
+        for name in sections:
+            siblings = {p[-1] for p, *_ in _SETTINGS if p[:-1] == path[:-1]}
+            file_node = _config_object(file_node, name, siblings)
+            node = node.setdefault(name, {})
+        value = _given(getattr(args, "_".join(path)), file_node, key)
+        node[key] = default if value is None else _config_number(value, ".".join(path), integral)
+    tol = config["tol"]
+    if tol is not None and not (0.0 < tol and tol_lo <= tol <= tol_hi):
+        raise ConfigError(f"{command} needs a positive tol in [{tol_lo:g}, {tol_hi:g}], got {tol}")
 
-    grid_file = _config_object(file_cfg, "grid") or {}
-
-    def pick(flag_value, file_value, default):
-        if flag_value is not None:
-            return flag_value
-        if file_value is not None:
-            return file_value
-        return default
-
-    fmt = pick(args.fmt, file_cfg.get("format"), command_fmt)
-    if fmt != command_fmt:
+    fmt = _given(args.fmt, file_cfg, "format")
+    if fmt not in (None, command_fmt):
         raise ConfigError(f"command {command} emits {command_fmt} only, got {fmt!r}")
+    config["format"] = command_fmt
 
-    pheno_dict = dict(_config_object(file_cfg, "pheno") or {})
-    for name in (
-        "alpha_inverse",
-        "alpha_inverse_uncertainty",
-        "characteristic_momentum",
-        "electron_mass",
-        "zeta_fixing",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            pheno_dict[name] = value
-
-    tol = args.tol if args.tol is not None else file_cfg.get("tol")
-    out = pick(args.out, file_cfg.get("out"), None)
+    out = _given(args.out, file_cfg, "out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")
+
+    for key, value in _config_object(file_cfg, "maxent", _MAXENT_KEYS).items():
+        numbers = value if key == "energies" and isinstance(value, list) else [value]
+        for number in numbers:
+            _config_number(number, f"maxent.{key}")
+
+    pheno = dict(_config_object(file_cfg, "pheno", PhenoConfig().to_json_dict()))
+    for name in _PHENO_FLAGS:
+        if getattr(args, name) is not None:
+            pheno[name] = getattr(args, name)
     try:
-        cfg = RunConfig(
-            command=command,
-            kappas=kappas,
-            zeta=_config_number(pick(args.zeta, file_cfg.get("zeta"), 1.0), "zeta"),
-            hbar=_config_number(pick(args.hbar, file_cfg.get("hbar"), 1.0), "hbar"),
-            grid_min=_config_number(pick(args.grid_min, grid_file.get("min"), -8.0), "grid min"),
-            grid_max=_config_number(pick(args.grid_max, grid_file.get("max"), 8.0), "grid max"),
-            grid_n=_config_number(pick(args.grid_n, grid_file.get("n"), 321), "grid n", True),
-            tol=None if tol is None else _config_number(tol, "tol"),
-            out=out,
-            fmt=fmt,
-            pheno=PhenoConfig.from_json_dict(pheno_dict),
-            maxent=_config_object(file_cfg, "maxent"),
-        )
+        pheno = PhenoConfig.from_json_dict(pheno)
+        # kappa (0 <= k < 1), zeta and hbar (> 0) are config-level concerns for every command
+        for k in config["kappa"]:
+            StateSpec(as_kappa(k), config["zeta"], config["hbar"])
     except KappaRupError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # kappa validity (0 <= k < 1) is a config-level concern for every command
-    try:
-        for k in cfg.kappas:
-            as_kappa(k)
-        StateSpec(as_kappa(cfg.kappas[0]), cfg.zeta, cfg.hbar)
-    except KappaRupError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.tol is not None and not cfg.tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    return cfg
+    if command == "bound-alpha":
+        config["pheno"] = pheno.to_json_dict()
+    if command == "maxent-demo":
+        config["maxent"] = file_cfg.get("maxent")
+    return config, out
 
 
-# per command: its function, the one document format it emits and its default
-# kappas; 1e-6 and 1e-5 put the paper's regime (bound kappa ~ 1.8e-5) in every
-# verify run
+# per command: its function, the one document format it emits, its default
+# kappas and the range its tol must lie in; 1e-6 and 1e-5 put the paper's
+# regime (bound kappa ~ 1.8e-5) in every verify run
 _COMMANDS = {
-    "verify": (cmd_verify, "json", (1e-6, 1e-5, 0.05, 0.1, 0.3, 0.6)),
-    "table": (cmd_table, "csv", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
-    "plot-psi": (cmd_plot_psi, "csv", (0.0, 0.2, 0.4, 0.6)),
-    "bound-alpha": (cmd_bound_alpha, "json", (0.2,)),
-    "maxent-demo": (cmd_maxent_demo, "json", (0.2,)),
+    "verify": (cmd_verify, "json", (1e-6, 1e-5, 0.05, 0.1, 0.3, 0.6), (0.0, math.inf)),
+    "table": (cmd_table, "csv", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6), (1e-12, 1e-3)),
+    "plot-psi": (cmd_plot_psi, "csv", (0.0, 0.2, 0.4, 0.6), (0.0, math.inf)),
+    "bound-alpha": (cmd_bound_alpha, "json", (0.2,), (0.0, math.inf)),
+    "maxent-demo": (cmd_maxent_demo, "json", (0.2,), (1e-12, 1e-4)),
 }
 
 
@@ -551,12 +530,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[cfg.command][0](cfg)
+        config, out = resolve_config(args)
+        code, text = _COMMANDS[args.command][0](config)
+        if text is not None:
+            _emit(out, text)
+        return code
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

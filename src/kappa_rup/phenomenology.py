@@ -25,6 +25,7 @@ tags; a tag with the wrong unit raises UnitMismatchError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -104,7 +105,8 @@ class PhenoConfig:
             if f.name == "zeta_fixing":
                 continue
             v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            # a bool is no number; a huge int would overflow float arithmetic later
+            if type(v) is bool or not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
                 raise DomainError(f"PhenoConfig.{f.name} must be a positive number")
         if not 0.0 < 1.0 / self.alpha_inverse < 1.0:
             raise DomainError("alpha must lie in (0, 1)")

@@ -276,6 +276,27 @@ class TestConfigHandling:
             ("plot-psi", {"grid": {"n": 1e30}}),
             ("plot-psi", {"grid": {"n": 2.5}}),
             ("plot-psi", {"format": "json"}),
+            # numbers are JSON numbers: no strings, no true/false
+            ("table", {"zeta": "2"}),
+            ("table", {"hbar": True}),
+            ("maxent-demo", {"maxent": {"kappa": "0.3", "mean_energy": True}}),
+            ("bound-alpha", {"pheno": {"hbar": True}}),
+            # and finite: json.dumps writes Infinity and NaN
+            ("table", {"zeta": math.inf}),
+            ("plot-psi", {"grid": {"max": math.nan}}),
+            ("table", {"kappas": [math.nan]}),
+            ("verify", {"tol": math.inf}),
+            ("maxent-demo", {"maxent": {"energies": [0.0, math.inf]}}),
+            ("plot-psi", {"grid": {"n": 10**400}}),
+            ("bound-alpha", {"pheno": {"alpha_inverse": 10**400}}),
+            # a finite grid whose span overflows
+            ("plot-psi", {"grid": {"min": -1e308, "max": 1e308}}),
+            # unknown keys, at the top level and in every section; a document's
+            # own metadata says "kappa" where the file says "kappas"
+            ("table", {"kappa": [0.15]}),
+            ("plot-psi", {"grid": {"nn": 5}}),
+            ("maxent-demo", {"maxent": {"levels": 3}}),
+            ("bound-alpha", {"pheno": {"bogus": 1.0}}),
         ],
     )
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, command, file_cfg):
@@ -283,6 +304,48 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(file_cfg))
         assert main(["--command", command, "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--command", "plot-psi", "--grid-max", "inf"),
+            ("--command", "bound-alpha", "--tol", "inf"),
+            ("--command", "table", "--zeta", "nan"),
+        ],
+    )
+    def test_non_finite_flag_is_config_error(self, tmp_path, capsys, args):
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"zeta": "\xff"}')
+        code, text = run(tmp_path, "--command", "table", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.json"
+        assert main(["--command", "bound-alpha", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_integers_where_floats_go(self, tmp_path):
+        # JSON integers are numbers too; the echo holds them as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappas": [0], "zeta": 2, "grid": {"min": -4, "n": 41}}))
+        code, text = run(tmp_path, "--command", "plot-psi", "--config", str(cfg))
+        assert code == EXIT_OK
+        meta, _, _ = parse_csv(text)
+        assert meta["config"]["kappa"] == [0.0]
+        assert meta["config"]["zeta"] == 2.0 and isinstance(meta["config"]["zeta"], float)
+        assert meta["config"]["grid"] == {"min": -4.0, "max": 8.0, "n": 41}
+        assert isinstance(meta["config"]["grid"]["min"], float)
 
 
 class TestDeterminism:
@@ -302,6 +365,22 @@ class TestDeterminism:
         assert first == second
         assert first.endswith("\n")
         assert "\r" not in first
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["verify", "table", "plot-psi", "bound-alpha", "maxent-demo"])
+def test_documents_are_strict_json(tmp_path, command):
+    # Infinity and NaN are not JSON: every metadata line and JSON document
+    # parses with them refused
+    code, text = run(tmp_path, "--command", command)
+    assert code == EXIT_OK
+    if text.startswith("# "):
+        json.loads(text.splitlines()[0][2:], parse_constant=_reject_constant)
+    else:
+        json.loads(text, parse_constant=_reject_constant)
 
 
 class TestTableStatus:

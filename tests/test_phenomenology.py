@@ -9,6 +9,7 @@ from kappa_rup.phenomenology import (
     UNIT_LENGTH,
     UNIT_MOMENTUM,
     UNIT_SPEED,
+    ZETA_FIXINGS,
     PhenoConfig,
     Quantity,
     delta_p_saturated,
@@ -145,6 +146,23 @@ class TestKappaBound:
         wider = kappa_bound(PhenoConfig(characteristic_momentum=1e-3))
         assert wider.bound_kappa_sqrt_zeta > base.bound_kappa_sqrt_zeta
 
+    @pytest.mark.parametrize("zeta_fixing", ZETA_FIXINGS)
+    def test_bound_round_trips_through_effective_alpha(self, zeta_fixing):
+        # the bound kappa, fed back at the zeta its fixing implies and the
+        # position uncertainty a0 the bound was derived for, shifts alpha by
+        # exactly the measured resolution, up to the O(r) term the
+        # leading-order inversion drops (measured: 8.0e-11 relative)
+        cfg = PhenoConfig(zeta_fixing=zeta_fixing)
+        bound = kappa_bound(cfg)
+        zeta = 1.0 / cfg.conversion_momentum() ** 2
+
+        def shift(kappa):
+            return effective_alpha(cfg.bohr_radius, kappa, zeta, cfg).delta_alpha
+
+        assert shift(bound.bound_kappa) == pytest.approx(-cfg.delta_alpha_exp, rel=1e-9)
+        assert abs(shift(1.01 * bound.bound_kappa)) > cfg.delta_alpha_exp
+        assert abs(shift(0.99 * bound.bound_kappa)) < cfg.delta_alpha_exp
+
 
 class TestZetaFixings:
     def test_landau_direct(self):
@@ -248,6 +266,8 @@ class TestConfig:
             {"characteristic_momentum": 0.0},
             {"electron_mass": float("nan")},
             {"zeta_fixing": "bogus"},
+            {"hbar": True},
+            {"alpha_inverse": 10**400},
         ],
     )
     def test_validation(self, kw):
