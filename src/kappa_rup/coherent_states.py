@@ -24,17 +24,18 @@ without the ln Gamma differences that cancel as k -> 0 (_LogGammaRatio),
 so F - 1 and <p^2> - 1/(2 zeta) keep full relative accuracy via expm1.
 
 Each closed form has an independent quadrature route: the integral is
-split into a core [-P, P] handled by adaptive Gauss-Kronrod and two
-power-law tails integrated in w = ln p, where the integrand decays
-exponentially and all magnitudes stay in log space (no overflow for
-any k < 2/3).
+split into a core [-P, P], P = 20/sqrt(zeta), taken by a tanh-sinh rule
+in p, and two power-law tails taken by an exp-sinh rule in w = ln p,
+where the integrand decays exponentially and all magnitudes stay in log
+space (no overflow for any k < 2/3). Both rules halve their step until
+two levels agree to rel_tol / 2; the last change is their error estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,12 +65,15 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# scipy.integrate.quad, imported by the first integral so that importing this
-# module loads no scipy; a module global, so it can be wrapped from outside
-quad = None
-
 # Core/tail split point of the quadrature, in units of 1/sqrt(zeta).
 _CORE_HALF_WIDTH = 20.0
+
+# The double-exponential rule's t range, its first level that may stop and
+# its level cap (step 2^-level). At |t| = 4 the mapped weights are below
+# 1e-17 of the integrand at the interval's ends.
+_T_MAX = 4
+_MIN_LEVEL = 3
+_MAX_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,8 @@ class StateSpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
+        if not math.isfinite(_CORE_HALF_WIDTH**2 / self.zeta):
+            raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
 
     def require_moment_safe(self):
         if not self.kappa.moment_safe:
@@ -116,7 +122,8 @@ def _log_profile(p, k: float, z: float):
     """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
     if k == 0.0:
         return -z * np.square(p)
-    return -np.arcsinh(k * z * np.square(p)) / k
+    # not (k z) p^2: k z alone can underflow, and its lost bits scale the exponent
+    return -np.arcsinh(k * (z * np.square(p))) / k
 
 
 def normalization_constant(spec: StateSpec) -> float:
@@ -260,87 +267,110 @@ def f_excess(kappa: KappaLike) -> float:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _check_rel_tol(rel_tol: float):
+def _tanh_sinh(t, width: float):
+    """Nodes p = width (1 + tanh u) / 2, u = pi/2 sinh t, of [0, width], and dp/dt."""
+    u = 0.5 * math.pi * np.sinh(t)
+    e = np.exp(-2.0 * np.abs(u))  # 1 - |tanh u| = 2e / (1 + e), never rounded to 0
+    p = width * np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    return p, width * math.pi * np.cosh(t) * e / np.square(1.0 + e)
+
+
+def _exp_sinh(t, start: float):
+    """Nodes w = start + exp(u), u = pi/2 sinh t, of [start, inf), and dw/dt."""
+    du = np.exp(0.5 * math.pi * np.sinh(t))
+    return start + du, 0.5 * math.pi * np.cosh(t) * du
+
+
+def _double_exponential(integrand, nodes, rel_tol: float, what: str, floor: float = 0.0):
+    """(integral, error estimate, evaluation count) by a double-exponential rule.
+
+    The trapezoid rule in t on [-_T_MAX, _T_MAX], where ``nodes(t)`` gives
+    the integration variable and its derivative in t, chosen so that the
+    integrand decays double-exponentially in |t| (Takahasi & Mori 1974).
+    Each level halves the step and evaluates only the new, odd nodes; the
+    change from the previous level is the error estimate, accepted once
+    it is at most rel_tol / 2 of the value, or at most ``floor``.
+    ``integrand`` maps an array.
+    """
+    value = change = 0.0
+    evals = 0
+    for level in range(_MAX_LEVEL + 1):
+        # level 0 takes each integer t, every later one the odd multiples of h;
+        # h enters each term, so that no partial sum exceeds the integral much
+        n = _T_MAX << level
+        k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
+        h = 2.0**-level
+        x, dx = nodes(h * k)
+        previous, value = value, 0.5 * value + float(integrand(x) @ (h * dx))
+        evals += k.size
+        change = abs(value - previous)
+        if level >= _MIN_LEVEL and change <= max(0.5 * rel_tol * abs(value), floor):
+            return value, change, evals
+    raise NonConvergenceError(
+        f"quadrature for {what} did not converge in {_MAX_LEVEL} step halvings "
+        f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
+    )
+
+
+def _log_profile_at_logp(w, k: float, z: float):
+    """_log_profile at p = e^w, without forming p or overflowing."""
+    if k == 0.0:
+        return -np.exp(np.minimum(math.log(z) + 2.0 * w, 700.0))
+    x_log = math.log(k) + math.log(z) + 2.0 * w
+    # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40
+    asinh = np.where(x_log > 40.0, _LN2 + x_log, np.arcsinh(np.exp(np.minimum(x_log, 40.0))))
+    # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
+    return -np.minimum(asinh, 1e300 * k) / k
+
+
+def expectation_quadrature(
+    spec: StateSpec,
+    weight: Callable[[np.ndarray], np.ndarray],
+    log_weight_at_logp: Callable[[np.ndarray], np.ndarray],
+    growth_degree: float,
+    rel_tol: float = 1e-10,
+    log_n2: Optional[float] = None,
+) -> float:
+    """<weight(p)> over the state by split double-exponential quadrature.
+
+    ``weight`` must be even in p and polynomially bounded; it is
+    evaluated, on an array, directly on the core |p| <= 20/sqrt(zeta)
+    (tanh-sinh in p). The tails are integrated in w = ln p (exp-sinh),
+    and ``log_weight_at_logp(w)`` must return ln weight(e^w) without
+    forming e^w when that would overflow. ``growth_degree`` is the tail
+    growth exponent of the weight and gates the integrability
+    precondition. ``log_n2`` is ln N^2, from the closed form if not given.
+    """
     if not 1e-12 <= rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
-
-
-def _check_integrable(kappa: KappaParameter, growth_degree: float):
-    """Tail of weight * pdf ~ p^(growth - 2/k): integrable iff growth < 2/k - 1."""
-    k = kappa.value
+    k, z = spec.kappa.value, spec.zeta
+    # the tail of weight * pdf ~ p^(growth - 2/k) is integrable iff growth < 2/k - 1
     if k > 0.0 and growth_degree >= 2.0 / k - 1.0:
         raise DivergentIntegralError(
             f"integral of p^{growth_degree} * pdf diverges for kappa={k} "
             f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})"
         )
-
-
-def _quad_checked(fn, a, b, rel_tol: float, what: str) -> float:
-    global quad
-    if quad is None:
-        from scipy.integrate import quad
-    res = quad(fn, a, b, epsabs=1e-290, epsrel=rel_tol, limit=300, full_output=1)
-    value, abserr = res[0], res[1]
-    if len(res) > 3 and abserr > 10.0 * rel_tol * abs(value) + 1e-280:
-        raise NonConvergenceError(f"quadrature for {what} did not converge: {res[3]}")
-    return value
-
-
-def expectation_quadrature(
-    spec: StateSpec,
-    weight: Callable[[float], float],
-    log_weight_at_logp: Callable[[float], float],
-    growth_degree: float,
-    rel_tol: float = 1e-10,
-) -> float:
-    """<weight(p)> over the state by split quadrature.
-
-    ``weight`` must be even in p and polynomially bounded; it is
-    evaluated directly on the core |p| <= 20/sqrt(zeta). The tails are
-    integrated in w = ln p, and ``log_weight_at_logp(w)`` must return
-    ln weight(e^w) without forming e^w when that would overflow.
-    ``growth_degree`` is the tail growth exponent of the weight and
-    gates the integrability precondition.
-    """
-    _check_rel_tol(rel_tol)
-    _check_integrable(spec.kappa, growth_degree)
-    k, z = spec.kappa.value, spec.zeta
     half_width = _CORE_HALF_WIDTH / math.sqrt(z)
-    log_n2 = 2.0 * math.log(normalization_constant(spec))
+    if log_n2 is None:
+        log_n2 = 2.0 * math.log(normalization_constant(spec))
 
-    core = _quad_checked(
+    core = _double_exponential(
         lambda p: weight(p) * np.exp(log_n2 + _log_profile(p, k, z)),
-        0.0, half_width, 0.5 * rel_tol, "core",
+        lambda t: _tanh_sinh(t, half_width), rel_tol, "core",
     )
-
-    def tail_integrand(w: float) -> float:
-        # ln pdf at p = e^w, without ever forming p
-        if k == 0.0:
-            t = math.log(z) + 2.0 * w
-            if t > 700.0:
-                return 0.0
-            lp = log_n2 - math.exp(t)
-        else:
-            x_log = math.log(k * z) + 2.0 * w
-            if x_log > 40.0:
-                # asinh(X) = ln(2X) + O(1/X^2); the correction is < 1e-35 here
-                asinh_val = _LN2 + x_log
-            else:
-                asinh_val = math.asinh(math.exp(x_log))
-            lp = log_n2 - asinh_val / k
-        total = log_weight_at_logp(w) + w + lp
-        if total < -700.0:
-            return 0.0
-        return math.exp(total)
-
-    tail = _quad_checked(
-        tail_integrand, math.log(half_width), math.inf, 0.5 * rel_tol, "tail"
+    # the tail's error counts against the whole integral: a tail far below
+    # the core (down to subnormal values) need not converge to its own digits
+    tail = _double_exponential(
+        lambda w: np.exp(log_weight_at_logp(w) + w + log_n2 + _log_profile_at_logp(w, k, z)),
+        lambda t: _exp_sinh(t, math.log(half_width)), rel_tol, "tail",
+        0.5 * rel_tol * abs(core[0]),
     )
-    return 2.0 * (core + tail)
+    return 2.0 * (core[0] + tail[0])
 
 
-def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> float:
-    """Moment <p^power> by adaptive quadrature (even power only).
+def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10,
+                      log_n2: Optional[float] = None) -> float:
+    """Moment <p^power> by double-exponential quadrature (even power only).
 
     Independent of the Gamma-function closed forms; raises
     DivergentIntegralError when the power-law tail makes the moment
@@ -350,33 +380,24 @@ def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> fl
         raise DomainError(f"power must be an even nonnegative integer, got {power}")
     power = int(power)
     return expectation_quadrature(
-        spec,
-        weight=lambda p: p**power if power else 1.0,
-        log_weight_at_logp=lambda w: power * w,
-        growth_degree=float(power),
-        rel_tol=rel_tol,
+        spec, lambda p: p**power, lambda w: power * w, float(power), rel_tol, log_n2
     )
 
 
-def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
+def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10,
+                             log_n2: Optional[float] = None) -> float:
     """<f(p)> for the commutator deformation shape, quadrature route for F(kappa)."""
     k, z = spec.kappa.value, spec.zeta
 
-    def log_f_at_logp(w: float) -> float:
+    def log_f_at_logp(w):
         if k == 0.0:
-            return 0.0
-        x_log = math.log(k * z) + 2.0 * w
-        if x_log > 40.0:
-            return math.log1p(k) + x_log
-        x = math.exp(x_log)
-        return math.log(math.hypot(1.0, x) + k * x)
+            return np.zeros_like(w)
+        x_log = math.log(k) + math.log(z) + 2.0 * w
+        x = np.exp(np.minimum(x_log, 40.0))
+        return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
 
     return expectation_quadrature(
-        spec,
-        weight=lambda p: _deformation_shape(p, k, z),
-        log_weight_at_logp=log_f_at_logp,
-        growth_degree=2.0,
-        rel_tol=rel_tol,
+        spec, lambda p: _deformation_shape(p, k, z), log_f_at_logp, 2.0, rel_tol, log_n2
     )
 
 
@@ -433,11 +454,12 @@ def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     )
     # quadrature of pdf integrates N^2 * exp_k(-zeta p^2); solving for the
     # normalization that would make it exactly 1 gives the independent N
-    total = quadrature_moment(0, spec, rel_tol)
+    log_n2 = 2.0 * math.log(closed[0])
+    total = quadrature_moment(0, spec, rel_tol, log_n2)
     quadrature = with_uncertainties(
         closed[0] / math.sqrt(total),
-        quadrature_moment(2, spec, rel_tol),
-        f_expectation_quadrature(spec, rel_tol),
+        quadrature_moment(2, spec, rel_tol, log_n2),
+        f_expectation_quadrature(spec, rel_tol, log_n2),
     )
     disc = max(abs(c - q) / abs(c) for c, q in zip(closed, quadrature))
     return MomentReport(*closed, *quadrature, disc, total)

@@ -1,4 +1,4 @@
-"""Deformed exponential/logarithm and Gamma-ratio primitives.
+"""Deformed exponential/logarithm primitives and the kappa parameter.
 
 The one-parameter deformation of the exponential,
 
@@ -18,7 +18,6 @@ reciprocal identity exp_k(y) * exp_k(-y) = 1 holds at rounding level,
 and the decaying branch (k y << -1) never hits the catastrophic
 cancellation of the naive power form.
 
-gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe where Gamma overflows.
 Kernels that divide by k take their classical form at k == 0 only; a
 subnormal k, whose k y would lose its low bits, is stored as 0.
 """
@@ -39,13 +38,7 @@ __all__ = [
     "KappaParameter",
     "kappa_exp",
     "kappa_log",
-    "log_gamma",
-    "gamma_ratio",
 ]
-
-# scipy.special.gammaln, imported by the first call that needs it so that
-# importing this module loads no scipy; a module global, so it can be wrapped
-gammaln = None
 
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
 STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
@@ -126,36 +119,3 @@ def kappa_log(y, kappa: KappaLike):
     if k == 0.0:
         return np.log(y)
     return np.sinh(k * np.log(y)) / k
-
-
-@elementwise
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (scalar or array).
-
-    Thin validated front for scipy's lgamma; relative accuracy is a few
-    ulp across (0, 1e4], far inside the 1e-12 budget needed by the
-    moment formulas. Negative arguments are out of scope: every Gamma
-    argument reachable from kappa < 1 is positive.
-    """
-    global gammaln
-    if np.any(~(x > 0.0)):
-        raise DomainError("log_gamma requires x > 0")
-    if gammaln is None:
-        from scipy.special import gammaln
-    return gammaln(x)
-
-
-@elementwise
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) via exp(lgamma(a) - lgamma(b)), a, b > 0.
-
-    Safe where the direct ratio overflows (a, b ~ 1/(2 kappa) for small
-    kappa).
-    """
-    global gammaln
-    b = np.asarray(b, dtype=float)
-    if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
-        raise DomainError("gamma_ratio requires a > 0 and b > 0")
-    if gammaln is None:
-        from scipy.special import gammaln
-    return np.exp(gammaln(a) - gammaln(b))

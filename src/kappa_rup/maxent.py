@@ -46,9 +46,8 @@ __all__ = [
     "fit_kappa_exponential",
 ]
 
-# scipy.optimize.minimize_scalar, imported by the first fit so that importing
-# this module loads no scipy; a module global, so it can be wrapped
-minimize_scalar = None
+# Newton steps of the fit, at most; it converges in a handful
+_FIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -253,40 +252,58 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     """Fit n_i ~ A exp_k(-b E_i) and report the worst relative residual.
 
     The amplitude is eliminated analytically for each trial b; b itself
-    starts from the log-linear (Gibbs) estimate and is refined by
-    bounded scalar minimization.
+    starts from the log-linear (Gibbs) estimate and is refined by a
+    Newton iteration on d(ssq)/db, safeguarded by bisection on the
+    bracket that the sign of d(ssq)/db narrows at every step.
     """
-    global minimize_scalar
     e = np.asarray(energies, dtype=float)
     n = np.asarray(solution.distribution, dtype=float)
     if e.shape != n.shape:
         raise DomainError("energies must match the solution distribution")
-    k = solution.kappa
+    k = solution.kappa.value
 
-    slope = np.polyfit(e, np.log(n), 1)[0]
-    b0 = -float(slope)
+    # the log-linear (Gibbs) least-squares slope
+    centred = e - e.mean()
+    b0 = -float(centred @ np.log(n)) / float(centred @ centred)
 
     def fitted(b):
         u = kappa_exp(-b * e, k)
         a = float(u @ n) / float(u @ u)
-        return a, a * u
+        return a, u, a * u - n
 
-    def ssq(b):
-        return float(np.sum((fitted(b)[1] - n) ** 2))
-
+    # Newton on g = d(ssq)/db, ssq = |r|^2, r = a u - n. ssq is stationary in
+    # a, so g = 2 a r.u', with u' = -v u, u'' = v^2 u (1 + k^2 b v) and
+    # v = E / sqrt(1 + (k b E)^2). A step that leaves the bracket, which the
+    # sign of g narrows, bisects it instead.
     span = 10.0 * (abs(b0) + 1.0 / float(e.max() - e.min()))
-    if minimize_scalar is None:
-        from scipy.optimize import minimize_scalar
-    res = minimize_scalar(
-        ssq,
-        bounds=(b0 - span, b0 + span),
-        method="bounded",
-        options={"xatol": 1e-13 * (1.0 + abs(b0))},
-    )
-    # the bounded minimizer cannot localize b below ~sqrt(eps)|b|; when the
-    # data is exactly exponential (kappa = 0) the regression estimate b0 is
-    # already optimal, so keep whichever of the two scores better
-    b = float(res.x) if ssq(float(res.x)) < ssq(b0) else b0
-    a, model = fitted(b)
-    max_residual = float(np.max(np.abs(model - n) / n))
+    lo, hi, b = b0 - span, b0 + span, b0
+    a, u, r = start = fitted(b0)
+    for _ in range(_FIT_MAX_ITER):
+        v = e / np.sqrt(1.0 + np.square(k * b * e))
+        w = v * u  # -u'
+        da = (2.0 * a * float(u @ w) - float(w @ n)) / float(u @ u)
+        rw = r * w
+        r_w = float(rw.sum())
+        g = -2.0 * a * r_w
+        r_d2u = float(rw @ v) + k * k * b * float((rw * v) @ v)  # r.u''
+        dg = 2.0 * (a * (float((a * w - da * u) @ w) + r_d2u) - da * r_w)
+        newton = g / dg if dg > 0.0 else math.copysign(math.inf, g)
+        # stop where the step is within rounding of b, or g is nan
+        if not abs(newton) > np.finfo(float).eps * span:
+            break
+        if g > 0.0:
+            hi = b
+        else:
+            lo = b
+        # converging quadratically, the error left after a step is ~newton^2
+        done = abs(newton) <= 1e-10 * span
+        b = b - newton if done or lo < b - newton < hi else 0.5 * (lo + hi)
+        a, u, r = fitted(b)
+        if done:
+            break
+    # when the data is exactly exponential (kappa = 0) the regression
+    # estimate b0 is already optimal, so keep whichever of the two scores better
+    if not float(r @ r) < float(start[2] @ start[2]):
+        b, (a, u, r) = b0, start
+    max_residual = float(np.max(np.abs(r) / n))
     return KappaExponentialFit(amplitude=a, beta_fit=b, max_residual=max_residual)

@@ -114,6 +114,7 @@ class PhenoConfig:
             raise DomainError(
                 f"zeta_fixing must be one of {ZETA_FIXINGS}, got {self.zeta_fixing!r}"
             )
+        kappa_bound(self)  # the bound must be a float too
 
     @property
     def alpha(self) -> float:
@@ -227,6 +228,8 @@ def kappa_bound(config: PhenoConfig) -> KappaBound:
     ratio = config.delta_alpha_exp / config.alpha
     bound_ksz = 2.0 * (config.bohr_radius / config.hbar) * math.sqrt(ratio)
     bound_k = bound_ksz * config.conversion_momentum()
+    if not math.isfinite(bound_k):
+        raise DomainError(f"the kappa bound overflows (bohr_radius {config.bohr_radius})")
     return KappaBound(bound_kappa_sqrt_zeta=bound_ksz, bound_kappa=bound_k)
 
 

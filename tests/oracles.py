@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 moments come from high-precision mpmath quadrature with an explicit
-log-variable tail, and the MaxEnt reference maximizes the entropy in
-primal null-space coordinates (grid scan + projected ascent) instead of
-the package's dual multiplier iteration.
+log-variable tail, and from scipy's QUADPACK as a third route; the MaxEnt
+reference maximizes the entropy in primal null-space coordinates (grid
+scan + projected ascent) instead of the package's dual multiplier
+iteration; the fit reference is scipy's bounded scalar minimizer, scored
+by an mpmath sum of squares.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -20,25 +24,76 @@ def mp_psi_sq(p, k, z):
     return mp.exp(-mp.asinh(k * z * p**2) / k)
 
 
+def _mp_half_integral(weight, growth, kq, zq):
+    """Integral over p >= 0 of weight(p) exp_k(-z p^2): a core in p and, for
+    kappa > 0, a tail in w = ln p long enough for the weight's growth."""
+    split = 30 / mp.sqrt(zq)
+    core = mp.quad(lambda p: weight(p) * mp_psi_sq(p, kq, zq), [0, split])
+    if kq == 0:
+        return core
+    decay = 2 / kq - growth - 1
+    g = lambda w: mp.exp(w) * weight(mp.exp(w)) * mp_psi_sq(mp.exp(w), kq, zq)
+    return core + mp.quad(g, [mp.log(split), mp.log(split) + 160 / decay])
+
+
 def mp_moment(power, k, z):
     """<p^power> for the normalized state, via mpmath quadrature."""
     kq, zq = mp.mpf(repr(k)), mp.mpf(repr(z))
-    split = 30 / mp.sqrt(zq)
-    core = mp.quad(lambda p: p**power * mp_psi_sq(p, kq, zq), [0, split])
-    if kq == 0:
-        tail = mp.mpf(0)
-    else:
-        decay = 2 / kq - power - 1
-        g = lambda w: mp.exp((power + 1) * w) * mp_psi_sq(mp.exp(w), kq, zq)
-        tail = mp.quad(g, [mp.log(split), mp.log(split) + 160 / decay])
-    norm_core = mp.quad(lambda p: mp_psi_sq(p, kq, zq), [0, split])
-    if kq == 0:
-        norm_tail = mp.mpf(0)
-    else:
-        decay0 = 2 / kq - 1
-        g0 = lambda w: mp.exp(w) * mp_psi_sq(mp.exp(w), kq, zq)
-        norm_tail = mp.quad(g0, [mp.log(split), mp.log(split) + 160 / decay0])
-    return float((core + tail) / (norm_core + norm_tail))
+    return float(_mp_half_integral(lambda p: p**power, power, kq, zq)
+                 / _mp_half_integral(lambda p: 1, 0, kq, zq))
+
+
+def mp_state(k, z):
+    """N, <p^2> and F = <f(p)>, f = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, of the
+    state, each from its own mpmath quadrature."""
+    with mp.workdps(25):
+        kq, zq = mp.mpf(repr(k)), mp.mpf(repr(z))
+        half = _mp_half_integral(lambda p: 1, 0, kq, zq)
+        p2 = _mp_half_integral(lambda p: p**2, 2, kq, zq)
+        f = _mp_half_integral(
+            lambda p: mp.sqrt(1 + (kq * zq * p**2) ** 2) + kq**2 * zq * p**2, 2, kq, zq)
+        return {"N": float(1 / mp.sqrt(2 * half)), "p2": float(p2 / half), "F": float(f / half)}
+
+
+def quadpack_moment(power, k, z):
+    """<p^power> for the normalized state by scipy's QUADPACK over [0, inf):
+    a third route, sharing neither rule nor precision with the others."""
+    from scipy.integrate import quad
+
+    def density(p):
+        return math.exp(-z * p * p if k == 0 else -math.asinh(k * z * p * p) / k)
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-12, "limit": 500}
+    norm = quad(density, 0.0, math.inf, **opts)[0]
+    return quad(lambda p: p**power * density(p), 0.0, math.inf, **opts)[0] / norm
+
+
+def bounded_fit_beta(n, energies, k):
+    """b of the fit n ~ A exp_k(-b E) by scipy's bounded scalar minimizer
+    around the log-linear estimate, amplitude eliminated for each b."""
+    from scipy.optimize import minimize_scalar
+
+    e, n = np.asarray(energies, dtype=float), np.asarray(n, dtype=float)
+    b0 = -float(np.polyfit(e, np.log(n), 1)[0])
+
+    def ssq(b):
+        u = np.exp(-b * e) if k == 0 else np.exp(np.arcsinh(-k * b * e) / k)
+        return float(np.sum((float(u @ n) / float(u @ u) * u - n) ** 2))
+
+    span = 10.0 * (abs(b0) + 1.0 / float(e.max() - e.min()))
+    res = minimize_scalar(ssq, bounds=(b0 - span, b0 + span), method="bounded",
+                          options={"xatol": 1e-13 * (1.0 + abs(b0))})
+    return float(res.x) if ssq(float(res.x)) < ssq(b0) else b0
+
+
+def mp_fit_ssq(b, n, energies, k):
+    """min over A of sum (A exp_k(-b E) - n)^2, at 40 digits."""
+    bq, kq = mp.mpf(b), mp.mpf(k)
+    u = [mp.exp(-bq * mp.mpf(x)) if k == 0 else mp.exp(mp.asinh(-kq * bq * mp.mpf(x)) / kq)
+         for x in energies]
+    nq = [mp.mpf(v) for v in n]
+    a = mp.fsum(ui * ni for ui, ni in zip(u, nq)) / mp.fsum(ui * ui for ui in u)
+    return mp.fsum((a * ui - ni) ** 2 for ui, ni in zip(u, nq))
 
 
 def _entropy_plain(n, k):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _gibbs_distribution, main
 from kappa_rup.coherent_states import StateSpec, normalization_constant
 from kappa_rup.kappa_math import KappaParameter
+
+from oracles import gibbs_reference
 
 
 def run(tmp_path, *args, name="out.txt"):
@@ -319,6 +321,27 @@ class TestConfigHandling:
         assert text == ""
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [
+            # 400/zeta, the quadrature core's p^2, overflows
+            ("table", {"zeta": 1e-320}),
+            ("verify", {"zeta": 1e-307}),
+            # bohr_radius = hbar / characteristic_momentum overflows
+            ("bound-alpha", {"pheno": {"characteristic_momentum": 1e-320}}),
+            # the conversion momentum m c, and with it the bound, overflows
+            ("bound-alpha", {"pheno": {"zeta_fixing": "landau", "electron_mass": 1e308, "c": 10.0}}),
+        ],
+    )
+    def test_overflowing_config_is_config_error(self, tmp_path, capsys, command, file_cfg):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        code, text = run(tmp_path, "--command", command, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"zeta": "\xff"}')
@@ -374,11 +397,17 @@ def _reject_constant(name):
 @pytest.mark.parametrize("command", ["verify", "table", "plot-psi", "bound-alpha", "maxent-demo"])
 def test_documents_are_strict_json(tmp_path, command):
     # Infinity and NaN are not JSON: every metadata line and JSON document
-    # parses with them refused
+    # parses with them refused, and every number in a CSV body is finite
     code, text = run(tmp_path, "--command", command)
     assert code == EXIT_OK
     if text.startswith("# "):
         json.loads(text.splitlines()[0][2:], parse_constant=_reject_constant)
+        _, header, rows = parse_csv(text)
+        for row in rows:
+            for name, cell in zip(header, row):
+                if name != "status" and cell:
+                    json.loads(cell, parse_constant=_reject_constant)
+                    assert math.isfinite(float(cell)), (name, cell)
     else:
         json.loads(text, parse_constant=_reject_constant)
 
@@ -415,9 +444,17 @@ class TestTableStatus:
 def test_quadrature_nonconvergence_exits_2(monkeypatch, capsys):
     from kappa_rup import coherent_states
 
-    def failing_quad(fn, a, b, **kwargs):
-        return 1.0, 1.0, {"neval": 21}, "the maximum number of subdivisions has been reached"
-
-    monkeypatch.setattr(coherent_states, "quad", failing_quad)
+    # capped at its first level that may stop, the rule cannot meet 1e-10
+    monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
     assert main(["--command", "table", "--kappa", "0.2"]) == EXIT_FAIL
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "energies, mean",
+    [(np.arange(5.0), 1.2), (np.arange(5.0), 2.0), (np.arange(5.0), 3.9),
+     (np.random.default_rng(3).uniform(-4.0, 6.0, 40), 0.1)],
+)
+def test_gibbs_bisection_matches_oracle(energies, mean):
+    gap = np.max(np.abs(_gibbs_distribution(energies, mean) - gibbs_reference(energies, mean)))
+    assert gap <= 1e-14

@@ -21,10 +21,12 @@ from kappa_rup.coherent_states import (
     second_moment,
     tail_exponent_estimate,
 )
-from kappa_rup.errors import DivergentIntegralError, DomainError
+from kappa_rup import coherent_states
+from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
 from kappa_rup.kappa_math import KappaParameter
 
-from oracles import mp_moment
+from oracles import mp_moment, mp_state, quadpack_moment
+from test_small_kappa import KAPPAS
 
 
 def spec_of(k, z=1.0, hbar=1.0):
@@ -39,6 +41,18 @@ class TestStateSpec:
 
     def test_accepts_float_kappa(self):
         assert StateSpec(0.3, 1.0).kappa.value == 0.3
+
+    @pytest.mark.parametrize("z", [1e-320, 1e-307, 2.2e-306])
+    def test_zeta_whose_core_span_overflows(self, z):
+        # the quadrature core runs to p^2 = 400/zeta
+        with pytest.raises(DomainError, match="too small"):
+            StateSpec(0.2, z)
+
+    def test_smallest_zeta_still_integrates(self):
+        s = spec_of(0.3, 2.3e-306)
+        rep = moment_report(s)
+        assert rep.max_rel_discrepancy < 1e-12
+        assert rep.second_moment == pytest.approx(0.606327408144407 / 2.3e-306, rel=1e-13)
 
 
 class TestNormalization:
@@ -274,3 +288,47 @@ class TestMomentReport:
     def test_field_validation(self):
         with pytest.raises(DomainError):
             MomentReport(*([1.0] * 10 + [float("nan")]))
+
+
+# every 30th kappa of the small-kappa sweep, and two next to kappa = 2/3
+QUAD_KAPPAS = sorted({*map(float, KAPPAS[::30]), 0.65, 0.66})
+
+
+class TestDoubleExponentialRule:
+    @pytest.mark.parametrize("k", QUAD_KAPPAS, ids="{:.3g}".format)
+    def test_matches_mpmath_quadrature(self, k):
+        ref = mp_state(k, 1.3)
+        rep = moment_report(spec_of(k, 1.3))
+        got = {"N": rep.norm_constant_quad, "p2": rep.second_moment_quad, "F": rep.f_expect_quad}
+        errors = {name: abs(got[name] / ref[name] - 1.0) for name in got}
+        assert max(errors.values()) <= 1e-12, errors
+
+    @pytest.mark.parametrize("k,z", [(0.0, 1.0), (0.2, 0.3), (0.45, 2.0), (0.66, 1.3)])
+    def test_matches_quadpack(self, k, z):
+        s = spec_of(k, z)
+        assert quadrature_moment(2, s) == pytest.approx(quadpack_moment(2, k, z), rel=1e-11)
+
+    def test_value_error_estimate_and_count(self):
+        # integral of 1/(1 + p^2) over [0, 3] is atan(3), analytic inside
+        value, error, evals = coherent_states._double_exponential(
+            lambda p: 1.0 / (1.0 + p * p),
+            lambda t: coherent_states._tanh_sinh(t, 3.0),
+            1e-10, "test",
+        )
+        assert abs(value - math.atan(3.0)) <= 1e-15
+        assert 0.0 <= error <= 0.5e-10 * value
+        # level L has 2 * _T_MAX * 2^L + 1 nodes, each evaluated once
+        levels = math.log2((evals - 1) / (2 * coherent_states._T_MAX))
+        assert levels == int(levels) and coherent_states._MIN_LEVEL <= levels
+
+    def test_exp_sinh_tail(self):
+        # integral of exp(-w) over [2, inf) is exp(-2)
+        value, _, _ = coherent_states._double_exponential(
+            lambda w: np.exp(-w), lambda t: coherent_states._exp_sinh(t, 2.0), 1e-12, "test",
+        )
+        assert value == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+    def test_level_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            quadrature_moment(2, spec_of(0.3))

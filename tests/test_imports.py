@@ -1,4 +1,4 @@
-"""Import footprint: each command loads only the scipy subpackages it calls.
+"""Import footprint: no command loads scipy, and each runs without it.
 
 Every test runs in a fresh interpreter, because sys.modules is shared by
 the whole test process.
@@ -12,6 +12,17 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# each command at its defaults, and verify and table at kappas of their own
+COMMANDS = [
+    ["--command", "verify"],
+    ["--command", "verify", "--kappa", "0,0.01,0.2,0.65"],
+    ["--command", "table"],
+    ["--command", "table", "--kappa", "1e-5,0.45,0.66,0.7"],
+    ["--command", "plot-psi"],
+    ["--command", "bound-alpha"],
+    ["--command", "maxent-demo"],
+]
 
 
 def run_fresh(code: str):
@@ -33,42 +44,25 @@ def test_package_import_loads_no_scipy():
     assert scipy_modules_after("import kappa_rup, kappa_rup.cli") == []
 
 
-@pytest.mark.parametrize(
-    "command, forbidden",
-    [
-        ("bound-alpha", ("scipy",)),
-        ("plot-psi", ("scipy",)),
-    ],
-)
-def test_command_loads_only_the_scipy_it_calls(tmp_path, command, forbidden):
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_command_loads_no_scipy(tmp_path, argv):
     out = tmp_path / "out.txt"
     loaded = scipy_modules_after(
         "from kappa_rup.cli import main\n"
-        f"assert main(['--command', {command!r}, '--out', {str(out)!r}]) == 0"
+        f"assert main({argv + ['--out', str(out)]!r}) == 0"
     )
-    assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in forbidden)] == []
+    assert loaded == []
 
 
-def test_first_use_binds_the_scipy_function_as_a_module_global():
-    # a tracer wraps module globals; a name imported inside a function would
-    # never be replaced, and its calls would go uncounted
-    same = run_fresh(
-        "import json\n"
-        "import numpy as np\n"
-        "import scipy.integrate, scipy.optimize, scipy.special\n"
-        "from kappa_rup import cli, coherent_states, kappa_math, maxent\n"
-        "spec = coherent_states.StateSpec(0.2, 1.0)\n"
-        "coherent_states.moment_report(spec)\n"
-        "kappa_math.log_gamma(2.5)\n"
-        "e = np.arange(5.0)\n"
-        "sol = maxent.maxent_solve(maxent.MaxEntProblem(e, 1.2, 0.2))\n"
-        "maxent.fit_kappa_exponential(sol, e)\n"
-        "cli._gibbs_distribution(e, 1.2)\n"
-        "print(json.dumps([\n"
-        "    coherent_states.quad is scipy.integrate.quad,\n"
-        "    kappa_math.gammaln is scipy.special.gammaln,\n"
-        "    maxent.minimize_scalar is scipy.optimize.minimize_scalar,\n"
-        "    cli.brentq is scipy.optimize.brentq,\n"
-        "]))"
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_command_runs_with_scipy_blocked(tmp_path, argv):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    out = tmp_path / "out.txt"
+    code = run_fresh(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from kappa_rup.cli import main\n"
+        f"print(json.dumps(main({argv + ['--out', str(out)]!r})))"
     )
-    assert same == [True] * 4
+    assert code == 0
+    assert out.stat().st_size > 0

@@ -12,11 +12,16 @@ from kappa_rup.maxent import (
     maxent_solve,
 )
 
-from oracles import brute_force_maxent, gibbs_reference
+from oracles import bounded_fit_beta, brute_force_maxent, gibbs_reference, mp_fit_ssq
 
 
 def problem(k, energies=(0.0, 1.0, 2.0, 3.0, 4.0), mean=1.2):
     return MaxEntProblem(np.asarray(energies, dtype=float), mean, KappaParameter(k))
+
+
+def many_level_problem(k, seed):
+    e = np.random.default_rng(seed).uniform(0.0, 10.0, 200)
+    return MaxEntProblem(e, e.min() + 0.3 * (e.max() - e.min()), KappaParameter(k))
 
 
 class TestEntropy:
@@ -172,6 +177,21 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_kappa_exponential(sol, np.arange(4.0))
 
+    @pytest.mark.parametrize(
+        "fit_problem",
+        # maxent-demo's problems: its default, the classical one and a symmetric one
+        [problem(0.2), problem(0.0), problem(0.3, energies=(0.0, 1.0, 2.0), mean=1.0)]
+        # TestSmallKappa's many-level problems
+        + [many_level_problem(k, seed) for k in (1e-6, 1e-5) for seed in (2, 6, 10)],
+    )
+    def test_no_worse_than_bounded_minimizer(self, fit_problem):
+        # scored at 40 digits: near the optimum a float sum of squares is
+        # rounding noise between two b that are both optimal to 1e-8
+        sol = maxent_solve(fit_problem)
+        e, n, k = fit_problem.energies, sol.distribution, fit_problem.kappa.value
+        b = fit_kappa_exponential(sol, e).beta_fit
+        assert mp_fit_ssq(b, n, e, k) <= mp_fit_ssq(bounded_fit_beta(n, e, k), n, e, k)
+
 
 class TestSmallKappa:
     @pytest.mark.parametrize("k", [1e-7, 1e-5, 1e-3, 0.3, 0.9])
@@ -185,7 +205,5 @@ class TestSmallKappa:
     @pytest.mark.parametrize("k", [1e-6, 1e-5])
     @pytest.mark.parametrize("seed", [2, 6, 10])
     def test_many_levels_converge(self, k, seed):
-        e = np.random.default_rng(seed).uniform(0.0, 10.0, 200)
-        mean = e.min() + 0.3 * (e.max() - e.min())
-        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(k)))
+        sol = maxent_solve(many_level_problem(k, seed))
         assert sol.kkt_residual < 1e-10
