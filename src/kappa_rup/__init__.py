@@ -2,7 +2,7 @@
 
 Library layout:
 
-  kappa_math        deformed exp/log, the validated kappa parameter
+  kappa_math        deformed exp/log, log-Gamma, Gamma ratios, the kappa parameter
   coherent_states   kappa-Gaussian states, deformation f(p), moments, quadrature oracles
   deformed_algebra  derivatives of f(p), operator orderings, residuals
   kinematics        auxiliary kinematic functions and the physical scaling map
@@ -13,7 +13,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .kappa_math import KappaParameter, kappa_exp, kappa_log
+from .kappa_math import KappaParameter, gamma_ratio, kappa_exp, kappa_log, log_gamma
 from .coherent_states import (
     MomentReport,
     StateSpec,

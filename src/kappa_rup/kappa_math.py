@@ -18,6 +18,7 @@ reciprocal identity exp_k(y) * exp_k(-y) = 1 holds at rounding level,
 and the decaying branch (k y << -1) never hits the catastrophic
 cancellation of the naive power form.
 
+gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe where Gamma overflows.
 Kernels that divide by k take their classical form at k == 0 only; a
 subnormal k, whose k y would lose its low bits, is stored as 0.
 """
@@ -38,7 +39,12 @@ __all__ = [
     "KappaParameter",
     "kappa_exp",
     "kappa_log",
+    "log_gamma",
+    "gamma_ratio",
 ]
+
+# math.lgamma (libm) applied elementwise; numpy has no log-Gamma ufunc
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
 STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
@@ -119,3 +125,30 @@ def kappa_log(y, kappa: KappaLike):
     if k == 0.0:
         return np.log(y)
     return np.sinh(k * np.log(y)) / k
+
+
+@elementwise
+def log_gamma(x):
+    """ln Gamma(x) for x > 0 (scalar or array).
+
+    Validated front for libm's lgamma; relative accuracy is a few ulp
+    across (0, 1e4], far inside the 1e-12 budget needed by the moment
+    formulas. Negative arguments are out of scope: every Gamma argument
+    reachable from kappa < 1 is positive.
+    """
+    if np.any(~(x > 0.0)):
+        raise DomainError("log_gamma requires x > 0")
+    return _lgamma(x)
+
+
+@elementwise
+def gamma_ratio(a, b):
+    """Gamma(a)/Gamma(b) via exp(lgamma(a) - lgamma(b)), a, b > 0.
+
+    Safe where the direct ratio overflows (a, b ~ 1/(2 kappa) for small
+    kappa).
+    """
+    b = np.asarray(b, dtype=float)
+    if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
+        raise DomainError("gamma_ratio requires a > 0 and b > 0")
+    return np.exp(_lgamma(a) - _lgamma(b))

@@ -44,7 +44,26 @@ def test_package_import_loads_no_scipy():
     assert scipy_modules_after("import kappa_rup, kappa_rup.cli") == []
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize(
+    "command, forbidden",
+    [
+        ("bound-alpha", ("scipy",)),
+        ("plot-psi", ("scipy",)),
+    ],
+)
+def test_command_loads_only_the_scipy_it_calls(tmp_path, command, forbidden):
+    out = tmp_path / "out.txt"
+    loaded = scipy_modules_after(
+        "from kappa_rup.cli import main\n"
+        f"assert main(['--command', {command!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in forbidden)] == []
+
+
+# the commands that called scipy before the numpy-only quadrature and solvers
+@pytest.mark.parametrize(
+    "argv", [a for a in COMMANDS if a[1] not in ("bound-alpha", "plot-psi")], ids=" ".join
+)
 def test_command_loads_no_scipy(tmp_path, argv):
     out = tmp_path / "out.txt"
     loaded = scipy_modules_after(
