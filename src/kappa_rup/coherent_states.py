@@ -23,12 +23,12 @@ Each is its k = 0 value times exp(R(k)), R(0) = 0, with R evaluated
 without the ln Gamma differences that cancel as k -> 0 (_LogGammaRatio),
 so F - 1 and <p^2> - 1/(2 zeta) keep full relative accuracy via expm1.
 
-Each closed form has an independent quadrature route: the integral is
-split into a core [-P, P], P = 20/sqrt(zeta), taken by a tanh-sinh rule
-in p, and two power-law tails taken by an exp-sinh rule in w = ln p,
-where the integrand decays exponentially and all magnitudes stay in log
-space (no overflow for any k < 2/3). Both rules halve their step until
-two levels agree to rel_tol / 2; the last change is their error estimate.
+Each closed form has an independent quadrature route: one sinh-sinh
+rule in w = ln p over the whole real line, w = -ln(zeta)/2 + sinh(pi/2
+sinh t). The integrand, a power of p at both ends, decays exponentially
+in |w| and so double-exponentially in t, and all magnitudes stay in log
+space (no overflow for any k < 2/3). The rule halves its step until two
+levels agree to rel_tol / 2; the last change is its error estimate.
 """
 
 from __future__ import annotations
@@ -65,12 +65,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Core/tail split point of the quadrature, in units of 1/sqrt(zeta).
-_CORE_HALF_WIDTH = 20.0
-
 # The double-exponential rule's t range, its first level that may stop and
-# its level cap (step 2^-level). At |t| = 4 the mapped weights are below
-# 1e-17 of the integrand at the interval's ends.
+# its level cap (step 2^-level). At |t| = 4, |w - c| ~ 2e18: an integrand
+# decaying like exp(-a |w|) is cut off below 1e-17 for any a > 2e-17.
 _T_MAX = 4
 _MIN_LEVEL = 3
 _MAX_LEVEL = 10
@@ -91,7 +88,9 @@ class StateSpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
-        if not math.isfinite(_CORE_HALF_WIDTH**2 / self.zeta):
+        # <p^2> is 1/(2 zeta) at kappa 0 and 400/zeta by kappa ~ 0.6664: a zeta
+        # whose 400/zeta overflows is rejected as input, not as an overflow mid-run
+        if not math.isfinite(400.0 / self.zeta):
             raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
 
     def require_moment_safe(self):
@@ -106,16 +105,12 @@ class StateSpec:
         return self.hbar * self.zeta * (1.0 - k * k) * dp
 
 
-def _deformation_shape(p, k: float, z: float):
-    """sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, overflow-safe via hypot."""
-    x = k * z * np.square(p)
-    return np.hypot(1.0, x) + k * x
-
-
 @elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
-    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2."""
-    return _deformation_shape(p, as_kappa(kappa).value, zeta)
+    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, via hypot."""
+    k = as_kappa(kappa).value
+    x = k * zeta * np.square(p)
+    return np.hypot(1.0, x) + k * x
 
 
 def _log_profile(p, k: float, z: float):
@@ -267,30 +262,18 @@ def f_excess(kappa: KappaLike) -> float:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _tanh_sinh(t, width: float):
-    """Nodes p = width (1 + tanh u) / 2, u = pi/2 sinh t, of [0, width], and dp/dt."""
-    u = 0.5 * math.pi * np.sinh(t)
-    e = np.exp(-2.0 * np.abs(u))  # 1 - |tanh u| = 2e / (1 + e), never rounded to 0
-    p = width * np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-    return p, width * math.pi * np.cosh(t) * e / np.square(1.0 + e)
+@np.errstate(over="ignore", invalid="ignore")
+def _double_exponential(integrand, center: float, rel_tol: float, what: str):
+    """(integral, error estimate, evaluation count) of integrand(w) over the real line.
 
-
-def _exp_sinh(t, start: float):
-    """Nodes w = start + exp(u), u = pi/2 sinh t, of [start, inf), and dw/dt."""
-    du = np.exp(0.5 * math.pi * np.sinh(t))
-    return start + du, 0.5 * math.pi * np.cosh(t) * du
-
-
-def _double_exponential(integrand, nodes, rel_tol: float, what: str, floor: float = 0.0):
-    """(integral, error estimate, evaluation count) by a double-exponential rule.
-
-    The trapezoid rule in t on [-_T_MAX, _T_MAX], where ``nodes(t)`` gives
-    the integration variable and its derivative in t, chosen so that the
-    integrand decays double-exponentially in |t| (Takahasi & Mori 1974).
-    Each level halves the step and evaluates only the new, odd nodes; the
-    change from the previous level is the error estimate, accepted once
-    it is at most rel_tol / 2 of the value, or at most ``floor``.
-    ``integrand`` maps an array.
+    The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
+    w = center + sinh(u), u = pi/2 sinh t, under which an integrand that
+    decays exponentially in |w| decays double-exponentially in |t|
+    (Takahasi & Mori 1974; Mori & Sugihara 2001). Each level halves the
+    step and evaluates only the new, odd nodes; the change from the
+    previous level is the error estimate, accepted once it is at most
+    rel_tol / 2 of the value. A level sum that is not finite ends the
+    rule at once. ``integrand`` maps an array.
     """
     value = change = 0.0
     evals = 0
@@ -300,44 +283,48 @@ def _double_exponential(integrand, nodes, rel_tol: float, what: str, floor: floa
         n = _T_MAX << level
         k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
         h = 2.0**-level
-        x, dx = nodes(h * k)
-        previous, value = value, 0.5 * value + float(integrand(x) @ (h * dx))
+        u = 0.5 * math.pi * np.sinh(h * k)
+        dw = 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)
+        level_sum = float(integrand(center + np.sinh(u)) @ dw)
         evals += k.size
+        if not math.isfinite(level_sum):
+            raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
+        previous, value = value, 0.5 * value + level_sum
         change = abs(value - previous)
-        if level >= _MIN_LEVEL and change <= max(0.5 * rel_tol * abs(value), floor):
+        if level >= _MIN_LEVEL and change <= 0.5 * rel_tol * abs(value):
             return value, change, evals
     raise NonConvergenceError(
-        f"quadrature for {what} did not converge in {_MAX_LEVEL} step halvings "
+        f"quadrature {what} did not converge in {_MAX_LEVEL} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
 
 def _log_profile_at_logp(w, k: float, z: float):
     """_log_profile at p = e^w, without forming p or overflowing."""
+    y = math.log(z) + 2.0 * w  # ln(z p^2), exact next to its zero at the rule's centre
     if k == 0.0:
-        return -np.exp(np.minimum(math.log(z) + 2.0 * w, 700.0))
-    x_log = math.log(k) + math.log(z) + 2.0 * w
-    # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40
-    asinh = np.where(x_log > 40.0, _LN2 + x_log, np.arcsinh(np.exp(np.minimum(x_log, 40.0))))
+        return -np.exp(np.minimum(y, 700.0))
+    x_log = math.log(k) + y
+    # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40; below
+    # that X = k e^y, not e^(ln k + y), whose rounded ln k would scale every X alike
+    x = k * np.exp(np.minimum(y, 40.0 - math.log(k)))
+    asinh = np.where(x_log > 40.0, _LN2 + x_log, np.arcsinh(x))
     # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
     return -np.minimum(asinh, 1e300 * k) / k
 
 
 def expectation_quadrature(
     spec: StateSpec,
-    weight: Callable[[np.ndarray], np.ndarray],
     log_weight_at_logp: Callable[[np.ndarray], np.ndarray],
     growth_degree: float,
     rel_tol: float = 1e-10,
     log_n2: Optional[float] = None,
 ) -> float:
-    """<weight(p)> over the state by split double-exponential quadrature.
+    """<weight(p)> over the state by sinh-sinh quadrature in w = ln p.
 
-    ``weight`` must be even in p and polynomially bounded; it is
-    evaluated, on an array, directly on the core |p| <= 20/sqrt(zeta)
-    (tanh-sinh in p). The tails are integrated in w = ln p (exp-sinh),
-    and ``log_weight_at_logp(w)`` must return ln weight(e^w) without
-    forming e^w when that would overflow. ``growth_degree`` is the tail
+    The weight must be even in p and polynomially bounded;
+    ``log_weight_at_logp(w)`` returns ln weight(e^w), on an array, without
+    forming e^w where that would overflow. ``growth_degree`` is the tail
     growth exponent of the weight and gates the integrability
     precondition. ``log_n2`` is ln N^2, from the closed form if not given.
     """
@@ -350,22 +337,14 @@ def expectation_quadrature(
             f"integral of p^{growth_degree} * pdf diverges for kappa={k} "
             f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})"
         )
-    half_width = _CORE_HALF_WIDTH / math.sqrt(z)
     if log_n2 is None:
         log_n2 = 2.0 * math.log(normalization_constant(spec))
-
-    core = _double_exponential(
-        lambda p: weight(p) * np.exp(log_n2 + _log_profile(p, k, z)),
-        lambda t: _tanh_sinh(t, half_width), rel_tol, "core",
-    )
-    # the tail's error counts against the whole integral: a tail far below
-    # the core (down to subnormal values) need not converge to its own digits
-    tail = _double_exponential(
+    # twice the integral over p > 0, where dp = e^w dw; centred on p = 1/sqrt(zeta)
+    value, _, _ = _double_exponential(
         lambda w: np.exp(log_weight_at_logp(w) + w + log_n2 + _log_profile_at_logp(w, k, z)),
-        lambda t: _exp_sinh(t, math.log(half_width)), rel_tol, "tail",
-        0.5 * rel_tol * abs(core[0]),
+        -0.5 * math.log(z), rel_tol, f"at kappa={k}, zeta={z}",
     )
-    return 2.0 * (core[0] + tail[0])
+    return 2.0 * value
 
 
 def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10,
@@ -379,9 +358,7 @@ def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10,
     if power < 0 or power != int(power) or int(power) % 2 != 0:
         raise DomainError(f"power must be an even nonnegative integer, got {power}")
     power = int(power)
-    return expectation_quadrature(
-        spec, lambda p: p**power, lambda w: power * w, float(power), rel_tol, log_n2
-    )
+    return expectation_quadrature(spec, lambda w: power * w, float(power), rel_tol, log_n2)
 
 
 def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10,
@@ -396,9 +373,7 @@ def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10,
         x = np.exp(np.minimum(x_log, 40.0))
         return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
 
-    return expectation_quadrature(
-        spec, lambda p: _deformation_shape(p, k, z), log_f_at_logp, 2.0, rel_tol, log_n2
-    )
+    return expectation_quadrature(spec, log_f_at_logp, 2.0, rel_tol, log_n2)
 
 
 def tail_exponent_estimate(spec: StateSpec, n_points: int = 41) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, file_cfg",
         [
-            # 400/zeta, the quadrature core's p^2, overflows
+            # 400/zeta, the <p^2> of a state at kappa ~ 0.6664, overflows
             ("table", {"zeta": 1e-320}),
             ("verify", {"zeta": 1e-307}),
             # bohr_radius = hbar / characteristic_momentum overflows
@@ -448,6 +449,18 @@ def test_quadrature_nonconvergence_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
     assert main(["--command", "table", "--kappa", "0.2"]) == EXIT_FAIL
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_overflowing_integral_exits_2_at_once(tmp_path, capsys):
+    # <p^2> ~ 3e309: the rule's first level sum is inf, which ends it with an
+    # error, not a numpy warning and nine more halvings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "--command", "table", "--kappa", "0.6666", "--zeta", "2.3e-306")
+    assert (code, text) == (EXIT_FAIL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflowed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

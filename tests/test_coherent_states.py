@@ -44,7 +44,7 @@ class TestStateSpec:
 
     @pytest.mark.parametrize("z", [1e-320, 1e-307, 2.2e-306])
     def test_zeta_whose_core_span_overflows(self, z):
-        # the quadrature core runs to p^2 = 400/zeta
+        # 400/zeta, the <p^2> of a state at kappa ~ 0.6664, must be finite
         with pytest.raises(DomainError, match="too small"):
             StateSpec(0.2, z)
 
@@ -309,24 +309,30 @@ class TestDoubleExponentialRule:
         assert quadrature_moment(2, s) == pytest.approx(quadpack_moment(2, k, z), rel=1e-11)
 
     def test_value_error_estimate_and_count(self):
-        # integral of 1/(1 + p^2) over [0, 3] is atan(3), analytic inside
+        # integral of sech w over the real line is pi, analytic in |Im w| < pi/2
         value, error, evals = coherent_states._double_exponential(
-            lambda p: 1.0 / (1.0 + p * p),
-            lambda t: coherent_states._tanh_sinh(t, 3.0),
-            1e-10, "test",
+            lambda w: 1.0 / np.cosh(w), 0.0, 1e-10, "test"
         )
-        assert abs(value - math.atan(3.0)) <= 1e-15
+        assert abs(value - math.pi) <= 1e-15
         assert 0.0 <= error <= 0.5e-10 * value
         # level L has 2 * _T_MAX * 2^L + 1 nodes, each evaluated once
         levels = math.log2((evals - 1) / (2 * coherent_states._T_MAX))
         assert levels == int(levels) and coherent_states._MIN_LEVEL <= levels
 
-    def test_exp_sinh_tail(self):
-        # integral of exp(-w) over [2, inf) is exp(-2)
+    def test_slowly_decaying_tail(self):
+        # e^w (1 + e^w)^-(1+a) is (1 + p)^-(1+a) dp at p = e^w, whose integral is
+        # 1/a; it falls like e^w to the left but only like e^(-a w) to the right
+        a = 0.01
         value, _, _ = coherent_states._double_exponential(
-            lambda w: np.exp(-w), lambda t: coherent_states._exp_sinh(t, 2.0), 1e-12, "test",
+            lambda w: np.exp(w - (1.0 + a) * np.logaddexp(0.0, w)), 0.0, 1e-12, "test"
         )
-        assert value == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert value == pytest.approx(1.0 / a, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [2.3e-306, 1e-300, 1e300])
+    @pytest.mark.parametrize("k", [0.0, 1e-5, 0.3, 0.66])
+    def test_extreme_zeta(self, k, z):
+        # the rule is centred on p = 1/sqrt(zeta), wherever that lies in the float range
+        assert moment_report(spec_of(k, z)).max_rel_discrepancy <= 1e-12
 
     def test_level_cap_raises(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
