@@ -3,8 +3,8 @@
 Library layout:
 
   kappa_math        deformed exp/log, log-Gamma, Gamma ratios, the kappa parameter
-  coherent_states   kappa-Gaussian states, deformation f(p), moments, quadrature oracles
-  deformed_algebra  derivatives of f(p), operator orderings, residuals
+  coherent_states   kappa-Gaussian states, moments, quadrature oracles
+  deformed_algebra  deformation f(p) and its derivatives, operator orderings, residuals
   kinematics        auxiliary kinematic functions and the physical scaling map
   maxent            Kaniadakis entropy and constrained maximization
   phenomenology     effective hbar / fine-structure-constant bounds

@@ -142,8 +142,9 @@ def _convergence_ratios(residuals: Sequence[float]) -> float:
 def _run_checks(c: dict) -> list:
     checks = []
 
+    # --tol replaces the "<=" tolerances only: a ">=" one is a stencil order's floor
     def add(name, measured, tolerance, comparator="<="):
-        tol = c["tol"] if c["tol"] is not None else tolerance
+        tol = c["tol"] if c["tol"] is not None and comparator == "<=" else tolerance
         ok = measured <= tol if comparator == "<=" else measured >= tol
         checks.append(
             {

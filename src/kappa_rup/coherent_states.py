@@ -53,7 +53,6 @@ __all__ = [
     "second_moment_excess",
     "delta_p",
     "delta_x",
-    "deformation_f",
     "f_expectation",
     "f_excess",
     "f_expectation_quadrature",
@@ -88,8 +87,9 @@ class StateSpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
-        # <p^2> is 1/(2 zeta) at kappa 0 and 400/zeta by kappa ~ 0.6664: a zeta
-        # whose 400/zeta overflows is rejected as input, not as an overflow mid-run
+        # <p^2> is 1/(2 zeta) at kappa 0, 400/zeta by kappa ~ 0.6663 and unbounded as
+        # kappa -> 2/3: a zeta whose 400/zeta overflows is rejected as input, and
+        # second_moment raises where <p^2> itself overflows
         if not math.isfinite(400.0 / self.zeta):
             raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
 
@@ -103,14 +103,6 @@ class StateSpec:
         """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp."""
         k = self.kappa.value
         return self.hbar * self.zeta * (1.0 - k * k) * dp
-
-
-@elementwise
-def deformation_f(p, kappa: KappaLike, zeta: float):
-    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, via hypot."""
-    k = as_kappa(kappa).value
-    x = k * zeta * np.square(p)
-    return np.hypot(1.0, x) + k * x
 
 
 def _log_profile(p, k: float, z: float):
@@ -215,16 +207,25 @@ _LN_N2 = _LogGammaRatio((0.0, 1.25), (-0.25, 1.0))
 _LN_P2 = _LogGammaRatio((-0.75, 1.25), (-0.25, 1.75))
 
 
-def second_moment(spec: StateSpec) -> float:
-    """<p^2> of the state; requires kappa < 2/3."""
+def _second_moment_via(spec: StateSpec, exp: Callable[[float], float]) -> float:
+    """exp(ln(2 zeta <p^2>)) / (2 zeta) for exp = math.exp, the excess for math.expm1."""
     spec.require_moment_safe()
-    return 0.5 / spec.zeta * math.exp(_LN_P2(spec.kappa.value))
+    value = 0.5 / spec.zeta * exp(_LN_P2(spec.kappa.value))
+    if not math.isfinite(value):
+        raise DomainError(
+            f"<p^2> overflowed the float range at kappa={spec.kappa.value}, zeta={spec.zeta}"
+        )
+    return value
+
+
+def second_moment(spec: StateSpec) -> float:
+    """<p^2> of the state; requires kappa < 2/3 and a <p^2> within the float range."""
+    return _second_moment_via(spec, math.exp)
 
 
 def second_moment_excess(spec: StateSpec) -> float:
     """<p^2> - 1/(2 zeta), to full relative accuracy as kappa -> 0."""
-    spec.require_moment_safe()
-    return 0.5 / spec.zeta * math.expm1(_LN_P2(spec.kappa.value))
+    return _second_moment_via(spec, math.expm1)
 
 
 def delta_p(spec: StateSpec) -> float:

@@ -17,10 +17,6 @@ class BelowMinimalLengthError(DomainError):
     """A position uncertainty below the minimal length hbar*kappa*sqrt(zeta)."""
 
 
-class GridTooSmallError(KappaRupError, ValueError):
-    """A grid has too few points for the finite-difference stencil."""
-
-
 class UnitMismatchError(KappaRupError, ValueError):
     """A tagged quantity was passed with the wrong unit."""
 

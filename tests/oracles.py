@@ -55,6 +55,14 @@ def mp_state(k, z):
         return {"N": float(1 / mp.sqrt(2 * half)), "p2": float(p2 / half), "F": float(f / half)}
 
 
+def mp_deformation_f2(p, k, z):
+    """f''(p) of f = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2 by mpmath's numerical
+    differentiation at 40 digits, not from an analytic second derivative."""
+    kq, zq = mp.mpf(k), mp.mpf(z)
+    return float(mp.diff(lambda q: mp.sqrt(1 + (kq * zq * q**2) ** 2) + kq**2 * zq * q**2,
+                         mp.mpf(p), 2))
+
+
 def quadpack_moment(power, k, z):
     """<p^power> for the normalized state by scipy's QUADPACK over [0, inf):
     a third route, sharing neither rule nor precision with the others."""

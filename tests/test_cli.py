@@ -57,6 +57,28 @@ class TestVerify:
         assert failing  # named failing checks present
         assert "normalization" in failing
 
+    @pytest.mark.parametrize("tol", [1e-3, 20.0])
+    def test_tol_leaves_the_stencil_order_floors(self, tmp_path, tol):
+        # --tol replaces each "<=" tolerance; the ">=" convergence ratios keep 12
+        code, text = run(tmp_path, "--command", "verify", "--tol", repr(tol))
+        assert code == EXIT_OK
+        checks = json.loads(text)["checks"]
+        floors = {c["check_name"]: c["tolerance"] for c in checks if c["comparator"] == ">="}
+        assert floors == {"annihilation_convergence": 12.0, "commutator_convergence": 12.0}
+        assert all(c["tolerance"] == tol for c in checks if c["comparator"] == "<=")
+        assert all(c["status"] == "pass" for c in checks)
+
+    def test_loose_tol_still_fails_a_broken_stencil(self, tmp_path, monkeypatch):
+        # residuals that do not shrink with the grid: ratio 1, far below 12
+        from kappa_rup import cli
+
+        monkeypatch.setattr(cli, "annihilation_residual", lambda *args: 0.5)
+        monkeypatch.setattr(cli, "commutator_residual", lambda *args: 0.5)
+        code, text = run(tmp_path, "--command", "verify", "--tol", "1e-3")
+        assert code == EXIT_FAIL
+        failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+        assert failing == {"annihilation_convergence", "commutator_convergence"}
+
     def test_unsafe_kappa_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "--command", "verify", "--kappa", "0.9")
         assert code == EXIT_CONFIG
@@ -325,7 +347,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, file_cfg",
         [
-            # 400/zeta, the <p^2> of a state at kappa ~ 0.6664, overflows
+            # 400/zeta, the <p^2> of a state at kappa ~ 0.6663, overflows
             ("table", {"zeta": 1e-320}),
             ("verify", {"zeta": 1e-307}),
             # bohr_radius = hbar / characteristic_momentum overflows
@@ -452,8 +474,8 @@ def test_quadrature_nonconvergence_exits_2(monkeypatch, capsys):
 
 
 def test_overflowing_integral_exits_2_at_once(tmp_path, capsys):
-    # <p^2> ~ 3e309: the rule's first level sum is inf, which ends it with an
-    # error, not a numpy warning and nine more halvings
+    # <p^2> ~ 9e308: the closed form raises before any quadrature, with an
+    # error, not a numpy warning or an inf in the table
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text = run(tmp_path, "--command", "table", "--kappa", "0.6666", "--zeta", "2.3e-306")

@@ -19,6 +19,7 @@ from kappa_rup.coherent_states import (
     psi,
     quadrature_moment,
     second_moment,
+    second_moment_excess,
     tail_exponent_estimate,
 )
 from kappa_rup import coherent_states
@@ -44,7 +45,7 @@ class TestStateSpec:
 
     @pytest.mark.parametrize("z", [1e-320, 1e-307, 2.2e-306])
     def test_zeta_whose_core_span_overflows(self, z):
-        # 400/zeta, the <p^2> of a state at kappa ~ 0.6664, must be finite
+        # 400/zeta, the <p^2> of a state at kappa ~ 0.6663, must be finite
         with pytest.raises(DomainError, match="too small"):
             StateSpec(0.2, z)
 
@@ -135,6 +136,16 @@ class TestSecondMoment:
     def test_divergent_domain(self):
         with pytest.raises(DomainError):
             second_moment(spec_of(0.7))
+
+    def test_overflow_past_the_float_range(self):
+        # <p^2> = 2122 / zeta ~ 9e308 raises, not inf, in every quantity built on it
+        s = spec_of(0.6666, 2.3e-306)
+        for quantity in (second_moment, second_moment_excess, delta_p, delta_x):
+            with pytest.raises(DomainError, match="overflowed"):
+                quantity(s)
+        # the quadrature on its own stops at its first level sum
+        with pytest.raises(NonConvergenceError, match="overflowed"):
+            quadrature_moment(2, s)
 
 
 class TestDeltas:

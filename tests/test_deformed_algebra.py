@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from kappa_rup.deformed_algebra import (
 from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.phenomenology import landau_zeta
+
+from oracles import mp_deformation_f2
 
 
 def spec_of(k, z=1.0):
@@ -84,6 +87,24 @@ class TestDerivatives:
             + deformation_f(p - h, k, z)
         ) / h**2
         assert np.allclose(f2, fd2, rtol=1e-4, atol=1e-6)
+
+    def test_second_derivative_at_huge_momentum(self):
+        # p^6 / s^3 is inf / inf here; f'' tends to 2 k z (k + 1)
+        k, z = 0.3, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f2 = deformation_f_derivatives(np.array([-1e60, 1e60]), k, z)[2]
+        assert np.all(np.isfinite(f2))
+        assert np.allclose(f2, 2 * k * z * (k + 1), rtol=1e-14, atol=0)
+
+    def test_second_derivative_against_mpmath(self):
+        # kappa from 1e-3 to 0.6 while k z p^2 runs from 1e-3 to 1e3
+        z = 1.3
+        for k, x in zip(np.geomspace(1e-3, 0.6, 20), np.geomspace(1e-3, 1e3, 20)):
+            k = float(k)
+            p = math.sqrt(x / (k * z))
+            f2 = deformation_f_derivatives(p, k, z)[2]
+            assert f2 == pytest.approx(mp_deformation_f2(p, k, z), rel=2e-15, abs=0)
 
     @pytest.mark.parametrize("c1,dx_scale", [(0.1, 1.0), (0.05, 1.3), (0.0, 0.8)])
     def test_general_family_derivatives(self, c1, dx_scale):
@@ -327,6 +348,41 @@ class TestCommutatorResidual:
             g = self.build(lambda p: (p**3 - 3.0 * p + 0.5) * np.exp(-0.5 * p**2), 14.0, n)
             res.append(commutator_residual(g, 0.2, 1.0))
         assert res[0] / res[1] > 12.0
+
+    @pytest.mark.parametrize("n", [2**11, 2**14])
+    def test_bit_identical_to_operator_composition(self, n):
+        # reference: [x, p] psi composed from apply_position_operator on GridFunctions
+        k, z, hbar = 0.2, 1.0, 1.3
+        g = self.build(lambda p: psi(p, spec_of(k, z)), 400.0, n)
+        p = g.p_values()
+        x_p_psi = apply_position_operator(
+            GridFunction(g.p_min, g.p_max, p * g.samples), ORDER_X3, k, z, hbar)
+        x_psi = apply_position_operator(g, ORDER_X3, k, z, hbar)
+        target = 1j * hbar * deformation_f(p, k, z) * g.samples
+        diff = x_p_psi.samples - p * x_psi.samples - target
+        ref = (math.sqrt(float(np.sum(np.abs(diff) ** 2)) * g.h)
+               / math.sqrt(float(np.sum(np.abs(target) ** 2)) * g.h))
+        assert commutator_residual(g, k, z, hbar) == ref
+
+
+@pytest.mark.parametrize("residual", ["annihilation", "commutator"])
+def test_residual_evaluates_f_once(monkeypatch, residual):
+    from kappa_rup import deformed_algebra
+
+    kernel, calls = deformed_algebra.deformation_f_derivatives, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(deformed_algebra, "deformation_f_derivatives", counted)
+    s = spec_of(0.2)
+    if residual == "annihilation":
+        annihilation_residual(s, -400.0, 400.0, 2048)
+    else:
+        p = np.linspace(-400.0, 400.0, 2048)
+        commutator_residual(GridFunction(-400.0, 400.0, psi(p, s).astype(complex)), 0.2, 1.0)
+    assert len(calls) == 1
 
 
 class TestOdeResidual:
