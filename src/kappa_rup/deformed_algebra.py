@@ -27,6 +27,11 @@ survive discretization:
   * ode_residual: the second-order ODE satisfied by the family above,
     evaluated pointwise with analytic f', f''.
 
+The residuals run in real arithmetic over blocks of 2^13 points, which stay
+in L2, with the bits of the complex whole-grid form: each complex product
+they replace had a zero part, the stencil scales by 1/(12h) as numpy's
+complex division does, and each norm is one np.sum over the whole grid.
+
 All derivative formulas used below (s = sqrt(1 + k^2 z^2 p^4),
 u = k z p^2 / s in [0, 1), X = exp_k(z p^2)):
 
@@ -109,14 +114,13 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
+        arr = np.array(self.samples, dtype=complex)  # a private copy
         if arr.ndim != 1 or arr.size < 16:
             raise DomainError("GridFunction needs a 1-d array of >= 16 samples")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise DomainError("GridFunction samples must be finite")
         if not self.p_max > self.p_min:
             raise DomainError("GridFunction needs p_max > p_min")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -136,14 +140,18 @@ class GridFunction:
 # deformation function and friends
 # ---------------------------------------------------------------------------
 
+def _f_core(p, k: float, z: float):
+    """x = k z p^2, s = hypot(1, x) and f = s + k x: the one place f is written."""
+    x = k * z * np.square(p)
+    s = np.hypot(1.0, x)
+    return x, s, s + k * x
+
+
 @elementwise
 def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
-    """(f, f', f'') of the selected deformation, analytic forms: the one place f is written."""
-    k = as_kappa(kappa).value
-    z = zeta
-    x = k * z * np.square(p)        # k z p^2
-    s = np.hypot(1.0, x)
-    f = s + k * x
+    """(f, f', f'') of the selected deformation, analytic forms."""
+    k, z = as_kappa(kappa).value, zeta
+    x, s, f = _f_core(p, k, z)
     f1 = 2.0 * k * k * z * p * (1.0 + z * np.square(p) / s)
     # u = x / s in [0, 1), not p^6 / s^3: that overflows past |p| ~ 2e51
     u = x / s
@@ -151,20 +159,19 @@ def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
     return f, f1, f2
 
 
+@elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
     """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, via hypot."""
-    return deformation_f_derivatives(p, kappa, zeta)[0]
+    return _f_core(p, as_kappa(kappa).value, zeta)[2]
 
 
 def _general_f_derivatives(p, k: float, z: float, dx: float, dp: float,
                            hbar: float, c1: float):
     """(f, f', f'') for the general two-parameter solution family."""
     c0 = dx / StateSpec(k, z, hbar).delta_x_for(dp)
-    f, f1, f2 = deformation_f_derivatives(p, k, z)
-    f, f1, f2 = c0 * f, c0 * f1, c0 * f2
+    f, f1, f2 = (c0 * part for part in deformation_f_derivatives(p, k, z))
     if c1 != 0.0:
-        x = k * z * np.square(p)
-        s = np.hypot(1.0, x)
+        s = _f_core(p, k, z)[1]
         big_x = kappa_exp(z * np.square(p), k)
         f = f + c1 * big_x
         f1 = f1 + c1 * 2.0 * z * p * big_x / s
@@ -181,8 +188,7 @@ def deformation_general(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     c1 = 0 and dx = hbar zeta (1 - kappa^2) dp."""
     if not dp > 0.0:
         raise DomainError("deformation_general requires dp > 0")
-    k = as_kappa(kappa).value
-    return _general_f_derivatives(p, k, zeta, dx, dp, hbar, c1)[0]
+    return _general_f_derivatives(p, as_kappa(kappa).value, zeta, dx, dp, hbar, c1)[0]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
@@ -211,17 +217,14 @@ def approx_commutator_factor(p, kappa: KappaLike, zeta: float):
 def ordering_weight(p, A: OrderingLike, kappa: KappaLike, zeta: float):
     """Momentum-space measure weight g(p) = f(p)^(2A-1) that makes the
     A-ordered position operator symmetric; g(0) = 1 for every A."""
-    a = _ordering_value(A)
-    f = deformation_f(p, kappa, zeta)
-    return f ** (2.0 * a - 1.0)
+    return deformation_f(p, kappa, zeta) ** (2.0 * _ordering_value(A) - 1.0)
 
 
 def convert_ordering(phi: GridFunction, A_from: OrderingLike, A_to: OrderingLike,
                      kappa: KappaLike, zeta: float) -> GridFunction:
     """Rescale a wavefunction between ordering conventions:
     phi_to = f^(A_from - A_to) phi_from, pointwise on the same grid."""
-    a_from = _ordering_value(A_from)
-    a_to = _ordering_value(A_to)
+    a_from, a_to = _ordering_value(A_from), _ordering_value(A_to)
     if a_from == a_to:
         return phi
     f = deformation_f(phi.p_values(), kappa, zeta)
@@ -232,17 +235,28 @@ def convert_ordering(phi: GridFunction, A_from: OrderingLike, A_to: OrderingLike
 # finite-difference position operator
 # ---------------------------------------------------------------------------
 
-def _position_operator(s: np.ndarray, h: float, f: np.ndarray, f1: np.ndarray,
-                       a: float, hbar: float) -> np.ndarray:
-    """i hbar [f psi' + A f' psi] on samples s of psi, with f, f' on the same grid;
-    psi' is 4th order: central inside, one-sided at the edges."""
+_BLOCK = 1 << 13  # points per block: a block's float64 temporaries stay in L2
+
+
+def _blocks(n: int):
+    """(block, halo, at) per block: _derivative(s[halo], h)[at] is _derivative(s, h)[block]."""
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        hi = min(stop + 2, n)
+        lo = max(min(start - 2, hi - 5), 0)  # two neighbours a side, five points at least
+        yield slice(start, stop), slice(lo, hi), slice(start - lo, stop - lo)
+
+
+def _derivative(s: np.ndarray, h: float) -> np.ndarray:
+    """4th-order d/dp along axis 0 (one-sided at the edges), times 1/(12h)."""
+    c = 1.0 / (12.0 * h)
     d = np.empty_like(s)
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
-    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
-    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
-    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
-    d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
-    return 1j * hbar * (f * d + a * f1 * s)
+    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) * c
+    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) * c
+    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) * c
+    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) * c
+    d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) * c
+    return d
 
 
 def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
@@ -251,12 +265,9 @@ def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
     """x psi = i hbar [f psi' + A f' psi] sampled on the grid."""
     a = _ordering_value(A)
     f, f1, _ = deformation_f_derivatives(psi_grid.p_values(), kappa, zeta)
-    out = _position_operator(psi_grid.samples, psi_grid.h, f, f1, a, hbar)
-    return GridFunction(psi_grid.p_min, psi_grid.p_max, out)
-
-
-def _l2_norm(samples: np.ndarray, h: float) -> float:
-    return math.sqrt(float(np.sum(np.abs(samples) ** 2)) * h)
+    s = psi_grid.samples
+    d = _derivative(s.view(float).reshape(-1, 2), psi_grid.h).view(complex)[:, 0]
+    return GridFunction(psi_grid.p_min, psi_grid.p_max, 1j * hbar * (f * d + a * f1 * s))
 
 
 def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
@@ -270,16 +281,19 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     """
     bound = 8.0 / math.sqrt(spec.zeta)
     if p_min > -bound or p_max < bound:
-        raise DomainError(
-            f"grid must cover [-8, 8]/sqrt(zeta) = [-{bound:.3g}, {bound:.3g}]"
-        )
-    dx = state_delta_x(spec)
-    dp = state_delta_p(spec) * delta_p_factor
+        raise DomainError(f"grid must cover [-8, 8]/sqrt(zeta) = [-{bound:.3g}, {bound:.3g}]")
+    if n_points < 16 or not math.isfinite(p_max - p_min):
+        raise DomainError("the grid needs >= 16 points between finite ends")
     p = np.linspace(p_min, p_max, n_points)
-    grid = GridFunction(p_min, p_max, state_psi(p, spec).astype(complex))
-    x_psi = apply_position_operator(grid, ORDER_X3, spec.kappa, spec.zeta, spec.hbar)
-    residual = x_psi.samples / dx + 1j * p * grid.samples / dp
-    return _l2_norm(residual, grid.h) / _l2_norm(grid.samples, grid.h)
+    h = (p_max - p_min) / (n_points - 1)
+    inv_dx, inv_dp = 1.0 / state_delta_x(spec), 1.0 / (state_delta_p(spec) * delta_p_factor)
+    psi = state_psi(p, spec)
+    r2 = np.empty_like(p)
+    for sl, halo, at in _blocks(p.size):
+        f, f1, _ = deformation_f_derivatives(p[sl], spec.kappa, spec.zeta)
+        x_psi = spec.hbar * (f * _derivative(psi[halo], h)[at] + ORDER_X3.A * f1 * psi[sl])
+        r2[sl] = np.square(x_psi * inv_dx + p[sl] * psi[sl] * inv_dp)
+    return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
 
 
 def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
@@ -289,17 +303,38 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     The commutator is an operator identity, so this converges to 0 at
     the stencil order independently of the state.
     """
-    p, h = psi_grid.p_values(), psi_grid.h
-    f, f1, _ = deformation_f_derivatives(p, kappa, zeta)
-    x_p_psi = _position_operator(p * psi_grid.samples, h, f, f1, ORDER_X3.A, hbar)
-    x_psi = _position_operator(psi_grid.samples, h, f, f1, ORDER_X3.A, hbar)
-    target = 1j * hbar * f * psi_grid.samples
-    return _l2_norm(x_p_psi - p * x_psi - target, h) / _l2_norm(target, h)
+    p, h, s = psi_grid.p_values(), psi_grid.h, psi_grid.samples
+    parts = [s.real, s.imag] if s.imag.any() else [s.real]
+    r2, t2 = np.zeros_like(p), np.zeros_like(p)
+    for sl, halo, at in _blocks(p.size):
+        f, f1, _ = deformation_f_derivatives(p[sl], kappa, zeta)
+        af1 = ORDER_X3.A * f1
+        for w in parts:
+            pw = p[halo] * w[halo]
+            x_pw = hbar * (f * _derivative(pw, h)[at] + af1 * pw[at])
+            x_w = hbar * (f * _derivative(w[halo], h)[at] + af1 * w[sl])
+            target = hbar * f * w[sl]
+            r2[sl] += np.square(x_pw - p[sl] * x_w - target)
+            t2[sl] += np.square(target)
+    return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(t2)) * h)
 
 
 # ---------------------------------------------------------------------------
 # minimum-uncertainty ODE residual
 # ---------------------------------------------------------------------------
+
+def _ode_terms(p, k, z, dx, dp, hbar, c1, f_parts):
+    """ode_residual on one block of points; the general family's f unless f_parts."""
+    f, f1, f2 = f_parts or _general_f_derivatives(p, k, z, dx, dp, hbar, c1)
+    s = _f_core(p, k, z)[1]
+    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
+    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
+    t3 = 2.0 * hbar * s**2 * dp * f * (
+        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
+    )
+    scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
+    return (t1 + t2 + t3) / scale
+
 
 @elementwise
 def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
@@ -315,16 +350,9 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     divided by the largest of its three additive terms.
     """
     k = as_kappa(kappa).value
-    z = zeta
-    if f_parts is None:
-        f, f1, f2 = _general_f_derivatives(p, k, z, dx, dp, hbar, c1)
-    else:
-        f, f1, f2 = (np.asarray(part, dtype=float) for part in f_parts)
-    s = np.hypot(1.0, k * z * np.square(p))
-    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
-    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
-    t3 = 2.0 * hbar * s**2 * dp * f * (
-        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
-    )
-    scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
-    return (t1 + t2 + t3) / scale
+    parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
+    flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
+    out = np.empty_like(flat[0])
+    for sl, _, _ in _blocks(out.size):
+        out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c1, [a[sl] for a in flat[1:]])
+    return out.reshape(np.broadcast(p, *parts).shape)

@@ -6,7 +6,10 @@ log-variable tail, and from scipy's QUADPACK as a third route; the MaxEnt
 reference maximizes the entropy in primal null-space coordinates (grid
 scan + projected ascent) instead of the package's dual multiplier
 iteration; the fit reference is scipy's bounded scalar minimizer, scored
-by an mpmath sum of squares.
+by an mpmath sum of squares. The grid references are the complex-arithmetic,
+whole-grid forms of the position operator and its residuals (the stencil
+written out, no blocks, no real views); they take f, f' and the state's
+samples as inputs.
 """
 
 import math
@@ -198,3 +201,49 @@ def gibbs_reference(energies, mean_energy):
     beta = 0.5 * (lo + hi)
     w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
+
+
+def complex_position_operator(samples, h, f, f1, a, hbar):
+    """i hbar [f psi' + A f' psi] in complex arithmetic over the whole grid;
+    psi' is the 4th-order stencil, one-sided at the edges."""
+    s = np.asarray(samples, dtype=complex)
+    d = np.empty_like(s)
+    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
+    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
+    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
+    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
+    d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
+    return 1j * hbar * (f * d + a * f1 * s)
+
+
+def _complex_l2_norm(samples, h):
+    return math.sqrt(float(np.sum(np.abs(samples) ** 2)) * h)
+
+
+def complex_annihilation_residual(psi, p, h, f, f1, dx, dp, hbar):
+    """|| (x/dx + i p/dp) psi || / ||psi|| with the symmetric ordering, in complex
+    arithmetic on psi cast to complex."""
+    s = np.asarray(psi).astype(complex)
+    residual = complex_position_operator(s, h, f, f1, 0.5, hbar) / dx + 1j * p * s / dp
+    return _complex_l2_norm(residual, h) / _complex_l2_norm(s, h)
+
+
+def complex_commutator_residual(samples, p, h, f, f1, hbar):
+    """|| [x, p] psi - i hbar f psi || / || hbar f psi ||, symmetric ordering, in
+    complex arithmetic."""
+    x_p_psi = complex_position_operator(p * samples, h, f, f1, 0.5, hbar)
+    x_psi = complex_position_operator(samples, h, f, f1, 0.5, hbar)
+    target = 1j * hbar * f * samples
+    return _complex_l2_norm(x_p_psi - p * x_psi - target, h) / _complex_l2_norm(target, h)
+
+
+def whole_grid_ode_residual(p, k, z, dx, dp, hbar, f, f1, f2):
+    """The minimum-uncertainty ODE residual, each term over the whole grid at once."""
+    s = np.hypot(1.0, k * z * np.square(p))
+    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
+    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
+    t3 = 2.0 * hbar * s**2 * dp * f * (
+        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
+    )
+    scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
+    return (t1 + t2 + t3) / scale

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_rup.coherent_states import StateSpec, delta_p, f_expectation, f_expectation_quadrature, psi
+from kappa_rup.coherent_states import StateSpec, delta_p, delta_x, f_expectation, f_expectation_quadrature, psi
 from kappa_rup.deformed_algebra import (
     ORDER_X1,
     ORDER_X2,
@@ -30,7 +30,14 @@ from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.phenomenology import landau_zeta
 
-from oracles import mp_deformation_f2
+from kappa_rup.deformed_algebra import _general_f_derivatives
+from oracles import (
+    complex_annihilation_residual,
+    complex_commutator_residual,
+    complex_position_operator,
+    mp_deformation_f2,
+    whole_grid_ode_residual,
+)
 
 
 def spec_of(k, z=1.0):
@@ -255,6 +262,19 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             g.samples[0] = 2.0
 
+    def test_nan_in_imaginary_part_alone(self):
+        bad = np.ones(32, dtype=complex)
+        bad[3] = complex(1.0, np.nan)
+        with pytest.raises(DomainError):
+            GridFunction(-1.0, 1.0, bad)
+
+    def test_samples_do_not_alias_the_input(self):
+        given_samples = np.ones(32, dtype=complex)
+        g = GridFunction(-1.0, 1.0, given_samples)
+        assert not np.shares_memory(g.samples, given_samples)
+        given_samples[0] = 2.0
+        assert g.samples[0] == 1.0
+
 
 class TestConvertOrdering:
     def grid(self, k=0.3, z=1.0):
@@ -365,8 +385,9 @@ class TestCommutatorResidual:
         assert commutator_residual(g, k, z, hbar) == ref
 
 
-@pytest.mark.parametrize("residual", ["annihilation", "commutator"])
-def test_residual_evaluates_f_once(monkeypatch, residual):
+def _kernel_calls(monkeypatch, residual, n):
+    """The arguments of each deformation_f_derivatives call one residual makes
+    on an n-point grid over [-400, 400]."""
     from kappa_rup import deformed_algebra
 
     kernel, calls = deformed_algebra.deformation_f_derivatives, []
@@ -377,12 +398,95 @@ def test_residual_evaluates_f_once(monkeypatch, residual):
 
     monkeypatch.setattr(deformed_algebra, "deformation_f_derivatives", counted)
     s = spec_of(0.2)
+    p = np.linspace(-400.0, 400.0, n)
     if residual == "annihilation":
-        annihilation_residual(s, -400.0, 400.0, 2048)
-    else:
-        p = np.linspace(-400.0, 400.0, 2048)
+        annihilation_residual(s, -400.0, 400.0, n)
+    elif residual == "commutator":
         commutator_residual(GridFunction(-400.0, 400.0, psi(p, s).astype(complex)), 0.2, 1.0)
-    assert len(calls) == 1
+    else:
+        ode_residual(p, 0.2, 1.0, delta_x(s), delta_p(s))
+    return calls
+
+
+@pytest.mark.parametrize("residual", ["annihilation", "commutator", "ode"])
+def test_residual_evaluates_f_once(monkeypatch, residual):
+    assert len(_kernel_calls(monkeypatch, residual, 2048)) == 1
+
+
+@pytest.mark.parametrize("residual", ["annihilation", "commutator", "ode"])
+def test_residual_evaluates_f_once_per_point(monkeypatch, residual):
+    # past one block the kernel runs once per block: its momentum arguments are
+    # consecutive, disjoint slices that cover the grid exactly once
+    n = 2**17
+    blocks = [np.asarray(args[0]) for args in _kernel_calls(monkeypatch, residual, n)]
+    assert len(blocks) > 1
+    for a, b in zip(blocks, blocks[1:]):
+        assert b.__array_interface__["data"][0] == a.__array_interface__["data"][0] + a.nbytes
+    np.testing.assert_array_equal(np.concatenate(blocks), np.linspace(-400.0, 400.0, n))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1.3])
+@pytest.mark.parametrize("k", [0.0, 0.05, 0.2, 0.6])
+@pytest.mark.parametrize("n", [2**11, 2**14, 2**17, 3 * 2**13 + 5, 2**13 + 1])
+class TestBlockedKernelsMatchWholeGrid:
+    """The real, blocked kernels against the complex whole-grid forms in
+    oracles, on one block, many blocks, and sizes that end in a short block
+    (one point past 2^13 leaves a last block narrower than the stencil)."""
+
+    def build(self, n, k, hbar, extent=400.0):
+        spec = StateSpec(KappaParameter(k), 1.0, hbar)
+        grid = GridFunction(-extent, extent, psi(np.linspace(-extent, extent, n), spec))
+        f, f1, _ = deformation_f_derivatives(grid.p_values(), k, 1.0)
+        return spec, grid, grid.p_values(), f, f1
+
+    def test_annihilation_residual(self, n, k, hbar):
+        spec, grid, p, f, f1 = self.build(n, k, hbar)
+        ref = complex_annihilation_residual(grid.samples.real, p, grid.h, f, f1,
+                                            delta_x(spec), delta_p(spec), hbar)
+        assert annihilation_residual(spec, -400.0, 400.0, n) == ref
+
+    def test_commutator_residual_real_state(self, n, k, hbar):
+        _, grid, p, f, f1 = self.build(n, k, hbar)
+        ref = complex_commutator_residual(grid.samples, p, grid.h, f, f1, hbar)
+        assert commutator_residual(grid, k, 1.0, hbar) == ref
+
+    def test_commutator_residual_complex_state(self, n, k, hbar):
+        # the real and imaginary parts' squares add, where complex abs takes hypot
+        _, grid, p, f, f1 = self.build(n, k, hbar)
+        samples = grid.samples * np.exp(0.3j * p)
+        ref = complex_commutator_residual(samples, p, grid.h, f, f1, hbar)
+        got = commutator_residual(GridFunction(-400.0, 400.0, samples), k, 1.0, hbar)
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    def test_position_operator_complex_state(self, n, k, hbar, a):
+        _, grid, p, f, f1 = self.build(n, k, hbar)
+        samples = grid.samples * np.exp(0.3j * p)
+        ref = complex_position_operator(samples, grid.h, f, f1, a, hbar)
+        got = apply_position_operator(GridFunction(-400.0, 400.0, samples), a, k, 1.0, hbar)
+        np.testing.assert_array_equal(got.samples, ref)
+
+    def test_ode_residual(self, n, k, hbar):
+        spec, grid, p, _, _ = self.build(n, k, hbar)
+        dx, dp = delta_x(spec), delta_p(spec)
+        ref = whole_grid_ode_residual(p, k, 1.0, dx, dp, hbar,
+                                      *_general_f_derivatives(p, k, 1.0, dx, dp, hbar, 0.0))
+        np.testing.assert_array_equal(ode_residual(p, k, 1.0, dx, dp, hbar), ref)
+
+    def test_ode_residual_with_c1(self, n, k, hbar):
+        # f and f^2 would overflow on a wide grid at kappa = 0 (f ~ exp(z p^2))
+        p = np.linspace(-10.0, 10.0, n)
+        parts = _general_f_derivatives(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
+        ref = whole_grid_ode_residual(p, k, 1.0, 0.77, 1.21, hbar, *parts)
+        np.testing.assert_array_equal(ode_residual(p, k, 1.0, 0.77, 1.21, hbar, c1=0.05), ref)
+
+    def test_ode_residual_with_f_parts(self, n, k, hbar):
+        spec, grid, p, _, _ = self.build(n, k, hbar)
+        dx, dp = delta_x(spec), delta_p(spec)
+        parts = deformation_f_derivatives(p, k, 1.0)
+        ref = whole_grid_ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, *parts)
+        got = ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, f_parts=parts)
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestOdeResidual:
