@@ -31,6 +31,10 @@ The residuals run in real arithmetic over blocks of 2^13 points, which stay
 in L2, with the bits of the complex whole-grid form: each complex product
 they replace had a zero part, the stencil scales by 1/(12h) as numpy's
 complex division does, and each norm is one np.sum over the whole grid.
+Per block, p^2 and s = sqrt(1 + x^2), x = k z p^2, are formed once, and f''
+only where it is used. s takes numpy's sqrt, not libm's per-element hypot,
+with x capped at 2^27 before squaring (past it, s is x): it stays within
+1 ulp of hypot(1, x) over the whole float range and cannot overflow.
 
 All derivative formulas used below (s = sqrt(1 + k^2 z^2 p^4),
 u = k z p^2 / s in [0, 1), X = exp_k(z p^2)):
@@ -141,44 +145,54 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 def _f_core(p, k: float, z: float):
-    """x = k z p^2, s = hypot(1, x) and f = s + k x: the one place f is written."""
-    x = k * z * np.square(p)
-    s = np.hypot(1.0, x)
-    return x, s, s + k * x
+    """p^2, x = k z p^2, s = sqrt(1 + x^2) and f = s + k x: the one place f is written."""
+    p2 = np.square(p)
+    x = k * z * p2
+    # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
+    s = np.maximum(np.sqrt(1.0 + np.square(np.minimum(x, 2.0**27))), x)
+    return p2, x, s, s + k * x
 
 
-@elementwise
-def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
-    """(f, f', f'') of the selected deformation, analytic forms."""
-    k, z = as_kappa(kappa).value, zeta
-    x, s, f = _f_core(p, k, z)
-    f1 = 2.0 * k * k * z * p * (1.0 + z * np.square(p) / s)
+def _f_f1(p, k: float, z: float):
+    """(x, s, f, f') on an array of momenta, without f''."""
+    p2, x, s, f = _f_core(p, k, z)
+    return x, s, f, 2.0 * k * k * z * p * (1.0 + z * p2 / s)
+
+
+def _general_parts(p, k: float, z: float, c0: float, c1: float):
+    """(s, f, f', f'') of the general family, c0 = dx / (hbar z (1-k^2) dp);
+    c0 = 1, c1 = 0 is the selected deformation."""
+    x, s, f, f1 = _f_f1(p, k, z)
     # u = x / s in [0, 1), not p^6 / s^3: that overflows past |p| ~ 2e51
     u = x / s
     f2 = 2.0 * k * z * (k + u * (3.0 - 2.0 * np.square(u)))
-    return f, f1, f2
-
-
-@elementwise
-def deformation_f(p, kappa: KappaLike, zeta: float):
-    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, via hypot."""
-    return _f_core(p, as_kappa(kappa).value, zeta)[2]
-
-
-def _general_f_derivatives(p, k: float, z: float, dx: float, dp: float,
-                           hbar: float, c1: float):
-    """(f, f', f'') for the general two-parameter solution family."""
-    c0 = dx / StateSpec(k, z, hbar).delta_x_for(dp)
-    f, f1, f2 = (c0 * part for part in deformation_f_derivatives(p, k, z))
+    f, f1, f2 = c0 * f, c0 * f1, c0 * f2
     if c1 != 0.0:
-        s = _f_core(p, k, z)[1]
         big_x = kappa_exp(z * np.square(p), k)
         f = f + c1 * big_x
         f1 = f1 + c1 * 2.0 * z * p * big_x / s
         f2 = f2 + c1 * (2.0 * z * big_x / s**3) * (
             s * s + 2.0 * z * np.square(p) * s - 2.0 * (k * z) ** 2 * p**4
         )
-    return f, f1, f2
+    return s, f, f1, f2
+
+
+@elementwise
+def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
+    """(f, f', f'') of the selected deformation, analytic forms."""
+    return _general_parts(p, as_kappa(kappa).value, zeta, 1.0, 0.0)[1:]
+
+
+@elementwise
+def deformation_f(p, kappa: KappaLike, zeta: float):
+    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, overflow-free."""
+    return _f_core(p, as_kappa(kappa).value, zeta)[3]
+
+
+def _general_f_derivatives(p, k: float, z: float, dx: float, dp: float,
+                           hbar: float, c1: float):
+    """(f, f', f'') for the general two-parameter solution family."""
+    return _general_parts(p, k, z, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[1:]
 
 
 @elementwise
@@ -264,7 +278,7 @@ def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
                             hbar: float = 1.0) -> GridFunction:
     """x psi = i hbar [f psi' + A f' psi] sampled on the grid."""
     a = _ordering_value(A)
-    f, f1, _ = deformation_f_derivatives(psi_grid.p_values(), kappa, zeta)
+    _, _, f, f1 = _f_f1(psi_grid.p_values(), as_kappa(kappa).value, zeta)
     s = psi_grid.samples
     d = _derivative(s.view(float).reshape(-1, 2), psi_grid.h).view(complex)[:, 0]
     return GridFunction(psi_grid.p_min, psi_grid.p_max, 1j * hbar * (f * d + a * f1 * s))
@@ -290,7 +304,7 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     psi = state_psi(p, spec)
     r2 = np.empty_like(p)
     for sl, halo, at in _blocks(p.size):
-        f, f1, _ = deformation_f_derivatives(p[sl], spec.kappa, spec.zeta)
+        _, _, f, f1 = _f_f1(p[sl], spec.kappa.value, spec.zeta)
         x_psi = spec.hbar * (f * _derivative(psi[halo], h)[at] + ORDER_X3.A * f1 * psi[sl])
         r2[sl] = np.square(x_psi * inv_dx + p[sl] * psi[sl] * inv_dp)
     return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
@@ -305,9 +319,10 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     """
     p, h, s = psi_grid.p_values(), psi_grid.h, psi_grid.samples
     parts = [s.real, s.imag] if s.imag.any() else [s.real]
+    k = as_kappa(kappa).value
     r2, t2 = np.zeros_like(p), np.zeros_like(p)
     for sl, halo, at in _blocks(p.size):
-        f, f1, _ = deformation_f_derivatives(p[sl], kappa, zeta)
+        _, _, f, f1 = _f_f1(p[sl], k, zeta)
         af1 = ORDER_X3.A * f1
         for w in parts:
             pw = p[halo] * w[halo]
@@ -323,10 +338,12 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
 # minimum-uncertainty ODE residual
 # ---------------------------------------------------------------------------
 
-def _ode_terms(p, k, z, dx, dp, hbar, c1, f_parts):
+def _ode_terms(p, k, z, dx, dp, hbar, c0, c1, f_parts):
     """ode_residual on one block of points; the general family's f unless f_parts."""
-    f, f1, f2 = f_parts or _general_f_derivatives(p, k, z, dx, dp, hbar, c1)
-    s = _f_core(p, k, z)[1]
+    if f_parts:
+        s, (f, f1, f2) = _f_core(p, k, z)[2], f_parts
+    else:
+        s, f, f1, f2 = _general_parts(p, k, z, c0, c1)
     t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
     t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
     t3 = 2.0 * hbar * s**2 * dp * f * (
@@ -351,8 +368,10 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     """
     k = as_kappa(kappa).value
     parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
+    c0 = None if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
     flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
     out = np.empty_like(flat[0])
     for sl, _, _ in _blocks(out.size):
-        out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c1, [a[sl] for a in flat[1:]])
+        out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c0, c1,
+                             [a[sl] for a in flat[1:]])
     return out.reshape(np.broadcast(p, *parts).shape)

@@ -237,9 +237,9 @@ def complex_commutator_residual(samples, p, h, f, f1, hbar):
     return _complex_l2_norm(x_p_psi - p * x_psi - target, h) / _complex_l2_norm(target, h)
 
 
-def whole_grid_ode_residual(p, k, z, dx, dp, hbar, f, f1, f2):
-    """The minimum-uncertainty ODE residual, each term over the whole grid at once."""
-    s = np.hypot(1.0, k * z * np.square(p))
+def whole_grid_ode_residual(p, k, z, dx, dp, hbar, s, f, f1, f2):
+    """The minimum-uncertainty ODE residual, each term over the whole grid at once,
+    from s = sqrt(1 + k^2 z^2 p^4) and f, f', f'' on that grid."""
     t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
     t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
     t3 = 2.0 * hbar * s**2 * dp * f * (

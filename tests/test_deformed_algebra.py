@@ -30,7 +30,7 @@ from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.phenomenology import landau_zeta
 
-from kappa_rup.deformed_algebra import _general_f_derivatives
+from kappa_rup.deformed_algebra import _f_core, _general_f_derivatives
 from oracles import (
     complex_annihilation_residual,
     complex_commutator_residual,
@@ -70,8 +70,27 @@ class TestDeformationF:
         if k > 1e-3 and abs(p) > 1e-3:
             assert f > 1.0
 
+    def test_s_within_one_ulp_of_hypot(self):
+        # s = sqrt(1 + x^2), x capped at 2^27, against libm hypot(1, x): over the
+        # float range, on a dense uniform stretch from 0, and at 2^27 and its two
+        # neighbours. k z is exactly 1 or 2 - 2^-52, 2, 2 + 2^-51, so x = k z p^2
+        # is p^2 or exactly 2^27 (1 - 2^-53, 1, 1 + 2^-52); k = 2^-10 keeps
+        # f = s + k x finite
+        k = 2.0**-10
+        x = np.concatenate([np.geomspace(1e-300, 1.7e308, 2 * 10**6),
+                            np.linspace(0.0, 1e5, 2 * 10**6)])
+        cases = [(np.sqrt(x), 1.0 / k)] + [
+            (np.array([2.0**13]), 2.0 * c / k)
+            for c in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+        ]
+        with np.errstate(over="raise", invalid="raise"):
+            for p, z in cases:
+                _, x, s, _ = _f_core(p, k, z)
+                ref = np.hypot(1.0, x)
+                assert np.all(np.abs(s - ref) <= np.spacing(ref))
+
     def test_huge_momentum_no_overflow(self):
-        # p^4 would overflow; hypot form must survive
+        # p^4 would overflow; s must be formed without squaring k z p^2 there
         f = deformation_f(1e100, 0.3, 1.0)
         assert math.isfinite(math.log(f))
 
@@ -386,17 +405,17 @@ class TestCommutatorResidual:
 
 
 def _kernel_calls(monkeypatch, residual, n):
-    """The arguments of each deformation_f_derivatives call one residual makes
-    on an n-point grid over [-400, 400]."""
+    """The arguments of each (f, f') kernel call one residual makes on an
+    n-point grid over [-400, 400]."""
     from kappa_rup import deformed_algebra
 
-    kernel, calls = deformed_algebra.deformation_f_derivatives, []
+    kernel, calls = deformed_algebra._f_f1, []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(deformed_algebra, "deformation_f_derivatives", counted)
+    monkeypatch.setattr(deformed_algebra, "_f_f1", counted)
     s = spec_of(0.2)
     p = np.linspace(-400.0, 400.0, n)
     if residual == "annihilation":
@@ -469,7 +488,7 @@ class TestBlockedKernelsMatchWholeGrid:
     def test_ode_residual(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
-        ref = whole_grid_ode_residual(p, k, 1.0, dx, dp, hbar,
+        ref = whole_grid_ode_residual(p, k, 1.0, dx, dp, hbar, _f_core(p, k, 1.0)[2],
                                       *_general_f_derivatives(p, k, 1.0, dx, dp, hbar, 0.0))
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, dx, dp, hbar), ref)
 
@@ -477,14 +496,14 @@ class TestBlockedKernelsMatchWholeGrid:
         # f and f^2 would overflow on a wide grid at kappa = 0 (f ~ exp(z p^2))
         p = np.linspace(-10.0, 10.0, n)
         parts = _general_f_derivatives(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
-        ref = whole_grid_ode_residual(p, k, 1.0, 0.77, 1.21, hbar, *parts)
+        ref = whole_grid_ode_residual(p, k, 1.0, 0.77, 1.21, hbar, _f_core(p, k, 1.0)[2], *parts)
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, 0.77, 1.21, hbar, c1=0.05), ref)
 
     def test_ode_residual_with_f_parts(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
         parts = deformation_f_derivatives(p, k, 1.0)
-        ref = whole_grid_ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, *parts)
+        ref = whole_grid_ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, _f_core(p, k, 1.0)[2], *parts)
         got = ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, f_parts=parts)
         np.testing.assert_array_equal(got, ref)
 
