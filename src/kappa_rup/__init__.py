@@ -2,65 +2,49 @@
 
 Library layout:
 
-  kappa_math        deformed exp/log, log-Gamma, Gamma ratios, the kappa parameter
+  params            the validated kappa parameter and state (numpy-free)
+  kappa_math        deformed exp/log, log-Gamma, Gamma ratios
   coherent_states   kappa-Gaussian states, moments, quadrature oracles
   deformed_algebra  deformation f(p) and its derivatives, operator orderings, residuals
   kinematics        auxiliary kinematic functions and the physical scaling map
   maxent            Kaniadakis entropy and constrained maximization
-  phenomenology     effective hbar / fine-structure-constant bounds
+  phenomenology     effective hbar / fine-structure-constant bounds (numpy-free)
   cli               batch command-line interface (kappa-rup executable)
+
+Each name below resolves on first access, importing only its own module.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .kappa_math import KappaParameter, gamma_ratio, kappa_exp, kappa_log, log_gamma
-from .coherent_states import (
-    MomentReport,
-    StateSpec,
-    delta_p,
-    delta_x,
-    f_excess,
-    f_expectation,
-    moment_report,
-    normalization_constant,
-    pdf,
-    psi,
-    quadrature_moment,
-    second_moment,
-    second_moment_excess,
-    tail_exponent_estimate,
-)
-from .deformed_algebra import (
-    GridFunction,
-    OrderingParameter,
-    annihilation_residual,
-    apply_position_operator,
-    approx_commutator_factor,
-    commutator_residual,
-    convert_ordering,
-    deformation_f,
-    deformation_general,
-    minimal_length,
-    ode_residual,
-    ordering_weight,
-    robertson_bound,
-)
-from .kinematics import ParticleFrame, aux_energy, aux_kinetic, aux_velocity, physical_map
-from .maxent import (
-    MaxEntProblem,
-    MaxEntSolution,
-    fit_kappa_exponential,
-    kaniadakis_entropy,
-    maxent_solve,
-)
-from .phenomenology import (
-    PhenoConfig,
-    Quantity,
-    delta_p_saturated,
-    effective_alpha,
-    effective_hbar,
-    gac_match_zeta,
-    kappa_bound,
-    landau_zeta,
-    putra_bound,
-)
+# each public name, by the module that defines it
+_ORIGIN = {name: module for module, names in {
+    "params": "KappaParameter StateSpec",
+    "kappa_math": "gamma_ratio kappa_exp kappa_log log_gamma",
+    "coherent_states": "MomentReport delta_p delta_x f_excess f_expectation moment_report "
+                       "normalization_constant pdf psi quadrature_moment second_moment "
+                       "second_moment_excess tail_exponent_estimate",
+    "deformed_algebra": "GridFunction OrderingParameter annihilation_residual "
+                        "apply_position_operator approx_commutator_factor commutator_residual "
+                        "convert_ordering deformation_f deformation_general minimal_length "
+                        "ode_residual ordering_weight robertson_bound",
+    "kinematics": "ParticleFrame aux_energy aux_kinetic aux_velocity physical_map",
+    "maxent": "MaxEntProblem MaxEntSolution fit_kappa_exponential kaniadakis_entropy maxent_solve",
+    "phenomenology": "PhenoConfig Quantity delta_p_saturated effective_alpha effective_hbar "
+                     "gac_match_zeta kappa_bound landau_zeta putra_bound",
+}.items() for name in names.split()}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    globals()[name] = value  # later lookups are plain module-dict hits
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

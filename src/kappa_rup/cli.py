@@ -26,15 +26,11 @@ import os
 import sys
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
+# numpy and the numeric modules are imported inside the commands that run
+# them, so that bound-alpha, --help and every config error load neither
 from . import __version__
-from .coherent_states import StateSpec, moment_report, normalization_constant, psi
-from .deformed_algebra import GridFunction, annihilation_residual, commutator_residual, ode_residual
 from .errors import KappaRupError, NonConvergenceError
-from .kappa_math import as_kappa
-from .kinematics import ParticleFrame, physical_map
-from .maxent import MaxEntProblem, fit_kappa_exponential, maxent_solve
+from .params import StateSpec, as_kappa
 from .phenomenology import PhenoConfig, kappa_bound
 
 EXIT_OK = 0
@@ -113,8 +109,10 @@ def _json_document(config: dict, body: dict) -> str:
 # verify command
 # ---------------------------------------------------------------------------
 
-def _gibbs_distribution(energies: np.ndarray, mean: float) -> np.ndarray:
+def _gibbs_distribution(energies, mean: float):
     """Analytic kappa = 0 reference: n ~ exp(-beta E) solving the mean."""
+    import numpy as np
+
     e = energies - mean
 
     def gap(beta):
@@ -140,6 +138,13 @@ def _convergence_ratios(residuals: Sequence[float]) -> float:
 
 
 def _run_checks(c: dict) -> list:
+    import numpy as np
+    from .coherent_states import moment_report, psi
+    from .deformed_algebra import (GridFunction, annihilation_residual, commutator_residual,
+                                   ode_residual)
+    from .kinematics import ParticleFrame, physical_map
+    from .maxent import MaxEntProblem, maxent_solve
+
     checks = []
 
     # --tol replaces the "<=" tolerances only: a ">=" one is a stencil order's floor
@@ -276,6 +281,8 @@ def _table_status(report, rel_tol: float) -> str:
 
 
 def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
+    from .coherent_states import moment_report, normalization_constant
+
     rel_tol = c["tol"] if c["tol"] is not None else 1e-10
     rows = []
     for k in c["kappa"]:
@@ -299,6 +306,9 @@ def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
 
 
 def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
+    import numpy as np
+    from .coherent_states import psi
+
     lo, hi, n = c["grid"]["min"], c["grid"]["max"], c["grid"]["n"]
     # a span that overflows to inf would put nan and inf in the grid
     if not 0.0 < hi - lo < math.inf or not 2 <= n <= _MAX_GRID_N:
@@ -332,6 +342,9 @@ def cmd_bound_alpha(c: dict) -> Tuple[int, Optional[str]]:
 
 
 def cmd_maxent_demo(c: dict) -> Tuple[int, Optional[str]]:
+    import numpy as np
+    from .maxent import MaxEntProblem, fit_kappa_exponential, maxent_solve
+
     section = c["maxent"] or {}
     energies = section.get("energies", [0.0, 1.0, 2.0, 3.0, 4.0])
     mean = section.get("mean_energy", 1.2)

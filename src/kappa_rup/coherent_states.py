@@ -40,26 +40,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import KappaLike, KappaParameter, as_kappa, elementwise
+from .kappa_math import KappaLike, as_kappa, elementwise
+from .params import StateSpec
 
 __all__ = [
-    "StateSpec",
-    "MomentReport",
-    "normalization_constant",
-    "psi",
-    "pdf",
-    "log_pdf",
-    "second_moment",
-    "second_moment_excess",
-    "delta_p",
-    "delta_x",
-    "f_expectation",
-    "f_excess",
-    "f_expectation_quadrature",
-    "quadrature_moment",
-    "expectation_quadrature",
-    "tail_exponent_estimate",
-    "moment_report",
+    "StateSpec", "MomentReport", "normalization_constant", "psi", "pdf", "log_pdf",
+    "second_moment", "second_moment_excess", "delta_p", "delta_x", "f_expectation", "f_excess",
+    "f_expectation_quadrature", "quadrature_moment", "expectation_quadrature",
+    "tail_exponent_estimate", "moment_report",
 ]
 
 _LN2 = math.log(2.0)
@@ -70,39 +58,6 @@ _LN2 = math.log(2.0)
 _T_MAX = 4
 _MIN_LEVEL = 3
 _MAX_LEVEL = 10
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """One kappa-Gaussian state: (kappa, zeta, hbar), zeta > 0, hbar > 0."""
-
-    kappa: KappaParameter
-    zeta: float
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", as_kappa(self.kappa))
-        for name in ("zeta", "hbar"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        # <p^2> is 1/(2 zeta) at kappa 0, 400/zeta by kappa ~ 0.6663 and unbounded as
-        # kappa -> 2/3: a zeta whose 400/zeta overflows is rejected as input, and
-        # second_moment raises where <p^2> itself overflows
-        if not math.isfinite(400.0 / self.zeta):
-            raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
-
-    def require_moment_safe(self):
-        if not self.kappa.moment_safe:
-            raise DomainError(
-                f"moment queries need kappa < 2/3, got kappa={self.kappa.value}"
-            )
-
-    def delta_x_for(self, dp: float) -> float:
-        """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp."""
-        k = self.kappa.value
-        return self.hbar * self.zeta * (1.0 - k * k) * dp
 
 
 def _log_profile(p, k: float, z: float):

@@ -1,4 +1,4 @@
-"""Deformed exponential/logarithm primitives and the kappa parameter.
+"""Deformed exponential/logarithm primitives and the kappa parameter (from params).
 
 The one-parameter deformation of the exponential,
 
@@ -27,63 +27,17 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
+# the kappa parameter's names, re-exported from params
+from .params import MOMENT_SAFE_LIMIT, STRONG_DOMAIN_LIMIT, KappaLike, KappaParameter, as_kappa
 
-__all__ = [
-    "KappaParameter",
-    "kappa_exp",
-    "kappa_log",
-    "log_gamma",
-    "gamma_ratio",
-]
+__all__ = ["KappaParameter", "kappa_exp", "kappa_log", "log_gamma", "gamma_ratio"]
 
 # math.lgamma (libm) applied elementwise; numpy has no log-Gamma ufunc
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
-
-MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
-STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
-
-
-@dataclass(frozen=True)
-class KappaParameter:
-    """Validated deformation parameter, 0 <= value < 1 (a subnormal one is 0).
-
-    value = 0 denotes the exact classical (Boltzmann-Gibbs) limit.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or not 0.0 <= v < 1.0:
-            raise DomainError(f"kappa must satisfy 0 <= kappa < 1, got {self.value!r}")
-        object.__setattr__(self, "value", v if v >= sys.float_info.min else 0.0)
-
-    @property
-    def moment_safe(self) -> bool:
-        """True when second moments of the kappa-Gaussian exist (kappa < 2/3)."""
-        return self.value < MOMENT_SAFE_LIMIT
-
-    @property
-    def strong_domain(self) -> bool:
-        """True in the more restrictive domain kappa < 2/5."""
-        return self.value < STRONG_DOMAIN_LIMIT
-
-
-KappaLike = Union[KappaParameter, float, int]
-
-
-def as_kappa(kappa: KappaLike) -> KappaParameter:
-    """Coerce a float into a validated KappaParameter (no-op if already one)."""
-    if isinstance(kappa, KappaParameter):
-        return kappa
-    return KappaParameter(float(kappa))
 
 
 def _maybe_scalar(out):

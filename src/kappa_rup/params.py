@@ -1,0 +1,88 @@
+"""Validated parameters: the deformation kappa and a kappa-Gaussian state.
+
+Plain Python, so that phenomenology, the command line's argument checks and
+its config errors run without numpy. kappa_math and coherent_states
+re-export these names.
+"""
+
+import math
+import sys
+from dataclasses import dataclass
+from typing import Union
+
+from .errors import DomainError
+
+__all__ = ["MOMENT_SAFE_LIMIT", "STRONG_DOMAIN_LIMIT", "KappaParameter", "KappaLike", "as_kappa",
+           "StateSpec"]
+
+MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
+STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
+
+
+@dataclass(frozen=True)
+class KappaParameter:
+    """Validated deformation parameter, 0 <= value < 1 (a subnormal one is 0).
+
+    value = 0 denotes the exact classical (Boltzmann-Gibbs) limit.
+    """
+
+    value: float
+
+    def __post_init__(self):
+        v = float(self.value)
+        if not math.isfinite(v) or not 0.0 <= v < 1.0:
+            raise DomainError(f"kappa must satisfy 0 <= kappa < 1, got {self.value!r}")
+        object.__setattr__(self, "value", v if v >= sys.float_info.min else 0.0)
+
+    @property
+    def moment_safe(self) -> bool:
+        """True when second moments of the kappa-Gaussian exist (kappa < 2/3)."""
+        return self.value < MOMENT_SAFE_LIMIT
+
+    @property
+    def strong_domain(self) -> bool:
+        """True in the more restrictive domain kappa < 2/5."""
+        return self.value < STRONG_DOMAIN_LIMIT
+
+
+KappaLike = Union[KappaParameter, float, int]
+
+
+def as_kappa(kappa: KappaLike) -> KappaParameter:
+    """Coerce a float into a validated KappaParameter (no-op if already one)."""
+    if isinstance(kappa, KappaParameter):
+        return kappa
+    return KappaParameter(float(kappa))
+
+
+@dataclass(frozen=True)
+class StateSpec:
+    """One kappa-Gaussian state: (kappa, zeta, hbar), zeta > 0, hbar > 0."""
+
+    kappa: KappaParameter
+    zeta: float
+    hbar: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa", as_kappa(self.kappa))
+        for name in ("zeta", "hbar"):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        # <p^2> is 1/(2 zeta) at kappa 0, 400/zeta by kappa ~ 0.6663 and unbounded as
+        # kappa -> 2/3: a zeta whose 400/zeta overflows is rejected as input, and
+        # second_moment raises where <p^2> itself overflows
+        if not math.isfinite(400.0 / self.zeta):
+            raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
+
+    def require_moment_safe(self):
+        if not self.kappa.moment_safe:
+            raise DomainError(
+                f"moment queries need kappa < 2/3, got kappa={self.kappa.value}"
+            )
+
+    def delta_x_for(self, dp: float) -> float:
+        """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp."""
+        k = self.kappa.value
+        return self.hbar * self.zeta * (1.0 - k * k) * dp

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import BelowMinimalLengthError, DomainError, UnitMismatchError
-from .kappa_math import KappaLike, as_kappa
+from .params import KappaLike, as_kappa
 
 __all__ = [
     "Quantity",
@@ -110,6 +110,12 @@ class PhenoConfig:
                 raise DomainError(f"PhenoConfig.{f.name} must be a positive number")
         if not 0.0 < 1.0 / self.alpha_inverse < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
+        # the largest shift is alpha / 2: a resolution rho alpha past it bounds nothing
+        rho = self.delta_alpha_exp / self.alpha
+        if not rho < 0.5:
+            raise DomainError(
+                f"alpha_inverse_uncertainty / alpha_inverse must be below 1/2, got {rho!r}"
+            )
         if self.zeta_fixing not in ZETA_FIXINGS:
             raise DomainError(
                 f"zeta_fixing must be one of {ZETA_FIXINGS}, got {self.zeta_fixing!r}"

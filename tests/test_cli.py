@@ -70,10 +70,11 @@ class TestVerify:
 
     def test_loose_tol_still_fails_a_broken_stencil(self, tmp_path, monkeypatch):
         # residuals that do not shrink with the grid: ratio 1, far below 12
-        from kappa_rup import cli
+        # verify imports the verifiers when it runs, so patch them where they live
+        from kappa_rup import deformed_algebra
 
-        monkeypatch.setattr(cli, "annihilation_residual", lambda *args: 0.5)
-        monkeypatch.setattr(cli, "commutator_residual", lambda *args: 0.5)
+        monkeypatch.setattr(deformed_algebra, "annihilation_residual", lambda *args: 0.5)
+        monkeypatch.setattr(deformed_algebra, "commutator_residual", lambda *args: 0.5)
         code, text = run(tmp_path, "--command", "verify", "--tol", "1e-3")
         assert code == EXIT_FAIL
         failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
@@ -190,6 +191,14 @@ class TestBoundAlpha:
         doc = json.loads(text)
         assert doc["meta"]["config"]["pheno"]["characteristic_momentum"] == 5e-3
         assert doc["characteristic_momentum"] == 5e-3
+
+    def test_resolution_past_half_of_alpha_is_config_error(self, tmp_path, capsys):
+        # 100 / 137.036: a resolution past the largest shift alpha / 2 bounds nothing
+        code, text = run(tmp_path, "--command", "bound-alpha", "--alpha-inverse-uncertainty", "100")
+        assert code == EXIT_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
 
 class TestMaxentDemo:

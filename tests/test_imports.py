@@ -1,7 +1,9 @@
-"""Import footprint: no command loads scipy, and each runs without it.
+"""Import footprint: no command loads scipy, and each runs without it;
+bound-alpha, --help and config errors load no numpy, and the package's
+names resolve lazily.
 
-Every test runs in a fresh interpreter, because sys.modules is shared by
-the whole test process.
+Every test of what is loaded runs in a fresh interpreter, because
+sys.modules is shared by the whole test process.
 """
 
 import json
@@ -10,6 +12,10 @@ import subprocess
 import sys
 
 import pytest
+
+import kappa_rup
+from kappa_rup import coherent_states, kappa_math, params
+from kappa_rup.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -33,15 +39,102 @@ def run_fresh(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def scipy_modules_after(statements: str) -> list:
+def modules_after(statements: str, *packages: str) -> list:
+    """The loaded modules of these packages after statements, in a fresh interpreter."""
     return run_fresh(
         "import json, sys\n" + statements + "\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
     )
+
+
+def scipy_modules_after(statements: str) -> list:
+    return modules_after(statements, "scipy")
 
 
 def test_package_import_loads_no_scipy():
     assert scipy_modules_after("import kappa_rup, kappa_rup.cli") == []
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    assert modules_after("import kappa_rup", "kappa_rup", "numpy") == ["kappa_rup"]
+
+
+# the scalar command, the help text and config errors compute nothing with numpy
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--command", "bound-alpha"], 0),
+        (["--help"], 0),
+        (["--command", "table", "--zeta", "-1"], 1),
+        (["--command", "bound-alpha", "--alpha-inverse-uncertainty", "100"], 1),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
+)
+def test_loads_no_numpy(tmp_path, argv, expected):
+    out = tmp_path / "out.txt"
+    loaded = modules_after(
+        "import contextlib, io\n"
+        "from kappa_rup.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv + ['--out', str(out)]!r}) == {expected}",
+        "numpy",
+    )
+    assert loaded == []
+
+
+def test_bound_alpha_runs_with_numpy_blocked(tmp_path):
+    blocked, normal = tmp_path / "blocked.json", tmp_path / "normal.json"
+    code = run_fresh(
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from kappa_rup.cli import main\n"
+        f"print(json.dumps(main(['--command', 'bound-alpha', '--out', {str(blocked)!r}])))"
+    )
+    assert code == 0
+    assert main(["--command", "bound-alpha", "--out", str(normal)]) == 0
+    assert blocked.read_bytes() == normal.read_bytes()
+
+
+def test_public_names_resolve_lazily_to_their_definitions():
+    # in a fresh interpreter, so that no name is resolved before dir() is asked
+    bad = run_fresh(
+        "import json, sys\n"
+        "import kappa_rup\n"
+        "listed = set(dir(kappa_rup))\n"
+        "bad = [n for n in kappa_rup.__all__ if n not in listed]\n"
+        "for n in kappa_rup.__all__:\n"
+        "    obj = getattr(kappa_rup, n)\n"
+        "    if getattr(sys.modules[obj.__module__], n) is not obj or n not in vars(kappa_rup):\n"
+        "        bad.append(n)\n"
+        "print(json.dumps(bad))"
+    )
+    assert bad == []
+
+
+def test_star_import():
+    missing = run_fresh(
+        "import json\n"
+        "from kappa_rup import *\n"
+        "import kappa_rup\n"
+        "print(json.dumps([n for n in kappa_rup.__all__ if n not in globals()]))"
+    )
+    assert missing == []
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        kappa_rup.no_such_name
+
+
+@pytest.mark.parametrize("name", ["KappaParameter", "KappaLike", "as_kappa",
+                                  "MOMENT_SAFE_LIMIT", "STRONG_DOMAIN_LIMIT"])
+def test_kappa_math_reexports_the_parameter_names(name):
+    assert getattr(kappa_math, name) is getattr(params, name)
+
+
+def test_coherent_states_reexports_the_state():
+    assert coherent_states.StateSpec is params.StateSpec
+    assert kappa_rup.StateSpec is params.StateSpec
 
 
 @pytest.mark.parametrize(

@@ -274,6 +274,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             PhenoConfig(**kw)
 
+    # rho = delta_alpha_exp / alpha = alpha_inverse_uncertainty / alpha_inverse; from
+    # rho = 1/2 on, the resolution exceeds the largest shift alpha / 2: no bound exists
+    @pytest.mark.parametrize("uncertainty", [100.0, 137.035999206 / 2])
+    def test_resolution_past_the_largest_shift(self, uncertainty):
+        with pytest.raises(DomainError, match="below 1/2"):
+            PhenoConfig(alpha_inverse_uncertainty=uncertainty)
+
+    def test_resolution_just_below_the_largest_shift(self):
+        cfg = PhenoConfig(alpha_inverse_uncertainty=math.nextafter(137.035999206 / 2, 0.0))
+        assert cfg.delta_alpha_exp / cfg.alpha < 0.5
+        assert math.isfinite(kappa_bound(cfg).bound_kappa)
+
     def test_json_round_trip(self):
         cfg = PhenoConfig(alpha_inverse_uncertainty=2e-8)
         again = PhenoConfig.from_json_dict(cfg.to_json_dict())
