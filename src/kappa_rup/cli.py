@@ -171,13 +171,16 @@ def _run_checks(c: dict) -> list:
         max(abs(r.second_moment - r.second_moment_quad) / r.second_moment for r in reports),
         1e-6,
     )
+    # Robertson saturation with dx = hbar zeta (1 - k^2) dp gives <f> = 2 zeta (1 - k^2) <p^2>;
+    # each side is its own quadrature, and neither touches the closed forms
     add(
-        "saturation_closed",
+        "saturation_identity",
         max(
-            abs(r.delta_x * r.delta_p - 0.5 * hb * r.f_expect) / (0.5 * hb * r.f_expect)
-            for r in reports
+            abs(r.f_expect_quad - 2.0 * z * (1.0 - s.kappa.value**2) * r.second_moment_quad)
+            / r.f_expect_quad
+            for s, r in zip(specs, reports)
         ),
-        1e-12,
+        1e-9,
     )
     add(
         "saturation_quadrature",

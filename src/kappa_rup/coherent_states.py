@@ -23,19 +23,20 @@ Each is its k = 0 value times exp(R(k)), R(0) = 0, with R evaluated
 without the ln Gamma differences that cancel as k -> 0 (_LogGammaRatio),
 so F - 1 and <p^2> - 1/(2 zeta) keep full relative accuracy via expm1.
 
-Each closed form has an independent quadrature route: one sinh-sinh
-rule in w = ln p over the whole real line, w = -ln(zeta)/2 + sinh(pi/2
-sinh t). The integrand, a power of p at both ends, decays exponentially
-in |w| and so double-exponentially in t, and all magnitudes stay in log
-space (no overflow for any k < 2/3). The rule halves its step until two
-levels agree to rel_tol / 2; the last change is its error estimate.
+Each closed form has an independent quadrature route on the unit state,
+q = p sqrt(zeta): no integrand sees zeta, and <p^(2m)> = <q^(2m)> / zeta^m.
+One sinh-sinh rule in w = ln q, centred on 0, w = sinh(pi/2 sinh t), covers
+the whole real line. The integrand, a power of q at both ends, decays
+exponentially in |w| and so double-exponentially in t, and all magnitudes
+stay in log space (no overflow for any k < 2/3). The rule halves its step
+until two levels agree to rel_tol / 2; the last change is its error estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +47,8 @@ from .params import StateSpec
 __all__ = [
     "StateSpec", "MomentReport", "normalization_constant", "psi", "pdf", "log_pdf",
     "second_moment", "second_moment_excess", "delta_p", "delta_x", "f_expectation", "f_excess",
-    "f_expectation_quadrature", "quadrature_moment", "expectation_quadrature",
-    "tail_exponent_estimate", "moment_report",
+    "f_expectation_quadrature", "quadrature_moment", "tail_exponent_estimate",
+    "moment_report",
 ]
 
 _LN2 = math.log(2.0)
@@ -219,17 +220,17 @@ def f_excess(kappa: KappaLike) -> float:
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")
-def _double_exponential(integrand, center: float, rel_tol: float, what: str):
+def _double_exponential(integrand, rel_tol: float, what: str):
     """(integral, error estimate, evaluation count) of integrand(w) over the real line.
 
     The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
-    w = center + sinh(u), u = pi/2 sinh t, under which an integrand that
-    decays exponentially in |w| decays double-exponentially in |t|
-    (Takahasi & Mori 1974; Mori & Sugihara 2001). Each level halves the
-    step and evaluates only the new, odd nodes; the change from the
-    previous level is the error estimate, accepted once it is at most
-    rel_tol / 2 of the value. A level sum that is not finite ends the
-    rule at once. ``integrand`` maps an array.
+    w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
+    exponentially in |w| decays double-exponentially in |t| (Takahasi &
+    Mori 1974; Mori & Sugihara 2001). Each level halves the step and
+    evaluates only the new, odd nodes; the change from the previous level
+    is the error estimate, accepted once it is at most rel_tol / 2 of the
+    value. A level sum that is not finite ends the rule at once.
+    ``integrand`` maps an array.
     """
     value = change = 0.0
     evals = 0
@@ -241,7 +242,7 @@ def _double_exponential(integrand, center: float, rel_tol: float, what: str):
         h = 2.0**-level
         u = 0.5 * math.pi * np.sinh(h * k)
         dw = 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)
-        level_sum = float(integrand(center + np.sinh(u)) @ dw)
+        level_sum = float(integrand(np.sinh(u)) @ dw)
         evals += k.size
         if not math.isfinite(level_sum):
             raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
@@ -255,81 +256,74 @@ def _double_exponential(integrand, center: float, rel_tol: float, what: str):
     )
 
 
-def _log_profile_at_logp(w, k: float, z: float):
-    """_log_profile at p = e^w, without forming p or overflowing."""
-    y = math.log(z) + 2.0 * w  # ln(z p^2), exact next to its zero at the rule's centre
+def _log_profile_at_logq(w, k: float):
+    """-asinh(k q^2)/k at q = e^w, the unit state's ln-density up to ln N^2."""
     if k == 0.0:
-        return -np.exp(np.minimum(y, 700.0))
-    x_log = math.log(k) + y
+        return -np.exp(np.minimum(2.0 * w, 700.0))
+    x_log = math.log(k) + 2.0 * w
     # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40; below
-    # that X = k e^y, not e^(ln k + y), whose rounded ln k would scale every X alike
-    x = k * np.exp(np.minimum(y, 40.0 - math.log(k)))
+    # that X = k e^(2w), not e^(ln k + 2w), whose rounded ln k would scale every X alike
+    x = k * np.exp(np.minimum(2.0 * w, 40.0 - math.log(k)))
     asinh = np.where(x_log > 40.0, _LN2 + x_log, np.arcsinh(x))
     # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
     return -np.minimum(asinh, 1e300 * k) / k
 
 
-def expectation_quadrature(
-    spec: StateSpec,
-    log_weight_at_logp: Callable[[np.ndarray], np.ndarray],
-    growth_degree: float,
-    rel_tol: float = 1e-10,
-    log_n2: Optional[float] = None,
-) -> float:
-    """<weight(p)> over the state by sinh-sinh quadrature in w = ln p.
+def _log_f_at_logq(w, k: float):
+    """ln f(q) at q = e^w, f(q) = sqrt(1 + k^2 q^4) + k^2 q^2, the commutator deformation."""
+    if k == 0.0:
+        return np.zeros_like(w)
+    x_log = math.log(k) + 2.0 * w
+    x = np.exp(np.minimum(x_log, 40.0))  # k q^2
+    return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
 
-    The weight must be even in p and polynomially bounded;
-    ``log_weight_at_logp(w)`` returns ln weight(e^w), on an array, without
-    forming e^w where that would overflow. ``growth_degree`` is the tail
-    growth exponent of the weight and gates the integrability
-    precondition. ``log_n2`` is ln N^2, from the closed form if not given.
-    """
+
+def _unit_expectation(k: float, log_weight_at_logq, growth_degree: float, rel_tol: float,
+                      what: str) -> float:
+    """<weight(q)> over the state at zeta = 1, for an even weight growing like
+    |q|^growth_degree, given as ``log_weight_at_logq(w)`` = ln weight(e^w)."""
     if not 1e-12 <= rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
-    k, z = spec.kappa.value, spec.zeta
-    # the tail of weight * pdf ~ p^(growth - 2/k) is integrable iff growth < 2/k - 1
+    # the tail of weight * pdf ~ q^(growth - 2/k) is integrable iff growth < 2/k - 1
     if k > 0.0 and growth_degree >= 2.0 / k - 1.0:
         raise DivergentIntegralError(
             f"integral of p^{growth_degree} * pdf diverges for kappa={k} "
             f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})"
         )
-    if log_n2 is None:
-        log_n2 = 2.0 * math.log(normalization_constant(spec))
-    # twice the integral over p > 0, where dp = e^w dw; centred on p = 1/sqrt(zeta)
+    # twice the integral over q > 0, where dq = e^w dw; ln N^2 at zeta = 1
+    log_n2 = _LN_N2(k) - 0.5 * math.log(math.pi)
     value, _, _ = _double_exponential(
-        lambda w: np.exp(log_weight_at_logp(w) + w + log_n2 + _log_profile_at_logp(w, k, z)),
-        -0.5 * math.log(z), rel_tol, f"at kappa={k}, zeta={z}",
+        lambda w: np.exp(log_weight_at_logq(w) + w + log_n2 + _log_profile_at_logq(w, k)),
+        rel_tol, what,
     )
     return 2.0 * value
 
 
-def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10,
-                      log_n2: Optional[float] = None) -> float:
+def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> float:
     """Moment <p^power> by double-exponential quadrature (even power only).
 
     Independent of the Gamma-function closed forms; raises
     DivergentIntegralError when the power-law tail makes the moment
-    infinite (power >= 2/kappa - 1).
+    infinite (power >= 2/kappa - 1). The rule integrates <q^power> at
+    q = p sqrt(zeta); the moment is that over zeta^(power/2).
     """
     if power < 0 or power != int(power) or int(power) % 2 != 0:
         raise DomainError(f"power must be an even nonnegative integer, got {power}")
     power = int(power)
-    return expectation_quadrature(spec, lambda w: power * w, float(power), rel_tol, log_n2)
+    what = f"<p^{power}> at kappa={spec.kappa.value}"
+    moment = _unit_expectation(spec.kappa.value, lambda w: power * w, float(power), rel_tol, what)
+    # one division per factor of zeta: past the float range this gives inf or 0, never raises
+    for _ in range(power // 2):
+        moment /= spec.zeta
+    if not math.isfinite(moment):
+        raise NonConvergenceError(f"quadrature {what}, zeta={spec.zeta} overflowed")
+    return moment
 
 
-def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10,
-                             log_n2: Optional[float] = None) -> float:
+def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
     """<f(p)> for the commutator deformation shape, quadrature route for F(kappa)."""
-    k, z = spec.kappa.value, spec.zeta
-
-    def log_f_at_logp(w):
-        if k == 0.0:
-            return np.zeros_like(w)
-        x_log = math.log(k) + math.log(z) + 2.0 * w
-        x = np.exp(np.minimum(x_log, 40.0))
-        return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
-
-    return expectation_quadrature(spec, log_f_at_logp, 2.0, rel_tol, log_n2)
+    k = spec.kappa.value
+    return _unit_expectation(k, lambda w: _log_f_at_logq(w, k), 2.0, rel_tol, f"<f> at kappa={k}")
 
 
 def tail_exponent_estimate(spec: StateSpec, n_points: int = 41) -> float:
@@ -385,12 +379,11 @@ def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     )
     # quadrature of pdf integrates N^2 * exp_k(-zeta p^2); solving for the
     # normalization that would make it exactly 1 gives the independent N
-    log_n2 = 2.0 * math.log(closed[0])
-    total = quadrature_moment(0, spec, rel_tol, log_n2)
+    total = quadrature_moment(0, spec, rel_tol)
     quadrature = with_uncertainties(
         closed[0] / math.sqrt(total),
-        quadrature_moment(2, spec, rel_tol, log_n2),
-        f_expectation_quadrature(spec, rel_tol, log_n2),
+        quadrature_moment(2, spec, rel_tol),
+        f_expectation_quadrature(spec, rel_tol),
     )
     disc = max(abs(c - q) / abs(c) for c, q in zip(closed, quadrature))
     return MomentReport(*closed, *quadrature, disc, total)

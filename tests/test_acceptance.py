@@ -89,8 +89,16 @@ def test_criterion_03_saturation_identity():
         / f_expectation(KappaParameter(k))
         for k in (0.1, 0.2, 0.3, 0.5)
     )
-    ok = worst_closed < 1e-12 and worst_quad < 1e-6
-    report(3, ok, f"closed identity {worst_closed:.3e} < 1e-12; <f> quad match {worst_quad:.3e} < 1e-6")
+    # <f> = 2 zeta (1 - k^2) <p^2>, each side by its own quadrature (verify's saturation_identity)
+    worst_identity = 0.0
+    for s in (spec_of(k, z) for k in KAPPA_GRID for z in ZETA_GRID):
+        f_quad = f_expectation_quadrature(s, 1e-10)
+        p2_quad = quadrature_moment(2, s, 1e-10)
+        k, z = s.kappa.value, s.zeta
+        worst_identity = max(worst_identity, abs(f_quad - 2.0 * z * (1.0 - k * k) * p2_quad) / f_quad)
+    ok = worst_closed < 1e-12 and worst_quad < 1e-6 and worst_identity < 1e-9
+    report(3, ok, f"closed identity {worst_closed:.3e} < 1e-12; <f> quad match {worst_quad:.3e} "
+                  f"< 1e-6; quad identity {worst_identity:.3e} < 1e-9")
 
 
 def test_criterion_04_zeta_independence():

@@ -38,7 +38,7 @@ class TestVerify:
         assert {
             "normalization",
             "moment_agreement",
-            "saturation_closed",
+            "saturation_identity",
             "saturation_quadrature",
             "ode_residual",
             "annihilation_convergence",
@@ -55,7 +55,46 @@ class TestVerify:
         doc = json.loads(text)
         failing = [c["check_name"] for c in doc["checks"] if c["status"] == "fail"]
         assert failing  # named failing checks present
-        assert "normalization" in failing
+        # normalization can read exactly 0; the <p^2> agreement stays at rounding level
+        assert "moment_agreement" in failing
+
+    def test_shifted_normalization_fails(self, tmp_path, monkeypatch):
+        # an N^2 off by a factor e^(1e-9) shows in the quadrature's total probability,
+        # at a tolerance that the unshifted N^2 meets
+        from kappa_rup import coherent_states
+
+        assert run(tmp_path, "--command", "verify", "--tol", "1e-13")[0] == EXIT_OK
+        ln_n2 = coherent_states._LN_N2
+        monkeypatch.setattr(coherent_states, "_LN_N2", lambda k: ln_n2(k) + 1e-9)
+        code, text = run(tmp_path, "--command", "verify", "--tol", "1e-13")
+        assert code == EXIT_FAIL
+        checks = {c["check_name"]: c for c in json.loads(text)["checks"]}
+        assert checks["normalization"]["status"] == "fail"
+        assert checks["normalization"]["measured"] == pytest.approx(1e-9, rel=1e-6)
+
+    def test_saturation_identity_catches_a_wrong_f_weight(self, tmp_path, monkeypatch):
+        # f without its k^2 q^2 term: <f> no longer equals 2 zeta (1 - k^2) <p^2>
+        from kappa_rup import coherent_states
+
+        def log_f_without_linear_term(w, k):
+            if k == 0.0:
+                return np.zeros_like(w)
+            x_log = math.log(k) + 2.0 * w  # ln(k q^2)
+            return np.where(x_log > 40.0, x_log, np.log(np.hypot(1.0, np.exp(np.minimum(x_log, 40.0)))))
+
+        monkeypatch.setattr(coherent_states, "_log_f_at_logq", log_f_without_linear_term)
+        code, text = run(tmp_path, "--command", "verify")
+        assert code == EXIT_FAIL
+        checks = {c["check_name"]: c for c in json.loads(text)["checks"]}
+        assert checks["saturation_identity"]["status"] == "fail"
+        assert checks["saturation_identity"]["measured"] > 1e-3
+
+    @pytest.mark.parametrize("zeta", ["1e300", "1e-300"])
+    def test_extreme_zeta_meets_a_tight_tolerance(self, tmp_path, zeta):
+        # the quadrature integrates at zeta = 1 and scales once, so no check loses digits
+        code, text = run(tmp_path, "--command", "verify", "--zeta", zeta, "--tol", "1e-13")
+        assert code == EXIT_OK
+        assert json.loads(text)["all_passed"] is True
 
     @pytest.mark.parametrize("tol", [1e-3, 20.0])
     def test_tol_leaves_the_stencil_order_floors(self, tmp_path, tol):
