@@ -20,6 +20,7 @@ fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -133,10 +134,6 @@ def _gibbs_distribution(energies, mean: float):
     return wgt / wgt.sum()
 
 
-def _convergence_ratios(residuals: Sequence[float]) -> float:
-    return min(residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1))
-
-
 def _run_checks(c: dict) -> list:
     import numpy as np
     from .coherent_states import moment_report, psi
@@ -145,98 +142,75 @@ def _run_checks(c: dict) -> list:
     from .kinematics import ParticleFrame, physical_map
     from .maxent import MaxEntProblem, maxent_solve
 
-    checks = []
-
-    # --tol replaces the "<=" tolerances only: a ">=" one is a stencil order's floor
-    def add(name, measured, tolerance, comparator="<="):
-        tol = c["tol"] if c["tol"] is not None and comparator == "<=" else tolerance
-        ok = measured <= tol if comparator == "<=" else measured >= tol
-        checks.append(
-            {
-                "check_name": name,
-                "status": "pass" if ok else "fail",
-                "measured": float(measured),
-                "tolerance": float(tol),
-                "comparator": comparator,
-            }
-        )
-
     z, hb = c["zeta"], c["hbar"]
-    specs = [StateSpec(as_kappa(k), z, hb) for k in c["kappa"]]
-    reports = [moment_report(s) for s in specs]
+    states = [(s, moment_report(s)) for s in (StateSpec(as_kappa(k), z, hb) for k in c["kappa"])]
 
-    add("normalization", max(abs(r.probability_quad - 1.0) for r in reports), 1e-8)
-    add(
-        "moment_agreement",
-        max(abs(r.second_moment - r.second_moment_quad) / r.second_moment for r in reports),
-        1e-6,
-    )
-    # Robertson saturation with dx = hbar zeta (1 - k^2) dp gives <f> = 2 zeta (1 - k^2) <p^2>;
-    # each side is its own quadrature, and neither touches the closed forms
-    add(
-        "saturation_identity",
-        max(
-            abs(r.f_expect_quad - 2.0 * z * (1.0 - s.kappa.value**2) * r.second_moment_quad)
-            / r.f_expect_quad
-            for s, r in zip(specs, reports)
-        ),
-        1e-9,
-    )
-    add(
-        "saturation_quadrature",
-        max(abs(r.f_expect - r.f_expect_quad) / r.f_expect for r in reports),
-        1e-6,
-    )
+    def worst(fn):
+        return max(fn(s, r) for s, r in states)
 
     p_grid = np.linspace(-5.0 / math.sqrt(z), 5.0 / math.sqrt(z), 200)
-    ode_worst = 0.0
-    for s, r in zip(specs, reports):
-        if s.kappa.value == 0.0:
-            continue
-        res = ode_residual(p_grid, s.kappa, z, r.delta_x, r.delta_p, hb)
-        ode_worst = max(ode_worst, float(np.max(np.abs(res))))
-    add("ode_residual", ode_worst, 1e-9)
-
     conv_spec = StateSpec(as_kappa(0.2), z, hb)
     extent = 400.0 / math.sqrt(z)
-    sizes = (2048, 4096, 8192, 16384)
-    ann = [annihilation_residual(conv_spec, -extent, extent, n) for n in sizes]
-    add("annihilation_convergence", _convergence_ratios(ann), 12.0, ">=")
-    comm = []
-    for n in sizes:
-        p = np.linspace(-extent, extent, n)
-        grid = GridFunction(-extent, extent, psi(p, conv_spec).astype(complex))
-        comm.append(commutator_residual(grid, conv_spec.kappa, z, hb))
-    add("commutator_convergence", _convergence_ratios(comm), 12.0, ">=")
 
-    kin_worst = 0.0
-    kin_kappas = (0.1, 0.3, 0.7)
-    for beta in (0.1, 0.5, 0.9):
-        states = [
-            physical_map(ParticleFrame(1.0, 1.0, as_kappa(k)), beta) for k in kin_kappas
-        ]
-        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-        for st in states:
-            kin_worst = max(
-                kin_worst,
-                abs(st.p - gamma * beta) / (gamma * beta),
-                abs(st.E - gamma) / gamma,
-            )
-        ref = states[0]
-        for st in states[1:]:
-            kin_worst = max(
-                kin_worst, abs(st.p - ref.p) / ref.p, abs(st.E - ref.E) / ref.E
-            )
-    add("kinematics", kin_worst, 1e-12)
+    def convergence(residual):
+        # the stencil's order: the smallest ratio of successive residuals as the grid doubles
+        res = [residual(n) for n in (2048, 4096, 8192, 16384)]
+        return min(a / b for a, b in zip(res, res[1:]))
 
-    energies = np.arange(5.0)
-    mean = 1.2
-    gibbs = _gibbs_distribution(energies, mean)
-    sol0 = maxent_solve(MaxEntProblem(energies, mean, as_kappa(0.0)), tol=1e-12)
-    add("maxent_gibbs", float(np.max(np.abs(sol0.distribution - gibbs))), 1e-10)
-    sol_k = maxent_solve(MaxEntProblem(energies, mean, as_kappa(0.2)), tol=1e-12)
-    add("maxent_kkt", sol_k.kkt_residual, 1e-10)
+    def commutator(n):
+        grid = psi(np.linspace(-extent, extent, n), conv_spec)
+        return commutator_residual(GridFunction(-extent, extent, grid), conv_spec.kappa, z, hb)
 
+    def kinematics():
+        # each kappa's (p, E) at m = c = 1 against the boost's and against the first kappa's
+        errors = []
+        for beta in (0.1, 0.5, 0.9):
+            gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+            maps = [physical_map(ParticleFrame(1.0, 1.0, as_kappa(k)), beta) for k in (0.1, 0.3, 0.7)]
+            for p_ref, e_ref in ((gamma * beta, gamma), (maps[0].p, maps[0].E)):
+                errors += [max(abs(st.p - p_ref) / p_ref, abs(st.E - e_ref) / e_ref) for st in maps]
+        return max(errors)
+
+    energies, mean = np.arange(5.0), 1.2
+
+    def maxent(k):
+        return maxent_solve(MaxEntProblem(energies, mean, as_kappa(k)), tol=1e-12)
+
+    # (check_name, comparator, tolerance, measure), in document order
+    table = (
+        ("normalization", "<=", 1e-8, lambda: worst(lambda s, r: abs(r.probability_quad - 1.0))),
+        ("moment_agreement", "<=", 1e-6, lambda: worst(
+            lambda s, r: abs(r.second_moment - r.second_moment_quad) / r.second_moment)),
+        # Robertson saturation with dx = hbar zeta (1 - k^2) dp gives <f> = 2 zeta (1 - k^2) <p^2>;
+        # each side is its own quadrature, and neither touches the closed forms
+        ("saturation_identity", "<=", 1e-9, lambda: worst(
+            lambda s, r: abs(r.f_expect_quad - 2.0 * z * (1.0 - s.kappa.value**2)
+                             * r.second_moment_quad) / r.f_expect_quad)),
+        ("saturation_quadrature", "<=", 1e-6, lambda: worst(
+            lambda s, r: abs(r.f_expect - r.f_expect_quad) / r.f_expect)),
+        ("ode_residual", "<=", 1e-9, lambda: worst(lambda s, r: np.max(np.abs(
+            ode_residual(p_grid, s.kappa, z, r.delta_x, r.delta_p, hb))))),
+        ("annihilation_convergence", ">=", 12.0, lambda: convergence(
+            lambda n: annihilation_residual(conv_spec, -extent, extent, n))),
+        ("commutator_convergence", ">=", 12.0, lambda: convergence(commutator)),
+        ("kinematics", "<=", 1e-12, kinematics),
+        ("maxent_gibbs", "<=", 1e-10, lambda: np.max(np.abs(
+            maxent(0.0).distribution - _gibbs_distribution(energies, mean)))),
+        ("maxent_kkt", "<=", 1e-10, lambda: maxent(0.2).kkt_residual),
+    )
+    checks = []
+    for name, comparator, tolerance, measure in table:
+        measured = float(measure())
+        # --tol replaces the "<=" tolerances only: a ">=" one is a stencil order's floor
+        tol = c["tol"] if c["tol"] is not None and comparator == "<=" else tolerance
+        ok = measured <= tol if comparator == "<=" else measured >= tol
+        checks.append({
+            "check_name": name,
+            "status": "pass" if ok else "fail",
+            "measured": measured,
+            "tolerance": float(tol),
+            "comparator": comparator,
+        })
     return checks
 
 
@@ -339,8 +313,7 @@ def cmd_bound_alpha(c: dict) -> Tuple[int, Optional[str]]:
         "delta_alpha_exp": pheno.delta_alpha_exp,
         "characteristic_momentum": pheno.characteristic_momentum,
         "zeta_fixing": pheno.zeta_fixing,
-        "bound_kappa_sqrt_zeta": bound.bound_kappa_sqrt_zeta,
-        "bound_kappa": bound.bound_kappa,
+        **dataclasses.asdict(bound),
     })
 
 
@@ -366,11 +339,7 @@ def cmd_maxent_demo(c: dict) -> Tuple[int, Optional[str]]:
     return EXIT_OK, _json_document(c, {
         "problem": problem.to_json_dict(),
         "solution": solution.to_json_dict(),
-        "fit": {
-            "amplitude": fit.amplitude,
-            "beta_fit": fit.beta_fit,
-            "max_residual": fit.max_residual,
-        },
+        "fit": dataclasses.asdict(fit),
     })
 
 

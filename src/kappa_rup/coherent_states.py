@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_TAIL_POINTS = 41  # tail_exponent_estimate's fit points
 
 # The double-exponential rule's t range, its first level that may stop and
 # its level cap (step 2^-level). At |t| = 4, |w - c| ~ 2e18: an integrand
@@ -326,14 +327,14 @@ def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
     return _unit_expectation(k, lambda w: _log_f_at_logq(w, k), 2.0, rel_tol, f"<f> at kappa={k}")
 
 
-def tail_exponent_estimate(spec: StateSpec, n_points: int = 41) -> float:
+def tail_exponent_estimate(spec: StateSpec) -> float:
     """Least-squares slope of ln pdf vs ln p over p in [1e2, 1e4]/sqrt(zeta).
 
     Converges to -2/kappa; only meaningful for kappa > 0.
     """
     if spec.kappa.value == 0.0:
         raise DomainError("tail exponent is defined only for kappa > 0")
-    p = np.geomspace(1e2 / math.sqrt(spec.zeta), 1e4 / math.sqrt(spec.zeta), n_points)
+    p = np.geomspace(1e2 / math.sqrt(spec.zeta), 1e4 / math.sqrt(spec.zeta), _TAIL_POINTS)
     slope = np.polyfit(np.log(p), log_pdf(p, spec), 1)[0]
     return float(slope)
 

@@ -46,7 +46,8 @@ __all__ = [
     "fit_kappa_exponential",
 ]
 
-# Newton steps of the fit, at most; it converges in a handful
+# Newton steps of the solver and of the fit, at most; each converges in a handful
+_SOLVE_MAX_ITER = 200
 _FIT_MAX_ITER = 100
 
 
@@ -173,8 +174,7 @@ def _phi_inv(y: np.ndarray, k: float) -> np.ndarray:
     return np.exp(np.clip(log_n, -700.0, 700.0))
 
 
-def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
-                 max_iter: int = 200) -> MaxEntSolution:
+def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
     """Maximize the Kaniadakis entropy under the two standard constraints.
 
     Damped Newton iteration on the multipliers (lam0, lam1); the level
@@ -201,7 +201,7 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
         return n, g0, g1, max(abs(g0), abs(g1) / e_scale)
 
     n, g0, g1, err = residuals(lam0, lam1)
-    for _ in range(max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         if err <= target:
             break
         r = 1.0 / _phi_prime(n, k)
@@ -221,7 +221,7 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10,
         n, g0, g1, err = trial
     if not err <= target:
         raise NonConvergenceError(
-            f"maxent_solve did not reach {target} in {max_iter} iterations (err={err})"
+            f"maxent_solve did not reach {target} in {_SOLVE_MAX_ITER} iterations (err={err})"
         )
 
     # stationarity is closed-form exact; constraints carry the real error

@@ -49,6 +49,45 @@ class TestVerify:
         } <= names
         assert all(c["status"] == "pass" for c in doc["checks"])
 
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_check_table_order(self, tmp_path, tol):
+        # the document lists the checks in one fixed order; --tol replaces each
+        # "<=" tolerance and leaves both ">=" floors at 12
+        args = ["--command", "verify"] + ([] if tol is None else ["--tol", repr(tol)])
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_OK
+        table = [
+            ("normalization", "<=", 1e-8),
+            ("moment_agreement", "<=", 1e-6),
+            ("saturation_identity", "<=", 1e-9),
+            ("saturation_quadrature", "<=", 1e-6),
+            ("ode_residual", "<=", 1e-9),
+            ("annihilation_convergence", ">=", 12.0),
+            ("commutator_convergence", ">=", 12.0),
+            ("kinematics", "<=", 1e-12),
+            ("maxent_gibbs", "<=", 1e-10),
+            ("maxent_kkt", "<=", 1e-10),
+        ]
+        expected = [(name, cmp, tol if tol is not None and cmp == "<=" else t) for name, cmp, t in table]
+        checks = json.loads(text)["checks"]
+        assert [(c["check_name"], c["comparator"], c["tolerance"]) for c in checks] == expected
+
+    def test_ode_residual_is_evaluated_at_kappa_zero(self, tmp_path):
+        # the Gaussian state solves the minimum-uncertainty ODE to rounding, not by fiat
+        code, text = run(tmp_path, "--command", "verify", "--kappa", "0")
+        assert code == EXIT_OK
+        checks = {c["check_name"]: c for c in json.loads(text)["checks"]}
+        assert 0.0 < checks["ode_residual"]["measured"] <= 1e-9
+
+    def test_ode_residual_fails_at_kappa_zero(self, tmp_path, monkeypatch):
+        from kappa_rup import deformed_algebra
+
+        monkeypatch.setattr(deformed_algebra, "ode_residual", lambda p, *args: np.ones_like(p))
+        code, text = run(tmp_path, "--command", "verify", "--kappa", "0")
+        assert code == EXIT_FAIL
+        failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+        assert failing == {"ode_residual"}
+
     def test_unattainable_tolerance_fails(self, tmp_path):
         code, text = run(tmp_path, "--command", "verify", "--tol", "1e-20")
         assert code == EXIT_FAIL
