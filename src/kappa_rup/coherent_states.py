@@ -30,6 +30,9 @@ the whole real line. The integrand, a power of q at both ends, decays
 exponentially in |w| and so double-exponentially in t, and all magnitudes
 stay in log space (no overflow for any k < 2/3). The rule halves its step
 until two levels agree to rel_tol / 2; the last change is its error estimate.
+Each level's nodes are built once per process. moment_report's three integrals
+share them and one ln-density per level in one sweep, and report the largest
+relative error estimate and the nodes evaluated (quad_error_estimate, quad_evals).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _TAIL_POINTS = 41  # tail_exponent_estimate's fit points
 _T_MAX = 4
 _MIN_LEVEL = 3
 _MAX_LEVEL = 10
+_NODES: dict = {}  # level -> _nodes(level); the 11 levels hold 8193 nodes, 128 KiB
 
 
 def _log_profile(p, k: float, z: float):
@@ -220,39 +224,53 @@ def f_excess(kappa: KappaLike) -> float:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")
-def _double_exponential(integrand, rel_tol: float, what: str):
-    """(integral, error estimate, evaluation count) of integrand(w) over the real line.
-
-    The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
-    w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
-    exponentially in |w| decays double-exponentially in |t| (Takahasi &
-    Mori 1974; Mori & Sugihara 2001). Each level halves the step and
-    evaluates only the new, odd nodes; the change from the previous level
-    is the error estimate, accepted once it is at most rel_tol / 2 of the
-    value. A level sum that is not finite ends the rule at once.
-    ``integrand`` maps an array.
-    """
-    value = change = 0.0
-    evals = 0
-    for level in range(_MAX_LEVEL + 1):
+def _nodes(level: int):
+    """(w, dw) at the rule's new nodes of one level, read-only, built once per process."""
+    if level not in _NODES:
         # level 0 takes each integer t, every later one the odd multiples of h;
         # h enters each term, so that no partial sum exceeds the integral much
         n = _T_MAX << level
         k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
         h = 2.0**-level
         u = 0.5 * math.pi * np.sinh(h * k)
-        dw = 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)
-        level_sum = float(integrand(np.sinh(u)) @ dw)
-        evals += k.size
-        if not math.isfinite(level_sum):
-            raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
-        previous, value = value, 0.5 * value + level_sum
-        change = abs(value - previous)
-        if level >= _MIN_LEVEL and change <= 0.5 * rel_tol * abs(value):
-            return value, change, evals
+        _NODES[level] = nodes = np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)
+        for a in nodes:
+            a.flags.writeable = False
+    return _NODES[level]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _double_exponential(integrands: dict, rel_tol: float, shared) -> dict:
+    """{what: (integral, error estimate, evaluation count)} over the real line of each
+    ``integrands[what](w, shared(w))``, all on one sweep.
+
+    The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
+    w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
+    exponentially in |w| decays double-exponentially in |t| (Takahasi &
+    Mori 1974; Mori & Sugihara 2001). Each level halves the step and
+    evaluates only the new, odd nodes, and shared(w) once for all integrands.
+    Each stops once its change from the previous level, its error estimate, is at
+    most rel_tol / 2 of its value. A level sum that is not finite ends the rule.
+    """
+    results, running, evals = dict.fromkeys(integrands, (0.0, 0.0, 0)), list(integrands), 0
+    for level in range(_MAX_LEVEL + 1):
+        w, dw = _nodes(level)
+        s = shared(w)
+        evals += w.size
+        for what in tuple(running):
+            level_sum = float(integrands[what](w, s) @ dw)
+            if not math.isfinite(level_sum):
+                raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
+            previous = results[what][0]
+            value = 0.5 * previous + level_sum
+            results[what] = value, abs(value - previous), evals
+            if level >= _MIN_LEVEL and results[what][1] <= 0.5 * rel_tol * abs(value):
+                running.remove(what)
+        if not running:
+            return results
+    value, change, _ = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {what} did not converge in {_MAX_LEVEL} step halvings "
+        f"quadrature {running[0]} did not converge in {_MAX_LEVEL} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
@@ -279,25 +297,36 @@ def _log_f_at_logq(w, k: float):
     return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
 
 
-def _unit_expectation(k: float, log_weight_at_logq, growth_degree: float, rel_tol: float,
-                      what: str) -> float:
-    """<weight(q)> over the state at zeta = 1, for an even weight growing like
-    |q|^growth_degree, given as ``log_weight_at_logq(w)`` = ln weight(e^w)."""
+def _quadrature(spec: StateSpec, rel_tol: float, *powers) -> list:
+    """[(<p^power>, relative error estimate, evaluation count)] for each power (None: <f>),
+    from one sweep on the unit state: twice the integral over q > 0, dq = e^w dw, of
+    q^power or f(q) times the unit pdf; <p^power> = <q^power> / zeta^(power/2)."""
     if not 1e-12 <= rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
-    # the tail of weight * pdf ~ q^(growth - 2/k) is integrable iff growth < 2/k - 1
-    if k > 0.0 and growth_degree >= 2.0 / k - 1.0:
-        raise DivergentIntegralError(
-            f"integral of p^{growth_degree} * pdf diverges for kappa={k} "
-            f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})"
-        )
-    # twice the integral over q > 0, where dq = e^w dw; ln N^2 at zeta = 1
-    log_n2 = _LN_N2(k) - 0.5 * math.log(math.pi)
-    value, _, _ = _double_exponential(
-        lambda w: np.exp(log_weight_at_logq(w) + w + log_n2 + _log_profile_at_logq(w, k)),
-        rel_tol, what,
-    )
-    return 2.0 * value
+    k = spec.kappa.value
+    log_n2 = _LN_N2(k) - 0.5 * math.log(math.pi)  # ln N^2 at zeta = 1
+    integrands = {}
+    for power in powers:
+        growth = 2.0 if power is None else float(power)  # f(q) grows like q^2
+        # the tail of weight * pdf ~ q^(growth - 2/k) is integrable iff growth < 2/k - 1
+        if k > 0.0 and growth >= 2.0 / k - 1.0:
+            raise DivergentIntegralError(f"integral of p^{growth} * pdf diverges for kappa={k} "
+                                         f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})")
+        log_weight = (lambda w: _log_f_at_logq(w, k)) if power is None else (lambda w, m=power: m * w)
+        what = f"<f> at kappa={k}" if power is None else f"<p^{power}> at kappa={k}"
+        integrands[what] = lambda w, profile, lw=log_weight: np.exp(lw(w) + w + log_n2 + profile)
+    sweep = _double_exponential(integrands, rel_tol, lambda w: _log_profile_at_logq(w, k))
+    results = []
+    for power, what in zip(powers, integrands):
+        value, change, evals = sweep[what]
+        moment = 2.0 * value
+        # one division per factor of zeta: past the float range this gives inf or 0, never raises
+        for _ in range((power or 0) // 2):
+            moment /= spec.zeta
+        if not math.isfinite(moment):
+            raise NonConvergenceError(f"quadrature {what}, zeta={spec.zeta} overflowed")
+        results.append((moment, change / value, evals))
+    return results
 
 
 def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> float:
@@ -310,21 +339,12 @@ def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> fl
     """
     if power < 0 or power != int(power) or int(power) % 2 != 0:
         raise DomainError(f"power must be an even nonnegative integer, got {power}")
-    power = int(power)
-    what = f"<p^{power}> at kappa={spec.kappa.value}"
-    moment = _unit_expectation(spec.kappa.value, lambda w: power * w, float(power), rel_tol, what)
-    # one division per factor of zeta: past the float range this gives inf or 0, never raises
-    for _ in range(power // 2):
-        moment /= spec.zeta
-    if not math.isfinite(moment):
-        raise NonConvergenceError(f"quadrature {what}, zeta={spec.zeta} overflowed")
-    return moment
+    return _quadrature(spec, rel_tol, int(power))[0][0]
 
 
 def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
     """<f(p)> for the commutator deformation shape, quadrature route for F(kappa)."""
-    k = spec.kappa.value
-    return _unit_expectation(k, lambda w: _log_f_at_logq(w, k), 2.0, rel_tol, f"<f> at kappa={k}")
+    return _quadrature(spec, rel_tol, None)[0][0]
 
 
 def tail_exponent_estimate(spec: StateSpec) -> float:
@@ -360,6 +380,9 @@ class MomentReport:
     max_rel_discrepancy: float
     # integral of the closed-form pdf by quadrature; 1 for an exact N
     probability_quad: float = 1.0
+    # the largest last change / value of the three integrals; the nodes their sweep evaluated
+    quad_error_estimate: float = 0.0
+    quad_evals: int = 0
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -378,13 +401,10 @@ def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     closed = with_uncertainties(
         normalization_constant(spec), second_moment(spec), f_expectation(spec.kappa)
     )
-    # quadrature of pdf integrates N^2 * exp_k(-zeta p^2); solving for the
-    # normalization that would make it exactly 1 gives the independent N
-    total = quadrature_moment(0, spec, rel_tol)
-    quadrature = with_uncertainties(
-        closed[0] / math.sqrt(total),
-        quadrature_moment(2, spec, rel_tol),
-        f_expectation_quadrature(spec, rel_tol),
-    )
+    # one sweep for <p^0>, <p^2> and <f>; <p^0> integrates N^2 * exp_k(-zeta p^2),
+    # and the normalization that would make it exactly 1 is the independent N
+    (total, *_), (p2, *_), (f, *_) = sweep = _quadrature(spec, rel_tol, 0, 2, None)
+    quadrature = with_uncertainties(closed[0] / math.sqrt(total), p2, f)
     disc = max(abs(c - q) / abs(c) for c, q in zip(closed, quadrature))
-    return MomentReport(*closed, *quadrature, disc, total)
+    _, errors, evals = zip(*sweep)
+    return MomentReport(*closed, *quadrature, disc, total, max(errors), max(evals))

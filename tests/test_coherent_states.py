@@ -326,8 +326,8 @@ class TestDoubleExponentialRule:
     def test_value_error_estimate_and_count(self):
         # integral of sech w over the real line is pi, analytic in |Im w| < pi/2
         value, error, evals = coherent_states._double_exponential(
-            lambda w: 1.0 / np.cosh(w), 1e-10, "test"
-        )
+            {"test": lambda w, _: 1.0 / np.cosh(w)}, 1e-10, lambda w: None
+        )["test"]
         assert abs(value - math.pi) <= 1e-15
         assert 0.0 <= error <= 0.5e-10 * value
         # level L has 2 * _T_MAX * 2^L + 1 nodes, each evaluated once
@@ -339,8 +339,9 @@ class TestDoubleExponentialRule:
         # 1/a; it falls like e^w to the left but only like e^(-a w) to the right
         a = 0.01
         value, _, _ = coherent_states._double_exponential(
-            lambda w: np.exp(w - (1.0 + a) * np.logaddexp(0.0, w)), 1e-12, "test"
-        )
+            {"test": lambda w, _: np.exp(w - (1.0 + a) * np.logaddexp(0.0, w))}, 1e-12,
+            lambda w: None,
+        )["test"]
         assert value == pytest.approx(1.0 / a, rel=1e-14)
 
     @pytest.mark.parametrize("z", [2.3e-306, 1e-300, 1e300])
@@ -362,3 +363,65 @@ class TestDoubleExponentialRule:
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
         with pytest.raises(NonConvergenceError, match="did not converge"):
             quadrature_moment(2, spec_of(0.3))
+
+
+SWEEP_KAPPAS = [0.0, 1e-8, 1e-5, 0.05, 0.3, 0.65, 0.66]
+SWEEP_ZETAS = [1e-300, 1.0, 1e300]
+SWEEP_TOLS = [1e-5, 1e-10, 1e-12]
+
+
+class TestSharedSweep:
+    """moment_report's three integrals run on one sweep with one node set."""
+
+    def test_bit_identical_to_standalone_integrals(self):
+        staggered = 0
+        for k in SWEEP_KAPPAS:
+            for z in SWEEP_ZETAS:
+                for tol in SWEEP_TOLS:
+                    s = spec_of(k, z)
+                    rep = moment_report(s, tol)
+                    assert rep.probability_quad == quadrature_moment(0, s, tol)
+                    assert rep.second_moment_quad == quadrature_moment(2, s, tol)
+                    assert rep.f_expect_quad == f_expectation_quadrature(s, tol)
+                    counts = {evals for *_, evals in coherent_states._quadrature(s, tol, 0, 2, None)}
+                    assert max(counts) == rep.quad_evals
+                    staggered += len(counts) > 1
+        # some state's integrals stop at different levels, so freezing one while
+        # the others go on is exercised
+        assert staggered > 0
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-10])
+    @pytest.mark.parametrize("k", [0.0, 1e-5, 0.3, 0.66])
+    def test_diagnostics(self, k, tol):
+        rep = moment_report(spec_of(k, 1.3), tol)
+        assert 0.0 <= rep.quad_error_estimate <= tol / 2
+        # the sweep's last level L has 2 * _T_MAX * 2^L + 1 nodes in all
+        levels = math.log2((rep.quad_evals - 1) / (2 * coherent_states._T_MAX))
+        assert levels == int(levels)
+        assert coherent_states._MIN_LEVEL <= levels <= coherent_states._MAX_LEVEL
+
+    def test_positional_constructors_keep_working(self):
+        assert MomentReport(*([1.0] * 11)).probability_quad == 1.0
+        rep = MomentReport(*([1.0] * 12))
+        assert (rep.quad_error_estimate, rep.quad_evals) == (0.0, 0)
+
+    def test_node_cache_is_read_only(self):
+        before = moment_report(spec_of(0.3, 1.7))
+        w, dw = coherent_states._nodes(3)
+        again = coherent_states._nodes(3)
+        assert again[0] is w and again[1] is dw
+        for a in (w, dw, *again):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert moment_report(spec_of(0.3, 1.7)) == before
+
+    def test_overflowing_f_weight_names_f(self, monkeypatch):
+        monkeypatch.setattr(coherent_states, "_log_f_at_logq", lambda w, k: np.full_like(w, np.inf))
+        with pytest.raises(NonConvergenceError, match="<f>"):
+            moment_report(spec_of(0.3))
+
+    def test_first_integral_in_order_raises_at_the_cap(self, monkeypatch):
+        # all three miss 1e-10 at the capped level; <p^0> comes first
+        monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
+        with pytest.raises(NonConvergenceError, match=r"<p\^0> .* did not converge"):
+            moment_report(spec_of(0.3))
