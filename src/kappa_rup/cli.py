@@ -293,10 +293,9 @@ def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
     p = np.linspace(lo, hi, n)
     curves = [psi(p, StateSpec(as_kappa(k), c["zeta"], c["hbar"])) for k in c["kappa"]]
     header = ["p"] + [f"psi_k{i}" for i in range(len(curves))]
-    rows = [
-        [_f17(p[j])] + [_f17(curve[j]) for curve in curves]
-        for j in range(p.size)
-    ]
+    # Python floats from whole columns, not numpy scalars indexed one at a time
+    columns = [p.tolist()] + [curve.tolist() for curve in curves]
+    rows = [[_f17(x) for x in row] for row in zip(*columns)]
     return EXIT_OK, _csv_document(c, header, rows)
 
 

@@ -30,9 +30,11 @@ the whole real line. The integrand, a power of q at both ends, decays
 exponentially in |w| and so double-exponentially in t, and all magnitudes
 stay in log space (no overflow for any k < 2/3). The rule halves its step
 until two levels agree to rel_tol / 2; the last change is its error estimate.
-Each level's nodes are built once per process. moment_report's three integrals
-share them and one ln-density per level in one sweep, and report the largest
-relative error estimate and the nodes evaluated (quad_error_estimate, quad_evals).
+All levels' nodes are built once per process, in one array. The rule evaluates the
+ln-density and each integrand on levels 0-6 in one call, all that nearly every state
+needs at rel_tol 1e-10. moment_report's three integrals share one sweep and report the
+largest relative error estimate and the rule's node count where the last one stopped
+(quad_error_estimate, quad_evals).
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ _TAIL_POINTS = 41  # tail_exponent_estimate's fit points
 _T_MAX = 4
 _MIN_LEVEL = 3
 _MAX_LEVEL = 10
-_NODES: dict = {}  # level -> _nodes(level); the 11 levels hold 8193 nodes, 128 KiB
+_NODE_LEVELS = _MAX_LEVEL + 1
+# the first call's levels: at rel_tol 1e-10 nearly every state stops at level 5 or 6
+_FIRST_CALL_LEVEL = 6
+_NODES: dict = {}  # (first, last level) -> _nodes(first, last); 8193 nodes in all, 128 KiB
 
 
 def _log_profile(p, k: float, z: float):
@@ -224,19 +229,31 @@ def f_excess(kappa: KappaLike) -> float:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _nodes(level: int):
-    """(w, dw) at the rule's new nodes of one level, read-only, built once per process."""
-    if level not in _NODES:
-        # level 0 takes each integer t, every later one the odd multiples of h;
-        # h enters each term, so that no partial sum exceeds the integral much
-        n = _T_MAX << level
-        k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
-        h = 2.0**-level
-        u = 0.5 * math.pi * np.sinh(h * k)
-        _NODES[level] = nodes = np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)
+def _nodes(first: int, last: int | None = None):
+    """(w, dw) at the rule's new nodes of levels first..last (default: first alone), in
+    level order: cached read-only views of one concatenation, built once per process."""
+    last = first if last is None else last
+    if not _NODES:
+        parts = []
+        for level in range(_NODE_LEVELS):
+            # level 0 takes each integer t, every later one the odd multiples of h;
+            # h enters each term, so that no partial sum exceeds the integral much
+            n, h = _T_MAX << level, 2.0**-level
+            k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
+            u = 0.5 * math.pi * np.sinh(h * k)
+            parts.append((np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)))
+        _NODES[0, _NODE_LEVELS - 1] = nodes = tuple(np.concatenate(a) for a in zip(*parts))
         for a in nodes:
             a.flags.writeable = False
-    return _NODES[level]
+    if (first, last) not in _NODES:
+        start = _rule_count(first - 1) if first else 0
+        _NODES[first, last] = tuple(a[start:_rule_count(last)] for a in _NODES[0, _NODE_LEVELS - 1])
+    return _NODES[first, last]
+
+
+def _rule_count(level: int) -> int:
+    """The rule's nodes at step 2^-level, the new ones of levels 0..level together."""
+    return (2 * _T_MAX << level) + 1
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -247,30 +264,37 @@ def _double_exponential(integrands: dict, rel_tol: float, shared) -> dict:
     The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
     w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
     exponentially in |w| decays double-exponentially in |t| (Takahasi &
-    Mori 1974; Mori & Sugihara 2001). Each level halves the step and
-    evaluates only the new, odd nodes, and shared(w) once for all integrands.
-    Each stops once its change from the previous level, its error estimate, is at
-    most rel_tol / 2 of its value. A level sum that is not finite ends the rule.
+    Mori 1974; Mori & Sugihara 2001). Each level halves the step and adds only
+    the new, odd nodes. shared(w) and each integrand run once on levels
+    0.._FIRST_CALL_LEVEL together, then once per later level; each level sum is
+    over that level's slice. Each integral stops once its change from the previous
+    level, its error estimate, is at most rel_tol / 2 of its value; its count is the
+    rule's nodes at that level. A level sum that is not finite ends the rule.
     """
-    results, running, evals = dict.fromkeys(integrands, (0.0, 0.0, 0)), list(integrands), 0
-    for level in range(_MAX_LEVEL + 1):
-        w, dw = _nodes(level)
+    results, running = dict.fromkeys(integrands, (0.0, 0.0, 0)), list(integrands)
+    top, evals = _MAX_LEVEL, 0
+    first = min(_FIRST_CALL_LEVEL, top)
+    for levels in [range(first + 1)] + [range(L, L + 1) for L in range(first + 1, top + 1)]:
+        w, dw = _nodes(levels[0], levels[-1])
         s = shared(w)
-        evals += w.size
-        for what in tuple(running):
-            level_sum = float(integrands[what](w, s) @ dw)
-            if not math.isfinite(level_sum):
-                raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
-            previous = results[what][0]
-            value = 0.5 * previous + level_sum
-            results[what] = value, abs(value - previous), evals
-            if level >= _MIN_LEVEL and results[what][1] <= 0.5 * rel_tol * abs(value):
-                running.remove(what)
-        if not running:
-            return results
+        values = {what: integrands[what](w, s) for what in running}
+        base = evals
+        for level in levels:
+            part, evals = slice(evals - base, _rule_count(level) - base), _rule_count(level)
+            for what in tuple(running):
+                level_sum = float(values[what][part] @ dw[part])
+                if not math.isfinite(level_sum):
+                    raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
+                previous = results[what][0]
+                value = 0.5 * previous + level_sum
+                results[what] = value, abs(value - previous), evals
+                if level >= _MIN_LEVEL and results[what][1] <= 0.5 * rel_tol * abs(value):
+                    running.remove(what)
+            if not running:
+                return results
     value, change, _ = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {running[0]} did not converge in {_MAX_LEVEL} step halvings "
+        f"quadrature {running[0]} did not converge in {top} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
@@ -380,7 +404,8 @@ class MomentReport:
     max_rel_discrepancy: float
     # integral of the closed-form pdf by quadrature; 1 for an exact N
     probability_quad: float = 1.0
-    # the largest last change / value of the three integrals; the nodes their sweep evaluated
+    # the largest last change / value of the three integrals; the rule's node count at the
+    # level where the last of them stopped (the first call may evaluate levels past it)
     quad_error_estimate: float = 0.0
     quad_evals: int = 0
 

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _gibbs_distribution, main
-from kappa_rup.coherent_states import StateSpec, normalization_constant
+from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _f17, _gibbs_distribution, main
+from kappa_rup.coherent_states import StateSpec, normalization_constant, psi
 from kappa_rup.kappa_math import KappaParameter
 
 from oracles import gibbs_reference
@@ -237,6 +237,17 @@ class TestPlotPsi:
         # beyond the crossover the power tails win, monotonically in kappa
         tail = np.argmin(np.abs(p - 5.0))
         assert data[tail, 1] < data[tail, 2] < data[tail, 3]
+
+    def test_rows_are_per_element_f17(self, tmp_path):
+        code, text = run(
+            tmp_path, "--command", "plot-psi", "--kappa", "0,0.3,0.6",
+            "--grid-min", "-3.3", "--grid-max", "7.1", "--grid-n", "37",
+        )
+        assert code == EXIT_OK
+        p = np.linspace(-3.3, 7.1, 37)
+        curves = [psi(p, StateSpec(KappaParameter(k), 1.0)) for k in (0.0, 0.3, 0.6)]
+        expected = [[_f17(p[j])] + [_f17(curve[j]) for curve in curves] for j in range(p.size)]
+        assert parse_csv(text)[2] == expected
 
     def test_bad_grid_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "--command", "plot-psi", "--grid-min", "5", "--grid-max", "-5")

@@ -26,7 +26,7 @@ from kappa_rup import coherent_states
 from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
 from kappa_rup.kappa_math import KappaParameter
 
-from oracles import mp_moment, mp_state, quadpack_moment
+from oracles import mp_moment, mp_state, plain_double_exponential, quadpack_moment
 from test_small_kappa import KAPPAS
 
 
@@ -425,3 +425,75 @@ class TestSharedSweep:
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
         with pytest.raises(NonConvergenceError, match=r"<p\^0> .* did not converge"):
             moment_report(spec_of(0.3))
+
+
+def _plain_rule(integrands, rel_tol, shared):
+    """The reference rule at the module's current constants, _MAX_LEVEL included."""
+    cs = coherent_states
+    return plain_double_exponential(integrands, rel_tol, shared, cs._T_MAX, cs._MIN_LEVEL,
+                                    cs._MAX_LEVEL)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NonConvergenceError as e:
+        return str(e)
+
+
+SECH_AND_SLOW_TAIL = {
+    # integral pi; integral 1/a = 100, falling only like e^(-a w) to the right
+    "sech": lambda w, _: 1.0 / np.cosh(w),
+    "slow tail": lambda w, _: np.exp(w - 1.01 * np.logaddexp(0.0, w)),
+}
+
+
+class TestAgainstPlainRule:
+    """The rule evaluates its first levels in one call; each value, estimate, count and
+    message is exactly the plain level-by-level rule's."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-10, 1e-12])
+    def test_sech_and_slow_tail(self, tol):
+        # poles at +-0.1i take the rule past the first call's levels, at +-0.01i to its cap
+        poles = [{f"1/(w^2 + {e})": lambda w, _, e=e: 1.0 / (w * w + e)} for e in (1e-2, 1e-4)]
+        shared = lambda w: None
+        for integrands in (*({what: f} for what, f in SECH_AND_SLOW_TAIL.items()),
+                           SECH_AND_SLOW_TAIL, poles[0], {**SECH_AND_SLOW_TAIL, **poles[0]},
+                           {**poles[0], **poles[1]}):
+            got = _outcome(lambda: coherent_states._double_exponential(integrands, tol, shared))
+            assert got == _outcome(lambda: _plain_rule(integrands, tol, shared))
+
+    def test_sweep_states(self, monkeypatch):
+        for k in SWEEP_KAPPAS:
+            for z in SWEEP_ZETAS:
+                for tol in SWEEP_TOLS:
+                    s = spec_of(k, z)
+                    got = coherent_states._quadrature(s, tol, 0, 2, None)
+                    with monkeypatch.context() as m:
+                        m.setattr(coherent_states, "_double_exponential", _plain_rule)
+                        assert got == coherent_states._quadrature(s, tol, 0, 2, None), (k, z, tol)
+
+    def test_capped_level(self, monkeypatch):
+        monkeypatch.setattr(coherent_states, "_MAX_LEVEL", 3)
+        shared = lambda w: None
+        for tol in (1e-3, 1e-12):
+            got = _outcome(lambda: coherent_states._double_exponential(SECH_AND_SLOW_TAIL, tol, shared))
+            assert got == _outcome(lambda: _plain_rule(SECH_AND_SLOW_TAIL, tol, shared))
+        s = spec_of(0.3)
+        got = _outcome(lambda: coherent_states._quadrature(s, 1e-10, 0, 2, None))
+        assert "did not converge in 3 step halvings (65 evaluations" in got
+        monkeypatch.setattr(coherent_states, "_double_exponential", _plain_rule)
+        assert got == _outcome(lambda: coherent_states._quadrature(s, 1e-10, 0, 2, None))
+
+    @pytest.mark.parametrize("tol,count", [(1e-3, 65), (1e-5, 129)])
+    def test_early_stop_counts_its_level(self, monkeypatch, tol, count):
+        # kappa = 0.3 stops at level 3 (1e-3) or 4 (1e-5), though the first call
+        # evaluated the ln-density on levels 0.._FIRST_CALL_LEVEL
+        evaluated = []
+        profile = coherent_states._log_profile_at_logq
+        monkeypatch.setattr(coherent_states, "_log_profile_at_logq",
+                            lambda w, k: evaluated.append(w.size) or profile(w, k))
+        rep = moment_report(spec_of(0.3, 1.0), tol)
+        assert rep.quad_evals == count
+        assert evaluated == [coherent_states._rule_count(coherent_states._FIRST_CALL_LEVEL)]
+        assert evaluated[0] > count
