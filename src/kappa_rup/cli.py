@@ -276,7 +276,7 @@ def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
                 _f17(k), _f17(r.norm_constant), _f17(r.second_moment),
                 _f17(r.second_moment_quad), _f17(r.delta_p), _f17(r.delta_x),
                 _f17(r.f_expect), _f17(r.f_expect_quad),
-                _f17(r.delta_x * r.delta_p / (0.5 * c["hbar"])), _table_status(r, rel_tol),
+                _f17(r.delta_x / c["hbar"] * r.delta_p * 2.0), _table_status(r, rel_tol),
             )
         )
     return EXIT_OK, _csv_document(c, _TABLE_HEADER, rows)

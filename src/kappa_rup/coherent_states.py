@@ -22,6 +22,10 @@ Closed forms implemented here, with a = 1/(2k):
 Each is its k = 0 value times exp(R(k)), R(0) = 0, with R evaluated
 without the ln Gamma differences that cancel as k -> 0 (_LogGammaRatio),
 so F - 1 and <p^2> - 1/(2 zeta) keep full relative accuracy via expm1.
+All of them rest on two such exponents, ln N^2 and ln 2 zeta <p^2>, and each
+is evaluated once per kappa: it keeps its last kappa's value. One entry is
+enough because every caller (each closed form, moment_report, table, verify)
+works through one kappa at a time.
 
 Each closed form has an independent quadrature route on the unit state,
 q = p sqrt(zeta): no integrand sees zeta, and <p^(2m)> = <q^(2m)> / zeta^m.
@@ -39,6 +43,7 @@ largest relative error estimate and the rule's node count where the last one sto
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -168,9 +173,9 @@ class _LogGammaRatio:
 
 # ln(N^2 / sqrt(zeta/pi)) and ln(2 zeta <p^2>), each with its prefactor
 # (2+k)/2 = (a + 1/4)/a or (2+k)/(2+3k) = (a + 1/4)/(a + 3/4) written as
-# Gamma ratios too; F = (1 - k^2) 2 zeta <p^2>.
-_LN_N2 = _LogGammaRatio((0.0, 1.25), (-0.25, 1.0))
-_LN_P2 = _LogGammaRatio((-0.75, 1.25), (-0.25, 1.75))
+# Gamma ratios too; F = (1 - k^2) 2 zeta <p^2>. Each keeps its last kappa's value.
+_LN_N2 = functools.lru_cache(maxsize=1)(_LogGammaRatio((0.0, 1.25), (-0.25, 1.0)))
+_LN_P2 = functools.lru_cache(maxsize=1)(_LogGammaRatio((-0.75, 1.25), (-0.25, 1.75)))
 
 
 def _second_moment_via(spec: StateSpec, exp: Callable[[float], float]) -> float:
@@ -282,7 +287,7 @@ def _double_exponential(integrands: dict, rel_tol: float, shared) -> dict:
         for level in levels:
             part, evals = slice(evals - base, _rule_count(level) - base), _rule_count(level)
             for what in tuple(running):
-                level_sum = float(values[what][part] @ dw[part])
+                level_sum = float(values[what][part].dot(dw[part]))
                 if not math.isfinite(level_sum):
                     raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
                 previous = results[what][0]

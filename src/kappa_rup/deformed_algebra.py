@@ -35,6 +35,11 @@ Per block, p^2 and s = sqrt(1 + x^2), x = k z p^2, are formed once, and f''
 only where it is used. s takes numpy's sqrt, not libm's per-element hypot,
 with x capped at 2^27 before squaring (past it, s is x): it stays within
 1 ulp of hypot(1, x) over the whole float range and cannot overflow.
+The commutator residual does not change when hbar is scaled, nor the ODE
+residual when hbar dp f and dx are scaled together, so each brings those
+scales near 1 by powers of two first. That keeps every bit, and no hbar
+overflows or underflows them. The annihilation residual needs no such step:
+hbar cancels exactly in x / dx, and x stays in range wherever dx does.
 
 All derivative formulas used below (s = sqrt(1 + k^2 z^2 p^4),
 u = k z p^2 / s in [0, 1), X = exp_k(z p^2)):
@@ -252,6 +257,11 @@ def convert_ordering(phi: GridFunction, A_from: OrderingLike, A_to: OrderingLike
 _BLOCK = 1 << 13  # points per block: a block's float64 temporaries stay in L2
 
 
+def _binade_shift(x: float) -> int:
+    """The power of two that brings |x| into [1, 2); a scaling by it is exact."""
+    return 1 - math.frexp(x)[1]
+
+
 def _blocks(n: int):
     """(block, halo, at) per block: _derivative(s[halo], h)[at] is _derivative(s, h)[block]."""
     for start in range(0, n, _BLOCK):
@@ -320,6 +330,8 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     p, h, s = psi_grid.p_values(), psi_grid.h, psi_grid.samples
     parts = [s.real, s.imag] if s.imag.any() else [s.real]
     k = as_kappa(kappa).value
+    # the ratio is free of hbar: with hbar in [1, 2), both norms scale exactly and stay finite
+    hbar = math.ldexp(hbar, _binade_shift(hbar))
     r2, t2 = np.zeros_like(p), np.zeros_like(p)
     for sl, halo, at in _blocks(p.size):
         _, _, f, f1 = _f_f1(p[sl], k, zeta)
@@ -331,7 +343,10 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
             target = hbar * f * w[sl]
             r2[sl] += np.square(x_pw - p[sl] * x_w - target)
             t2[sl] += np.square(target)
-    return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(t2)) * h)
+    target_norm = math.sqrt(float(np.sum(t2)) * h)
+    if target_norm == 0.0:
+        raise DomainError("commutator_residual needs a state whose hbar f psi is not 0 on the grid")
+    return math.sqrt(float(np.sum(r2)) * h) / target_norm
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +384,24 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     k = as_kappa(kappa).value
     parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
     c0 = None if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
+    # each term is a quadratic form in (hbar dp f, dx), f = c0 f_core + c1 X: hbar and the
+    # larger of |c0|, |c1| into [1, 2), and hbar dp f and dx by the power of two that brings
+    # their product near 1, scale every term exactly and keep each factor in the float range
+    scale = 1.0 if c0 is None else max(abs(c0), abs(c1))
+    h_shift, f_shift = _binade_shift(hbar), _binade_shift(scale)
+    shift = -sum(math.frexp(v)[1] for v in (hbar, dp, scale, dx)) // 2
+    if c0 is not None:
+        c0, c1 = math.ldexp(c0, f_shift), math.ldexp(c1, f_shift)
     flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
     out = np.empty_like(flat[0])
-    for sl, _, _ in _blocks(out.size):
-        out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c0, c1,
-                             [a[sl] for a in flat[1:]])
+    try:
+        hbar, dp = math.ldexp(hbar, h_shift), math.ldexp(dp, shift - h_shift - f_shift)
+        dx = math.ldexp(dx, shift)
+        for sl, _, _ in _blocks(out.size):
+            out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c0, c1,
+                                 [a[sl] for a in flat[1:]])
+    except OverflowError:
+        # a scalar or its square past the float range: hbar dp f and dx lie too far apart
+        raise DomainError("ode_residual's terms leave the float range: hbar dp f and dx "
+                          "differ by more than it spans") from None
     return out.reshape(np.broadcast(p, *parts).shape)

@@ -83,6 +83,14 @@ class StateSpec:
             )
 
     def delta_x_for(self, dp: float) -> float:
-        """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp."""
+        """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp. DomainError
+        unless dx is a positive normal float: a subnormal one keeps too few bits to
+        compare, and 0 or inf none."""
         k = self.kappa.value
-        return self.hbar * self.zeta * (1.0 - k * k) * dp
+        dx = self.hbar * self.zeta * (1.0 - k * k) * dp
+        if not sys.float_info.min <= dx <= sys.float_info.max:
+            raise DomainError(
+                f"dx = hbar zeta (1 - kappa^2) dp = {dx!r} is not a positive normal float "
+                f"(hbar={self.hbar!r}, zeta={self.zeta!r}, dp={dp!r})"
+            )
+        return dx

@@ -158,6 +158,22 @@ class TestVerify:
         failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
         assert failing == {"annihilation_convergence", "commutator_convergence"}
 
+    @pytest.mark.parametrize("hbar", ["1e-300", "1e-160", "1e160", "1e300"])
+    def test_extreme_hbar_runs_every_check(self, tmp_path, capsys, hbar):
+        # every residual is free of hbar: none overflows or divides by zero
+        code, text = run(tmp_path, "--command", "verify", "--hbar", hbar)
+        assert (code, json.loads(text)["all_passed"]) == (EXIT_OK, True)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["verify", "table"])
+    @pytest.mark.parametrize("hbar, zeta", [("1e-310", "1"), ("1e300", "1e300")])
+    def test_dx_past_the_float_range_exits_2(self, tmp_path, capsys, command, hbar, zeta):
+        # dx = hbar zeta (1 - k^2) dp is subnormal or infinite: one error line, no document
+        code, text = run(tmp_path, "--command", command, "--hbar", hbar, "--zeta", zeta)
+        assert (code, text) == (EXIT_FAIL, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: dx = ") and err.count("\n") == 1
+
     def test_unsafe_kappa_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "--command", "verify", "--kappa", "0.9")
         assert code == EXIT_CONFIG
@@ -192,6 +208,17 @@ class TestTable:
                 continue
             assert float(row["dxdp_over_halfhbar"]) == pytest.approx(
                 float(row["F_closed"]), rel=1e-12
+            )
+
+    def test_ratio_column_at_a_subnormal_hbar(self, tmp_path):
+        # 0.5 hbar rounds to 0 here; dx / hbar does not
+        code, text = run(tmp_path, "--command", "table", "--hbar", "5e-324", "--zeta", "1e300")
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(text)
+        for row in (dict(zip(header, cells)) for cells in rows):
+            assert row["status"] == "ok"
+            assert float(row["dxdp_over_halfhbar"]) == pytest.approx(
+                float(row["F_closed"]), rel=1e-14
             )
 
     def test_domain_edge_rows(self, tmp_path):

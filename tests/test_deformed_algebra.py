@@ -588,3 +588,50 @@ class TestOrderingSymmetry:
     def test_a_zero_not_symmetric_under_unit_measure(self):
         d = self.defect(ORDER_X1, None, 2048)
         assert d > 1e-4
+
+
+class TestScaleFreeResiduals:
+    """Each residual is a ratio free of hbar, and the ODE's terms are quadratic forms in
+    (hbar dp f, dx): a power-of-two change of those scales keeps every bit, and an hbar
+    or dp far from 1 neither overflows nor divides by zero."""
+
+    @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
+    def test_annihilation_and_commutator_ignore_hbar(self, e):
+        hbar = math.ldexp(1.3, e)
+        n, k = 3 * 2**13 + 5, 0.2
+        ref = annihilation_residual(StateSpec(k, 1.0, 1.3), -400.0, 400.0, n)
+        assert annihilation_residual(StateSpec(k, 1.0, hbar), -400.0, 400.0, n) == ref
+        p = np.linspace(-400.0, 400.0, n)
+        grid = GridFunction(-400.0, 400.0, psi(p, spec_of(k)) * np.exp(0.3j * p))
+        assert commutator_residual(grid, k, 1.0, hbar) == commutator_residual(grid, k, 1.0, 1.3)
+
+    @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
+    @pytest.mark.parametrize("c1", [0.0, 0.05])
+    def test_ode_residual_ignores_the_common_scale(self, e, c1):
+        p = np.linspace(-10.0, 10.0, 401)
+        ref = ode_residual(p, 0.3, 1.0, 0.77, 1.21, 1.3, c1)
+        # hbar dp f and dx scaled together; and hbar against dp, which leaves c0
+        got = ode_residual(p, 0.3, 1.0, math.ldexp(0.77, e), 1.21, math.ldexp(1.3, e), c1)
+        np.testing.assert_array_equal(got, ref)
+        got = ode_residual(p, 0.3, 1.0, 0.77, math.ldexp(1.21, -e), math.ldexp(1.3, e), c1)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_family_far_from_unit_scale_solves_the_ode(self):
+        # dp**2 alone overflows the float range; the family still solves the equation
+        p = np.linspace(-5.0, 5.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ode_residual(p, 0.2, 1.0, 1.0, 1e200)
+            res_c1 = ode_residual(p, 0.3, 1.0, 0.77, 1.21, 1e250, c1=0.05)
+        assert np.max(np.abs(res)) < 1e-9 and np.max(np.abs(res_c1)) < 1e-9
+
+    def test_zero_state_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="not 0 on the grid"):
+            commutator_residual(GridFunction(-1.0, 1.0, np.zeros(32)), 0.2, 1.0)
+
+    @pytest.mark.parametrize("hbar, dp", [(1.0, 0.0), (1e200, 1e200), (5e-324, 0.7)])
+    def test_dx_outside_the_normal_range_is_a_domain_error(self, hbar, dp):
+        with pytest.raises(DomainError, match="not a positive normal float"):
+            StateSpec(0.2, 1.0, hbar).delta_x_for(dp)
+        with pytest.raises(DomainError, match="not a positive normal float"):
+            ode_residual(np.linspace(-5.0, 5.0, 20), 0.2, 1.0, 1.0, dp, hbar)

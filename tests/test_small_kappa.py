@@ -102,3 +102,42 @@ def test_subnormal_kappa_is_stored_as_zero():
     assert KappaParameter(5e-324).value == 0.0
     assert KappaParameter(2.2250738585072014e-308).value == 2.2250738585072014e-308
     assert kappa_exp(0.3, 5e-324) == math.exp(0.3)
+
+
+def _fresh_kernels():
+    """Uncached copies of the two Gamma-ratio exponents, built from their definitions."""
+    from kappa_rup.coherent_states import _LogGammaRatio
+
+    return {"_LN_N2": _LogGammaRatio((0.0, 1.25), (-0.25, 1.0)),
+            "_LN_P2": _LogGammaRatio((-0.75, 1.25), (-0.25, 1.75))}
+
+
+def test_cached_exponents_keep_the_bits():
+    # each kappa is visited between its neighbours (A, B, A, C, B, ...), so an entry
+    # served for the wrong kappa would differ from the fresh kernel's value
+    from kappa_rup import coherent_states
+
+    fresh = _fresh_kernels()
+    ks = [0.0] + list(map(float, KAPPAS))
+    order = [k for a, b in zip(ks, ks[1:]) for k in (a, b, a)]
+    for name, kernel in fresh.items():
+        cached = getattr(coherent_states, name)
+        for k in order:
+            assert cached(k) == kernel(k), (name, k)
+
+
+def test_one_state_evaluates_each_exponent_once():
+    # moment_report and the five public closed forms at one kappa call the kernels
+    # 9 times; each exponent is computed once
+    from kappa_rup import coherent_states
+    from kappa_rup.coherent_states import delta_p, delta_x, moment_report
+
+    kernels = (coherent_states._LN_N2, coherent_states._LN_P2)
+    for k in (1e-5, 0.3):
+        spec = StateSpec(KappaParameter(k), 2.0)
+        for kernel in kernels:
+            kernel.cache_clear()
+        moment_report(spec)
+        normalization_constant(spec), second_moment(spec), delta_p(spec), delta_x(spec)
+        f_expectation(spec.kappa)
+        assert [kernel.cache_info().misses for kernel in kernels] == [1, 1]
