@@ -26,13 +26,13 @@ _ORIGIN = {name: module for module, names in {
                        "normalization_constant pdf psi quadrature_moment second_moment "
                        "second_moment_excess tail_exponent_estimate",
     "deformed_algebra": "GridFunction OrderingParameter annihilation_residual "
-                        "apply_position_operator approx_commutator_factor commutator_residual "
-                        "convert_ordering deformation_f deformation_general minimal_length "
-                        "ode_residual ordering_weight robertson_bound",
+                        "apply_position_operator commutator_residual convert_ordering "
+                        "deformation_f deformation_general ode_residual ordering_weight "
+                        "robertson_bound",
     "kinematics": "ParticleFrame aux_energy aux_kinetic aux_velocity physical_map",
     "maxent": "MaxEntProblem MaxEntSolution fit_kappa_exponential kaniadakis_entropy maxent_solve",
     "phenomenology": "PhenoConfig Quantity delta_p_saturated effective_alpha effective_hbar "
-                     "gac_match_zeta kappa_bound landau_zeta putra_bound",
+                     "gac_match_zeta kappa_bound landau_zeta minimal_length putra_bound",
 }.items() for name in names.split()}
 
 __all__ = list(_ORIGIN)

@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import KappaLike, as_kappa, elementwise
+from .kappa_math import KappaLike, _asinh_k, as_kappa, elementwise
 from .params import StateSpec
 
 __all__ = [
@@ -78,10 +78,8 @@ _NODES: dict = {}  # (first, last level) -> _nodes(first, last); 8193 nodes in a
 
 def _log_profile(p, k: float, z: float):
     """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
-    if k == 0.0:
-        return -z * np.square(p)
     # not (k z) p^2: k z alone can underflow, and its lost bits scale the exponent
-    return -np.arcsinh(k * (z * np.square(p))) / k
+    return -_asinh_k(z * np.square(p), k)
 
 
 def normalization_constant(spec: StateSpec) -> float:

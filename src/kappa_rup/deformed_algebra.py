@@ -66,6 +66,7 @@ from .coherent_states import delta_x as state_delta_x
 from .coherent_states import psi as state_psi
 from .errors import DomainError
 from .kappa_math import KappaLike, as_kappa, elementwise, kappa_exp
+from .phenomenology import minimal_length  # re-exported: the one definition is numpy-free
 
 __all__ = [
     "OrderingParameter",
@@ -78,7 +79,6 @@ __all__ = [
     "deformation_general",
     "robertson_bound",
     "minimal_length",
-    "approx_commutator_factor",
     "ordering_weight",
     "convert_ordering",
     "apply_position_operator",
@@ -221,18 +221,6 @@ def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
     return 0.5 * hbar * f_mean
 
 
-def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
-    """Minimal position uncertainty hbar kappa sqrt(zeta)."""
-    return hbar * as_kappa(kappa).value * math.sqrt(zeta)
-
-
-@elementwise
-def approx_commutator_factor(p, kappa: KappaLike, zeta: float):
-    """Leading-order commutator factor 1 + k^2 z p^2 (valid for z p^2 << 1)."""
-    k = as_kappa(kappa).value
-    return 1.0 + k * k * zeta * np.square(p)
-
-
 def ordering_weight(p, A: OrderingLike, kappa: KappaLike, zeta: float):
     """Momentum-space measure weight g(p) = f(p)^(2A-1) that makes the
     A-ordered position operator symmetric; g(0) = 1 for every A."""
@@ -283,15 +271,19 @@ def _derivative(s: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _x_block(w, h, at, f, af1, hbar):
+    return hbar * (f * _derivative(w, h)[at] + af1 * w[at])
+
+
 def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
                             kappa: KappaLike, zeta: float,
                             hbar: float = 1.0) -> GridFunction:
     """x psi = i hbar [f psi' + A f' psi] sampled on the grid."""
-    a = _ordering_value(A)
     _, _, f, f1 = _f_f1(psi_grid.p_values(), as_kappa(kappa).value, zeta)
-    s = psi_grid.samples
-    d = _derivative(s.view(float).reshape(-1, 2), psi_grid.h).view(complex)[:, 0]
-    return GridFunction(psi_grid.p_min, psi_grid.p_max, 1j * hbar * (f * d + a * f1 * s))
+    af1, s = _ordering_value(A) * f1, psi_grid.samples
+    # x psi = i (X re + i X im), X the real operator hbar (f d/dp + A f')
+    x_re, x_im = (_x_block(w, psi_grid.h, slice(None), f, af1, hbar) for w in (s.real, s.imag))
+    return GridFunction(psi_grid.p_min, psi_grid.p_max, 1j * x_re - x_im)
 
 
 def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
@@ -315,7 +307,7 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     r2 = np.empty_like(p)
     for sl, halo, at in _blocks(p.size):
         _, _, f, f1 = _f_f1(p[sl], spec.kappa.value, spec.zeta)
-        x_psi = spec.hbar * (f * _derivative(psi[halo], h)[at] + ORDER_X3.A * f1 * psi[sl])
+        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1, spec.hbar)
         r2[sl] = np.square(x_psi * inv_dx + p[sl] * psi[sl] * inv_dp)
     return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
 
@@ -338,8 +330,7 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
         af1 = ORDER_X3.A * f1
         for w in parts:
             pw = p[halo] * w[halo]
-            x_pw = hbar * (f * _derivative(pw, h)[at] + af1 * pw[at])
-            x_w = hbar * (f * _derivative(w[halo], h)[at] + af1 * w[sl])
+            x_pw, x_w = _x_block(pw, h, at, f, af1, hbar), _x_block(w[halo], h, at, f, af1, hbar)
             target = hbar * f * w[sl]
             r2[sl] += np.square(x_pw - p[sl] * x_w - target)
             t2[sl] += np.square(target)

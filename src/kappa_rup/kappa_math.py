@@ -18,9 +18,9 @@ reciprocal identity exp_k(y) * exp_k(-y) = 1 holds at rounding level,
 and the decaying branch (k y << -1) never hits the catastrophic
 cancellation of the naive power form.
 
-gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe where Gamma overflows.
-Kernels that divide by k take their classical form at k == 0 only; a
-subnormal k, whose k y would lose its low bits, is stored as 0.
+_asinh_k and _sinh_k hold those exponents and their k -> 0 limits for every module,
+in their classical form at k == 0 only; a subnormal k, whose k y would lose its low
+bits, is stored as 0. gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe past Gamma's overflow.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ __all__ = ["KappaParameter", "kappa_exp", "kappa_log", "log_gamma", "gamma_ratio
 
 # math.lgamma (libm) applied elementwise; numpy has no log-Gamma ufunc
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _asinh_k(x, k: float):
+    return x if k == 0.0 else np.arcsinh(k * x) / k
+
+
+def _sinh_k(t, k: float):
+    return t if k == 0.0 else np.sinh(k * t) / k
 
 
 def _maybe_scalar(out):
@@ -64,10 +72,7 @@ def kappa_exp(y, kappa: KappaLike):
 
     Accepts scalars or arrays in ``y``. For kappa = 0 this is exactly exp(y).
     """
-    k = as_kappa(kappa).value
-    if k == 0.0:
-        return np.exp(y)
-    return np.exp(np.arcsinh(k * y) / k)
+    return np.exp(_asinh_k(y, as_kappa(kappa).value))
 
 
 @elementwise
@@ -76,9 +81,7 @@ def kappa_log(y, kappa: KappaLike):
     k = as_kappa(kappa).value
     if np.any(~(y > 0.0)):
         raise DomainError("kappa_log requires y > 0")
-    if k == 0.0:
-        return np.log(y)
-    return np.sinh(k * np.log(y)) / k
+    return _sinh_k(np.log(y), k)
 
 
 @elementwise

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleMeanError, NonConvergenceError
-from .kappa_math import KappaLike, KappaParameter, as_kappa, kappa_exp, kappa_log
+from .kappa_math import KappaLike, KappaParameter, _sinh_k, as_kappa, kappa_exp, kappa_log
 
 __all__ = [
     "MaxEntProblem",
@@ -153,9 +153,7 @@ def kaniadakis_entropy(n, kappa: KappaLike) -> float:
 def _phi(n: np.ndarray, k: float) -> np.ndarray:
     """d/dn [n ln_k n], strictly increasing on n > 0."""
     t = np.log(n)
-    if k == 0.0:
-        return t + 1.0
-    return np.sinh(k * t) / k + np.cosh(k * t)
+    return _sinh_k(t, k) + np.cosh(k * t)
 
 
 def _phi_prime(n: np.ndarray, k: float) -> np.ndarray:
@@ -297,7 +295,10 @@ def fit_kappa_exponential(solution: MaxEntSolution,
             lo = b
         # converging quadratically, the error left after a step is ~newton^2
         done = abs(newton) <= 1e-10 * span
-        b = b - newton if done or lo < b - newton < hi else 0.5 * (lo + hi)
+        b_next = b - newton if done or lo < b - newton < hi else 0.5 * (lo + hi)
+        if b_next == b:  # a step that keeps b: g, lo, hi and b repeat it to the cap
+            break
+        b = b_next
         a, u, r = fitted(b)
         if done:
             break

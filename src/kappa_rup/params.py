@@ -87,7 +87,8 @@ class StateSpec:
         unless dx is a positive normal float: a subnormal one keeps too few bits to
         compare, and 0 or inf none."""
         k = self.kappa.value
-        dx = self.hbar * self.zeta * (1.0 - k * k) * dp
+        # hbar last: zeta dp ~ sqrt(zeta) is in range at the state's dp, hbar zeta need not be
+        dx = self.hbar * (self.zeta * (1.0 - k * k) * dp)
         if not sys.float_info.min <= dx <= sys.float_info.max:
             raise DomainError(
                 f"dx = hbar zeta (1 - kappa^2) dp = {dx!r} is not a positive normal float "

@@ -43,6 +43,7 @@ __all__ = [
     "KappaBound",
     "PutraBound",
     "effective_hbar",
+    "minimal_length",
     "delta_p_saturated",
     "effective_alpha",
     "kappa_bound",
@@ -183,6 +184,11 @@ def effective_hbar(delta_p, kappa: KappaLike, zeta, hbar: float = 1.0) -> float:
     return hbar * (1.0 + k * k * z * dp * dp)
 
 
+def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
+    """Minimal position uncertainty hbar kappa sqrt(zeta)."""
+    return hbar * as_kappa(kappa).value * math.sqrt(zeta)
+
+
 def delta_p_saturated(delta_x, kappa: KappaLike, zeta, hbar: float = 1.0) -> float:
     """Momentum uncertainty saturating the deformed relation at given dx.
 
@@ -192,8 +198,7 @@ def delta_p_saturated(delta_x, kappa: KappaLike, zeta, hbar: float = 1.0) -> flo
     """
     dx = _value_in(delta_x, UNIT_LENGTH, "delta_x")
     z = _value_in(zeta, UNIT_INV_MOMENTUM_SQ, "zeta")
-    k = as_kappa(kappa).value
-    dx_min = hbar * k * math.sqrt(z)
+    dx_min = minimal_length(kappa, z, hbar)
     if dx < dx_min:
         raise BelowMinimalLengthError(
             f"delta_x={dx} below minimal length {dx_min}"

@@ -221,6 +221,14 @@ class TestTable:
                 float(row["F_closed"]), rel=1e-14
             )
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_dx_in_range_where_hbar_zeta_is_not(self, tmp_path, capsys, scale):
+        # hbar zeta is 1e-400 or 1e400, but dx = hbar (zeta (1 - k^2) dp) ~ 7e-301 or 7e299
+        code, text = run(tmp_path, "--command", "table", "--hbar", scale, "--zeta", scale)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        _, header, rows = parse_csv(text)
+        assert [dict(zip(header, cells))["status"] for cells in rows] == ["ok"] * 7
+
     def test_domain_edge_rows(self, tmp_path):
         code, text = run(tmp_path, "--command", "table", "--kappa", "0.2,0.65,0.7")
         assert code == EXIT_OK

@@ -15,7 +15,6 @@ from kappa_rup.deformed_algebra import (
     OrderingParameter,
     annihilation_residual,
     apply_position_operator,
-    approx_commutator_factor,
     commutator_residual,
     convert_ordering,
     deformation_f,
@@ -210,25 +209,6 @@ class TestMinimalLength:
         for k, m_val, c_val in [(0.1, 1.0, 1.0), (0.25, 2.0, 1.0), (1e-5, 0.511, 1.0)]:
             z = landau_zeta(k, m_val, c_val)
             assert minimal_length(k, z) == pytest.approx(1.0 / (m_val * c_val), rel=5e-16)
-
-
-class TestApproxCommutator:
-    def test_at_origin(self):
-        assert approx_commutator_factor(0.0, 0.3, 1.0) == 1.0
-
-    def test_small_argument(self):
-        assert approx_commutator_factor(0.1, 0.1, 1.0) == pytest.approx(1.0001, rel=1e-12)
-
-    @given(
-        p=st.floats(min_value=-3.0, max_value=3.0),
-        k=st.floats(min_value=0.0, max_value=0.9),
-        z=st.floats(min_value=0.05, max_value=5.0),
-    )
-    @settings(max_examples=200)
-    def test_remainder_bound(self, p, k, z):
-        exact = deformation_f(p, k, z)
-        approx = approx_commutator_factor(p, k, z)
-        assert abs(exact - approx) <= 0.5 * (k * z * p * p) ** 2 + 1e-15
 
 
 class TestOrderingWeight:

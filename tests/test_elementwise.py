@@ -9,7 +9,6 @@ import pytest
 
 from kappa_rup.coherent_states import StateSpec, log_pdf, pdf, psi
 from kappa_rup.deformed_algebra import (
-    approx_commutator_factor,
     deformation_f,
     deformation_f_derivatives,
     deformation_general,
@@ -34,7 +33,6 @@ FUNCTIONS = {
     "deformation_f_derivatives[1]": lambda x: deformation_f_derivatives(x, 0.3, 1.2)[1],
     "deformation_f_derivatives[2]": lambda x: deformation_f_derivatives(x, 0.3, 1.2)[2],
     "deformation_general": lambda x: deformation_general(x, 0.3, 1.2, 0.8, 0.9, c1=0.1),
-    "approx_commutator_factor": lambda x: approx_commutator_factor(x, 0.3, 1.2),
     "ordering_weight": lambda x: ordering_weight(x, 0.25, 0.3, 1.2),
     "ode_residual": lambda x: ode_residual(x, 0.3, 1.2, 0.8, 0.9),
     "aux_velocity": lambda x: aux_velocity(x, 0.3),

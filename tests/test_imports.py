@@ -121,6 +121,16 @@ def test_star_import():
     assert missing == []
 
 
+def test_minimal_length_resolves_to_phenomenology_without_numpy():
+    assert run_fresh(
+        "import json, sys\n"
+        "import kappa_rup\n"
+        "from kappa_rup import phenomenology\n"
+        "print(json.dumps([kappa_rup.minimal_length is phenomenology.minimal_length,\n"
+        "                  'numpy' in sys.modules]))"
+    ) == [True, False]
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         kappa_rup.no_such_name

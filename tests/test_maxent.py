@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kappa_rup.errors import DomainError, InfeasibleMeanError
-from kappa_rup.kappa_math import KappaParameter, kappa_log
+from kappa_rup.kappa_math import KappaParameter, kappa_exp, kappa_log
 from kappa_rup.maxent import (
     MaxEntProblem,
     fit_kappa_exponential,
@@ -171,6 +171,21 @@ class TestFit:
         loose = fit_kappa_exponential(maxent_solve(problem(0.2), 1e-6), np.arange(5.0))
         tight = fit_kappa_exponential(maxent_solve(problem(0.2), 1e-12), np.arange(5.0))
         assert abs(loose.max_residual - tight.max_residual) < 1e-6
+
+    def test_stalled_fit_stops_where_it_repeats(self, monkeypatch):
+        # after 57 steps b sits one ulp below the bracket's top and bisects to itself:
+        # the fit it would hold to the 100-step cap, after 1 + 57 kappa_exp calls
+        from kappa_rup import maxent
+
+        calls = []
+        monkeypatch.setattr(maxent, "kappa_exp", lambda *a: calls.append(a) or kappa_exp(*a))
+        e = np.random.default_rng(186718646).uniform(0.0, 10.0, 5)
+        mean = e.min() + 0.1915910722514954 * (e.max() - e.min())
+        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(0.8518456536968337)))
+        fit = fit_kappa_exponential(sol, e)
+        assert (fit.amplitude.hex(), fit.beta_fit.hex(), fit.max_residual.hex()) == (
+            "0x1.0612835ced38fp+4", "0x1.1cd79a6cd747ap+2", "0x1.4fe1d6046d990p-2")
+        assert len(calls) == 58
 
     def test_shape_mismatch(self):
         sol = maxent_solve(problem(0.2), 1e-12)
