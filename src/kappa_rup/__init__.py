@@ -6,7 +6,7 @@ Library layout:
   kappa_math        deformed exp/log, log-Gamma, Gamma ratios
   coherent_states   kappa-Gaussian states, moments, quadrature oracles
   deformed_algebra  deformation f(p) and its derivatives, operator orderings, residuals
-  kinematics        auxiliary kinematic functions and the physical scaling map
+  kinematics        the auxiliary energy and the physical scaling map
   maxent            Kaniadakis entropy and constrained maximization
   phenomenology     effective hbar / fine-structure-constant bounds (numpy-free)
   cli               batch command-line interface (kappa-rup executable)
@@ -27,11 +27,10 @@ _ORIGIN = {name: module for module, names in {
                        "second_moment_excess tail_exponent_estimate",
     "deformed_algebra": "GridFunction OrderingParameter annihilation_residual "
                         "apply_position_operator commutator_residual convert_ordering "
-                        "deformation_f deformation_general ode_residual ordering_weight "
-                        "robertson_bound",
-    "kinematics": "ParticleFrame aux_energy aux_kinetic aux_velocity physical_map",
+                        "deformation_f ode_residual ordering_weight robertson_bound",
+    "kinematics": "ParticleFrame aux_energy physical_map",
     "maxent": "MaxEntProblem MaxEntSolution fit_kappa_exponential kaniadakis_entropy maxent_solve",
-    "phenomenology": "PhenoConfig Quantity delta_p_saturated effective_alpha effective_hbar "
+    "phenomenology": "PhenoConfig Quantity effective_alpha effective_hbar "
                      "gac_match_zeta kappa_bound landau_zeta minimal_length putra_bound",
 }.items() for name in names.split()}
 

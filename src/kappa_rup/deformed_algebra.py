@@ -35,11 +35,10 @@ Per block, p^2 and s = sqrt(1 + x^2), x = k z p^2, are formed once, and f''
 only where it is used. s takes numpy's sqrt, not libm's per-element hypot,
 with x capped at 2^27 before squaring (past it, s is x): it stays within
 1 ulp of hypot(1, x) over the whole float range and cannot overflow.
-The commutator residual does not change when hbar is scaled, nor the ODE
-residual when hbar dp f and dx are scaled together, so each brings those
-scales near 1 by powers of two first. That keeps every bit, and no hbar
-overflows or underflows them. The annihilation residual needs no such step:
-hbar cancels exactly in x / dx, and x stays in range wherever dx does.
+The annihilation and commutator residuals do not change when hbar is
+scaled (with dx, which is linear in it), nor the ODE residual when hbar dp f
+and dx are scaled together, so each brings those scales near 1 by powers of
+two first. That keeps every bit, and no hbar overflows or underflows them.
 
 All derivative formulas used below (s = sqrt(1 + k^2 z^2 p^4),
 u = k z p^2 / s in [0, 1), X = exp_k(z p^2)):
@@ -76,7 +75,6 @@ __all__ = [
     "GridFunction",
     "deformation_f",
     "deformation_f_derivatives",
-    "deformation_general",
     "robertson_bound",
     "minimal_length",
     "ordering_weight",
@@ -194,22 +192,6 @@ def deformation_f(p, kappa: KappaLike, zeta: float):
     return _f_core(p, as_kappa(kappa).value, zeta)[3]
 
 
-def _general_f_derivatives(p, k: float, z: float, dx: float, dp: float,
-                           hbar: float, c1: float):
-    """(f, f', f'') for the general two-parameter solution family."""
-    return _general_parts(p, k, z, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[1:]
-
-
-@elementwise
-def deformation_general(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
-                        hbar: float = 1.0, c1: float = 0.0):
-    """General solution family for f(p); reduces to deformation_f when
-    c1 = 0 and dx = hbar zeta (1 - kappa^2) dp."""
-    if not dp > 0.0:
-        raise DomainError("deformation_general requires dp > 0")
-    return _general_f_derivatives(p, as_kappa(kappa).value, zeta, dx, dp, hbar, c1)[0]
-
-
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
     """Uncertainty bound (hbar/2) <f(p)> from the Robertson inequality.
 
@@ -302,12 +284,16 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
         raise DomainError("the grid needs >= 16 points between finite ends")
     p = np.linspace(p_min, p_max, n_points)
     h = (p_max - p_min) / (n_points - 1)
-    inv_dx, inv_dp = 1.0 / state_delta_x(spec), 1.0 / (state_delta_p(spec) * delta_p_factor)
+    # x / dx is free of hbar: with hbar in [1, 2) and dx scaled alike, both stay finite
+    shift = _binade_shift(spec.hbar)
+    hbar = math.ldexp(spec.hbar, shift)
+    inv_dx = 1.0 / math.ldexp(state_delta_x(spec), shift)
+    inv_dp = 1.0 / (state_delta_p(spec) * delta_p_factor)
     psi = state_psi(p, spec)
     r2 = np.empty_like(p)
     for sl, halo, at in _blocks(p.size):
         _, _, f, f1 = _f_f1(p[sl], spec.kappa.value, spec.zeta)
-        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1, spec.hbar)
+        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1, hbar)
         r2[sl] = np.square(x_psi * inv_dx + p[sl] * psi[sl] * inv_dp)
     return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 # the kappa parameter's names, re-exported from params
-from .params import MOMENT_SAFE_LIMIT, STRONG_DOMAIN_LIMIT, KappaLike, KappaParameter, as_kappa
+from .params import MOMENT_SAFE_LIMIT, KappaLike, KappaParameter, as_kappa
 
 __all__ = ["KappaParameter", "kappa_exp", "kappa_log", "log_gamma", "gamma_ratio"]
 

@@ -28,8 +28,6 @@ from .kappa_math import KappaLike, KappaParameter, as_kappa, elementwise
 
 __all__ = [
     "ParticleFrame",
-    "aux_velocity",
-    "aux_kinetic",
     "aux_energy",
     "physical_map",
     "PhysicalState",
@@ -79,21 +77,6 @@ def _require_positive_kappa(kappa: KappaLike) -> float:
     if k <= 0.0:
         raise DomainError("auxiliary kinematics require kappa > 0")
     return k
-
-
-@elementwise
-def aux_velocity(p_tilde, kappa: KappaLike):
-    """u = p~ / sqrt(1 + k^2 p~^2); bounded by 1/k."""
-    k = _require_positive_kappa(kappa)
-    return p_tilde / np.hypot(1.0, k * p_tilde)
-
-
-@elementwise
-def aux_kinetic(p_tilde, kappa: KappaLike):
-    """W~ = (sqrt(1 + k^2 p~^2) - 1) / k^2, computed cancellation-free."""
-    k = _require_positive_kappa(kappa)
-    # (sqrt(1+x) - 1)/k^2 with x = k^2 p~^2 rewritten as p~^2/(1 + sqrt(1+x))
-    return np.square(p_tilde) / (1.0 + np.hypot(1.0, k * p_tilde))
 
 
 @elementwise

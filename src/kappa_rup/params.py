@@ -12,11 +12,9 @@ from typing import Union
 
 from .errors import DomainError
 
-__all__ = ["MOMENT_SAFE_LIMIT", "STRONG_DOMAIN_LIMIT", "KappaParameter", "KappaLike", "as_kappa",
-           "StateSpec"]
+__all__ = ["MOMENT_SAFE_LIMIT", "KappaParameter", "KappaLike", "as_kappa", "StateSpec"]
 
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
-STRONG_DOMAIN_LIMIT = 2.0 / 5.0  # ... and so does <p^4>/<x^2 p^2>
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,6 @@ class KappaParameter:
     def moment_safe(self) -> bool:
         """True when second moments of the kappa-Gaussian exist (kappa < 2/3)."""
         return self.value < MOMENT_SAFE_LIMIT
-
-    @property
-    def strong_domain(self) -> bool:
-        """True in the more restrictive domain kappa < 2/5."""
-        return self.value < STRONG_DOMAIN_LIMIT
 
 
 KappaLike = Union[KappaParameter, float, int]

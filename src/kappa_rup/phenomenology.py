@@ -44,7 +44,6 @@ __all__ = [
     "PutraBound",
     "effective_hbar",
     "minimal_length",
-    "delta_p_saturated",
     "effective_alpha",
     "kappa_bound",
     "landau_zeta",
@@ -187,24 +186,6 @@ def effective_hbar(delta_p, kappa: KappaLike, zeta, hbar: float = 1.0) -> float:
 def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     """Minimal position uncertainty hbar kappa sqrt(zeta)."""
     return hbar * as_kappa(kappa).value * math.sqrt(zeta)
-
-
-def delta_p_saturated(delta_x, kappa: KappaLike, zeta, hbar: float = 1.0) -> float:
-    """Momentum uncertainty saturating the deformed relation at given dx.
-
-    Root of (hbar k^2 z / 2) dp^2 - dx dp + hbar/2 = 0 on the Heisenberg
-    branch, written as hbar / (dx + sqrt(dx^2 - hbar^2 k^2 z)) so the
-    k -> 0 limit hbar/(2 dx) comes out without cancellation.
-    """
-    dx = _value_in(delta_x, UNIT_LENGTH, "delta_x")
-    z = _value_in(zeta, UNIT_INV_MOMENTUM_SQ, "zeta")
-    dx_min = minimal_length(kappa, z, hbar)
-    if dx < dx_min:
-        raise BelowMinimalLengthError(
-            f"delta_x={dx} below minimal length {dx_min}"
-        )
-    disc = (dx - dx_min) * (dx + dx_min)
-    return hbar / (dx + math.sqrt(disc))
 
 
 def effective_alpha(a0, kappa: KappaLike, zeta, config: PhenoConfig) -> AlphaShift:

@@ -165,6 +165,13 @@ class TestVerify:
         assert (code, json.loads(text)["all_passed"]) == (EXIT_OK, True)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_hbar_zeta_past_the_float_range_runs_every_check(self, tmp_path, capsys, scale):
+        # hbar zeta is 1e-400 or 1e400, but dx = hbar (zeta (1 - k^2) dp) is in range
+        code, text = run(tmp_path, "--command", "verify", "--hbar", scale, "--zeta", scale)
+        assert (code, json.loads(text)["all_passed"]) == (EXIT_OK, True)
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["verify", "table"])
     @pytest.mark.parametrize("hbar, zeta", [("1e-310", "1"), ("1e300", "1e300")])
     def test_dx_past_the_float_range_exits_2(self, tmp_path, capsys, command, hbar, zeta):

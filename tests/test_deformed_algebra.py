@@ -19,7 +19,6 @@ from kappa_rup.deformed_algebra import (
     convert_ordering,
     deformation_f,
     deformation_f_derivatives,
-    deformation_general,
     minimal_length,
     ode_residual,
     ordering_weight,
@@ -29,7 +28,7 @@ from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.phenomenology import landau_zeta
 
-from kappa_rup.deformed_algebra import _f_core, _general_f_derivatives
+from kappa_rup.deformed_algebra import _f_core, _general_parts
 from oracles import (
     complex_annihilation_residual,
     complex_commutator_residual,
@@ -41,6 +40,11 @@ from oracles import (
 
 def spec_of(k, z=1.0):
     return StateSpec(KappaParameter(k), z)
+
+
+def general_family(p, k, z, dx, dp, hbar=1.0, c1=0.0):
+    """(f, f', f'') of the general solution family for the pair (dx, dp)."""
+    return _general_parts(p, k, z, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[1:]
 
 
 class TestDeformationF:
@@ -138,11 +142,9 @@ class TestDerivatives:
         p = np.linspace(-3.0, 3.0, 25)
 
         def f_of(q):
-            return deformation_general(q, k, z, dx, dp, 1.0, c1)
+            return general_family(q, k, z, dx, dp, 1.0, c1)[0]
 
-        from kappa_rup.deformed_algebra import _general_f_derivatives
-
-        f, f1, f2 = _general_f_derivatives(p, k, z, dx, dp, 1.0, c1)
+        f, f1, f2 = general_family(p, k, z, dx, dp, 1.0, c1)
         assert np.allclose(f, f_of(p), rtol=0, atol=0)
         h = 1e-6
         assert np.allclose(f1, (f_of(p + h) - f_of(p - h)) / (2 * h), rtol=1e-7, atol=1e-8)
@@ -158,23 +160,19 @@ class TestDeformationGeneral:
         dx = z * (1 - k * k) * dp
         p = np.linspace(-5, 5, 41)
         assert np.allclose(
-            deformation_general(p, k, z, dx, dp), deformation_f(p, k, z), rtol=1e-14
+            general_family(p, k, z, dx, dp)[0], deformation_f(p, k, z), rtol=1e-14
         )
 
     def test_classical_constant(self):
         # c1 = 0, kappa -> 0: dx / (hbar zeta dp) for every p
-        val = deformation_general(np.array([0.0, 1.0, 3.0]), 0.0, 2.0, 0.6, 1.5)
+        val = general_family(np.array([0.0, 1.0, 3.0]), 0.0, 2.0, 0.6, 1.5)[0]
         assert np.allclose(val, 0.6 / (2.0 * 1.5), rtol=1e-15)
 
     def test_frozen_value(self):
         # mpmath: f_core/(z(1-k^2)) + 0.1 exp_k(z p^2) at p=1, k=0.3
-        assert deformation_general(1.0, 0.3, 1.0, 1.0, 1.0, 1.0, 0.1) == pytest.approx(
+        assert general_family(1.0, 0.3, 1.0, 1.0, 1.0, 1.0, 0.1)[0] == pytest.approx(
             1.5141232243920741, rel=1e-13
         )
-
-    def test_requires_positive_dp(self):
-        with pytest.raises(DomainError):
-            deformation_general(1.0, 0.3, 1.0, 1.0, 0.0)
 
 
 class TestRobertsonBound:
@@ -469,13 +467,13 @@ class TestBlockedKernelsMatchWholeGrid:
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
         ref = whole_grid_ode_residual(p, k, 1.0, dx, dp, hbar, _f_core(p, k, 1.0)[2],
-                                      *_general_f_derivatives(p, k, 1.0, dx, dp, hbar, 0.0))
+                                      *general_family(p, k, 1.0, dx, dp, hbar, 0.0))
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, dx, dp, hbar), ref)
 
     def test_ode_residual_with_c1(self, n, k, hbar):
         # f and f^2 would overflow on a wide grid at kappa = 0 (f ~ exp(z p^2))
         p = np.linspace(-10.0, 10.0, n)
-        parts = _general_f_derivatives(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
+        parts = general_family(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
         ref = whole_grid_ode_residual(p, k, 1.0, 0.77, 1.21, hbar, _f_core(p, k, 1.0)[2], *parts)
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, 0.77, 1.21, hbar, c1=0.05), ref)
 
@@ -516,10 +514,8 @@ class TestOdeResidual:
     def test_off_family_mismatch(self):
         # f built for one (dx, dp) pair substituted into the equation
         # with different coefficients must not vanish
-        from kappa_rup.deformed_algebra import _general_f_derivatives
-
         p = np.linspace(-5, 5, 200)
-        parts = _general_f_derivatives(p, 0.3, 1.0, 0.77, 1.21, 1.0, 0.0)
+        parts = general_family(p, 0.3, 1.0, 0.77, 1.21, 1.0, 0.0)
         res = ode_residual(p, 0.3, 1.0, 0.77 * 1.5, 1.21, 1.0, f_parts=parts)
         assert np.max(np.abs(res)) > 1e-3
 
@@ -584,6 +580,16 @@ class TestScaleFreeResiduals:
         p = np.linspace(-400.0, 400.0, n)
         grid = GridFunction(-400.0, 400.0, psi(p, spec_of(k)) * np.exp(0.3j * p))
         assert commutator_residual(grid, k, 1.0, hbar) == commutator_residual(grid, k, 1.0, 1.3)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_annihilation_where_hbar_zeta_leaves_the_float_range(self, scale):
+        # hbar zeta is 1e400 or 1e-400 with dx in range: hbar times psi' would overflow
+        # or underflow, so the residual must equal its value at hbar in [1, 2)
+        n, bound = 3 * 2**13 + 5, 400.0 / math.sqrt(scale)
+        got = annihilation_residual(StateSpec(0.2, scale, scale), -bound, bound, n)
+        unit_hbar = math.ldexp(scale, 1 - math.frexp(scale)[1])
+        assert math.isfinite(got)
+        assert got == annihilation_residual(StateSpec(0.2, scale, unit_hbar), -bound, bound, n)
 
     @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
     @pytest.mark.parametrize("c1", [0.0, 0.05])

@@ -11,12 +11,11 @@ from kappa_rup.coherent_states import StateSpec, log_pdf, pdf, psi
 from kappa_rup.deformed_algebra import (
     deformation_f,
     deformation_f_derivatives,
-    deformation_general,
     ode_residual,
     ordering_weight,
 )
 from kappa_rup.kappa_math import gamma_ratio, kappa_exp, kappa_log, log_gamma
-from kappa_rup.kinematics import aux_energy, aux_kinetic, aux_velocity
+from kappa_rup.kinematics import aux_energy
 
 SPEC = StateSpec(0.2, 1.3)
 
@@ -32,11 +31,8 @@ FUNCTIONS = {
     "deformation_f_derivatives[0]": lambda x: deformation_f_derivatives(x, 0.3, 1.2)[0],
     "deformation_f_derivatives[1]": lambda x: deformation_f_derivatives(x, 0.3, 1.2)[1],
     "deformation_f_derivatives[2]": lambda x: deformation_f_derivatives(x, 0.3, 1.2)[2],
-    "deformation_general": lambda x: deformation_general(x, 0.3, 1.2, 0.8, 0.9, c1=0.1),
     "ordering_weight": lambda x: ordering_weight(x, 0.25, 0.3, 1.2),
     "ode_residual": lambda x: ode_residual(x, 0.3, 1.2, 0.8, 0.9),
-    "aux_velocity": lambda x: aux_velocity(x, 0.3),
-    "aux_kinetic": lambda x: aux_kinetic(x, 0.3),
     "aux_energy": lambda x: aux_energy(x, 0.3),
 }
 

@@ -137,7 +137,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 @pytest.mark.parametrize("name", ["KappaParameter", "KappaLike", "as_kappa",
-                                  "MOMENT_SAFE_LIMIT", "STRONG_DOMAIN_LIMIT"])
+                                  "MOMENT_SAFE_LIMIT"])
 def test_kappa_math_reexports_the_parameter_names(name):
     assert getattr(kappa_math, name) is getattr(params, name)
 

@@ -28,12 +28,11 @@ class TestKappaParameter:
             KappaParameter(bad)
 
     def test_domain_flags(self):
-        assert KappaParameter(0.3).moment_safe and KappaParameter(0.3).strong_domain
-        assert KappaParameter(0.5).moment_safe and not KappaParameter(0.5).strong_domain
+        assert KappaParameter(0.3).moment_safe
+        assert KappaParameter(0.5).moment_safe
         assert not KappaParameter(0.7).moment_safe
-        # boundary values are excluded
+        # the boundary value is excluded
         assert not KappaParameter(2.0 / 3.0).moment_safe
-        assert not KappaParameter(0.4).strong_domain
 
 
 class TestKappaExp:

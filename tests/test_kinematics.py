@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import KappaParameter
-from kappa_rup.kinematics import (
-    ParticleFrame,
-    aux_energy,
-    aux_kinetic,
-    aux_velocity,
-    physical_map,
-)
+from kappa_rup.kinematics import ParticleFrame, aux_energy, physical_map
 
 
 def frame(k, m=1.0, c=1.0):
@@ -35,56 +29,16 @@ class TestFrame:
 
 
 class TestAuxiliaries:
-    def test_velocity_at_rest(self):
-        assert aux_velocity(0.0, 0.4) == 0.0
-
-    def test_velocity_asymptote(self):
-        assert aux_velocity(1e14, 0.5) == pytest.approx(2.0, rel=1e-12)
-
-    def test_velocity_value(self):
-        assert aux_velocity(1.0, 0.5) == pytest.approx(0.8944271909999159, rel=1e-14)
-
     def test_rest_values(self):
-        assert aux_kinetic(0.0, 0.5) == 0.0
         assert aux_energy(0.0, 0.5) == pytest.approx(4.0, rel=1e-15)
-
-    def test_kinetic_small_momentum(self):
-        p = 1e-6
-        assert aux_kinetic(p, 0.3) == pytest.approx(0.5 * p * p, rel=1e-10)
 
     def test_energy_value(self):
         # 4 sqrt(2), mpmath-checked
         assert aux_energy(2.0, 0.5) == pytest.approx(5.6568542494923802, rel=1e-14)
 
-    @given(
-        p=st.floats(min_value=-1e6, max_value=1e6),
-        k=st.floats(min_value=1e-4, max_value=0.99),
-    )
-    @settings(max_examples=200)
-    def test_energy_kinetic_offset(self, p, k):
-        # algebraic identity; the float subtraction of two O(eps_total)
-        # quantities carries an absolute error of a few ulp of the larger
-        eps_total = aux_energy(p, k)
-        diff = eps_total - aux_kinetic(p, k)
-        assert abs(diff - 1.0 / k**2) <= 8e-16 * eps_total + 1e-300
-
-    @given(
-        p=st.floats(min_value=-1e6, max_value=1e6),
-        k=st.floats(min_value=1e-4, max_value=0.99),
-    )
-    @settings(max_examples=200)
-    def test_velocity_bounded(self, p, k):
-        # strict in this range; the gap to the asymptote, 1/(2 k^3 p^2),
-        # stays above double rounding for |p| <= 1e6
-        assert abs(aux_velocity(p, k)) < 1.0 / k
-
-    def test_velocity_never_exceeds_asymptote(self):
-        for p in (1e8, 1e12, 1e300):
-            assert abs(aux_velocity(p, 0.75)) <= 1.0 / 0.75 * (1.0 + 1e-15)
-
     def test_kappa_zero_rejected(self):
         with pytest.raises(DomainError):
-            aux_velocity(1.0, 0.0)
+            aux_energy(1.0, 0.0)
 
 
 class TestPhysicalMap:

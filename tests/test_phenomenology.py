@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from scipy.optimize import brentq
 
 from kappa_rup.errors import BelowMinimalLengthError, DomainError, UnitMismatchError
 from kappa_rup.phenomenology import (
@@ -12,7 +11,6 @@ from kappa_rup.phenomenology import (
     ZETA_FIXINGS,
     PhenoConfig,
     Quantity,
-    delta_p_saturated,
     effective_alpha,
     effective_hbar,
     gac_match_zeta,
@@ -40,41 +38,6 @@ class TestEffectiveHbar:
             effective_hbar(Quantity(2.0, "MeV"), 0.1, 1.0)
         with pytest.raises(UnitMismatchError):
             effective_hbar(2.0, 0.1, Quantity(1.0, UNIT_LENGTH))
-
-
-class TestDeltaPSaturated:
-    def test_heisenberg_branch(self):
-        assert delta_p_saturated(1.0, 0.0, 1.0) == 0.5
-        assert delta_p_saturated(1.0, 1e-9, 1.0) == pytest.approx(0.5, rel=1e-12)
-
-    def test_at_minimal_length(self):
-        k, z = 0.2, 1.0
-        dx = k * math.sqrt(z)
-        assert delta_p_saturated(dx, k, z) == pytest.approx(1.0 / (k * math.sqrt(z)), rel=1e-12)
-
-    def test_frozen_value(self):
-        # 1/(10 + sqrt(100 - 0.04)), mpmath-checked
-        assert delta_p_saturated(10.0, 0.2, 1.0) == pytest.approx(
-            0.050005001000250070, rel=1e-13
-        )
-
-    def test_against_numeric_root(self):
-        # independent root of dx dp = (1/2)(1 + k^2 z dp^2)
-        k, z, dx = 0.2, 1.0, 10.0
-        root = brentq(
-            lambda dp: dx * dp - 0.5 * (1.0 + k * k * z * dp * dp), 1e-8, 1.0,
-            xtol=1e-16, rtol=8.9e-16,
-        )
-        assert delta_p_saturated(dx, k, z) == pytest.approx(root, rel=1e-10)
-
-    @pytest.mark.parametrize("k,z,dx", [(0.2, 1.0, 10.0), (0.5, 2.0, 3.0), (1e-4, 1.0, 0.7)])
-    def test_saturation_consistency(self, k, z, dx):
-        dp = delta_p_saturated(dx, k, z)
-        assert dx * dp == pytest.approx(0.5 * (1.0 + k * k * z * dp * dp), rel=1e-10)
-
-    def test_below_minimal_length(self):
-        with pytest.raises(BelowMinimalLengthError):
-            delta_p_saturated(0.1, 0.2, 1.0)
 
 
 class TestEffectiveAlpha:
