@@ -34,6 +34,13 @@ class TestKappaParameter:
         # the boundary value is excluded
         assert not KappaParameter(2.0 / 3.0).moment_safe
 
+    @pytest.mark.parametrize("value, safe", [
+        (0.0, True), (0.6666, True), (math.nextafter(2.0 / 3.0, 0.0), True),
+        (2.0 / 3.0, False), (0.99, False),
+    ])
+    def test_moment_safe_below_two_thirds(self, value, safe):
+        assert KappaParameter(value).moment_safe is safe
+
 
 class TestKappaExp:
     def test_at_zero(self):

@@ -36,6 +36,41 @@ class TestAuxiliaries:
         # 4 sqrt(2), mpmath-checked
         assert aux_energy(2.0, 0.5) == pytest.approx(5.6568542494923802, rel=1e-14)
 
+    def test_energy_small_momentum(self):
+        # eps - 1/k^2 = W~ ~ p^2 / 2 near rest
+        p = 1e-3
+        assert aux_energy(p, 0.3) - aux_energy(0.0, 0.3) == pytest.approx(0.5 * p * p, rel=1e-6)
+
+    def test_energy_asymptote(self):
+        # eps ~ |p| / k far from rest
+        assert aux_energy(1e14, 0.5) == pytest.approx(2e14, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 30.0])
+    def test_energy_slope_is_the_aux_velocity(self, p):
+        # d eps / dp~ = u = p~ / sqrt(1 + k^2 p~^2), which stays below 1/k
+        k, h = 0.5, 1e-6
+        slope = (aux_energy(p + h, k) - aux_energy(p - h, k)) / (2 * h)
+        u = p / math.sqrt(1.0 + (k * p) ** 2)
+        assert slope == pytest.approx(u, rel=1e-7, abs=1e-8)
+        assert abs(slope) < 1.0 / k
+
+    @given(
+        p=st.floats(min_value=-1e6, max_value=1e6),
+        k=st.floats(min_value=1e-4, max_value=0.99),
+    )
+    @settings(max_examples=200)
+    def test_energy_at_least_the_rest_value(self, p, k):
+        # eps - W~ = 1/k^2 with W~ >= 0
+        assert aux_energy(p, k) >= aux_energy(0.0, k)
+
+    @given(
+        p=st.floats(min_value=-1e6, max_value=1e6),
+        k=st.floats(min_value=1e-4, max_value=0.99),
+    )
+    @settings(max_examples=200)
+    def test_energy_even_in_momentum(self, p, k):
+        assert aux_energy(-p, k) == aux_energy(p, k)
+
     def test_kappa_zero_rejected(self):
         with pytest.raises(DomainError):
             aux_energy(1.0, 0.0)

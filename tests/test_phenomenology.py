@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy.optimize import brentq
 
 from kappa_rup.errors import BelowMinimalLengthError, DomainError, UnitMismatchError
 from kappa_rup.phenomenology import (
@@ -16,6 +17,7 @@ from kappa_rup.phenomenology import (
     gac_match_zeta,
     kappa_bound,
     landau_zeta,
+    minimal_length,
     putra_bound,
 )
 
@@ -68,6 +70,40 @@ class TestEffectiveAlpha:
     def test_below_minimal_length(self):
         with pytest.raises(BelowMinimalLengthError):
             effective_alpha(0.5, 0.9, 1.0, self.config())
+
+    def test_heisenberg_branch(self):
+        # r = 1e-18: alpha_eff = alpha to rounding, the shift is its leading term
+        cfg = self.config()
+        shift = effective_alpha(1.0, 1e-9, 1.0, cfg)
+        assert shift.alpha_eff == pytest.approx(cfg.alpha, rel=1e-12)
+        assert shift.delta_alpha == pytest.approx(-cfg.alpha * 1e-18 / 4.0, rel=1e-12)
+
+    def test_at_minimal_length(self):
+        # a0 = hbar k sqrt(z) exactly (r = 1): the largest shift, -alpha / 2
+        cfg = self.config()
+        a0 = minimal_length(0.25, 4.0)
+        assert a0 == 0.5
+        assert effective_alpha(a0, 0.25, 4.0, cfg).alpha_eff == cfg.alpha / 2.0
+
+    @pytest.mark.parametrize("k,z,hbar", [(0.2, 1.0, 1.0), (0.5, 3.0, 2.0), (1e-5, 7.3e4, 1.0)])
+    def test_boundary_is_the_minimal_length(self, k, z, hbar):
+        cfg = PhenoConfig(hbar=hbar)
+        a0 = minimal_length(k, z, hbar)
+        assert abs(effective_alpha(a0 * (1.0 + 1e-9), k, z, cfg).delta_alpha) < cfg.alpha / 2.0
+        with pytest.raises(BelowMinimalLengthError):
+            effective_alpha(a0 * (1.0 - 1e-9), k, z, cfg)
+
+    @pytest.mark.parametrize("k,z,a0", [(0.2, 1.0, 10.0), (0.5, 2.0, 3.0), (1e-4, 1.0, 0.7)])
+    def test_saturated_spread_rescales_alpha_by_hbar_eff(self, k, z, a0):
+        # independent root dp of a0 dp = (1/2)(1 + k^2 z dp^2), the smaller of two whose
+        # product is 1/(k^2 z); alpha ~ 1/hbar, so alpha_eff hbar_eff(dp) = alpha hbar
+        cfg = self.config()
+        dp = brentq(
+            lambda q: a0 * q - 0.5 * (1.0 + k * k * z * q * q), 1e-8, 1.0 / (k * math.sqrt(z)),
+            xtol=1e-16, rtol=8.9e-16,
+        )
+        alpha_eff = effective_alpha(a0, k, z, cfg).alpha_eff
+        assert alpha_eff * effective_hbar(dp, k, z) == pytest.approx(cfg.alpha, rel=1e-10)
 
 
 class TestKappaBound:
