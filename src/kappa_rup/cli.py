@@ -11,7 +11,9 @@ One executable, five commands selected by --command:
 Exit codes: 0 success, 1 usage/config error, 2 verification or solver
 failure. Output is deterministic: identical configuration produces
 byte-identical files (floats printed with 17 significant digits in
-CSV, shortest round-trip representation in JSON; no timestamps).
+CSV, shortest round-trip representation in JSON; no timestamps). JSON
+is strict: a verify measurement that is not finite is null and fails,
+and any other number that is not finite is an error (exit 2).
 Every emitted document starts with a metadata record (a '#'-prefixed
 JSON line for CSV) carrying the tool version, the command, and the
 fully resolved configuration.
@@ -103,7 +105,10 @@ def _csv_document(config: dict, header: Sequence[str], rows: Sequence[Sequence[s
 
 
 def _json_document(config: dict, body: dict) -> str:
-    return json.dumps({"meta": _meta(config), **body}, indent=2) + "\n"
+    try:
+        return json.dumps({"meta": _meta(config), **body}, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a nan or an infinity, which strict JSON cannot hold
+        raise KappaRupError(f"the {config['command']} document would not be strict JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +209,12 @@ def _run_checks(c: dict) -> list:
         # --tol replaces the "<=" tolerances only: a ">=" one is a stencil order's floor
         tol = c["tol"] if c["tol"] is not None and comparator == "<=" else tolerance
         ok = measured <= tol if comparator == "<=" else measured >= tol
+        # a measurement that is not finite fails, and strict JSON records it as null
+        finite = math.isfinite(measured)
         checks.append({
             "check_name": name,
-            "status": "pass" if ok else "fail",
-            "measured": measured,
+            "status": "pass" if ok and finite else "fail",
+            "measured": measured if finite else None,
             "tolerance": float(tol),
             "comparator": comparator,
         })

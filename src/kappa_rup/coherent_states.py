@@ -34,11 +34,17 @@ the whole real line. The integrand, a power of q at both ends, decays
 exponentially in |w| and so double-exponentially in t, and all magnitudes
 stay in log space (no overflow for any k < 2/3). The rule halves its step
 until two levels agree to rel_tol / 2; the last change is its error estimate.
-All levels' nodes are built once per process, in one array. The rule evaluates the
-ln-density and each integrand on levels 0-6 in one call, all that nearly every state
-needs at rel_tol 1e-10. moment_report's three integrals share one sweep and report the
-largest relative error estimate and the rule's node count where the last one stopped
-(quad_error_estimate, quad_evals).
+All levels' nodes are built once per process, in one array. The rule evaluates its
+running integrals on levels 0-6 in one call, all that nearly every state needs at
+rel_tol 1e-10, as the rows of one array, each value exp(ln weight + w + ln N^2 +
+ln-density) summed in that order. A level sum is np.add.reduceat(values * dw, [0])[0]
+over that level's nodes, the first term plus numpy's pairwise sum of the rest, and
+one reduceat takes all of a call's. Another summation order (a BLAS dot product, say)
+moves an integral by a few ulp, within a budget of 8 ulp per integral, and its stopping
+level only where its last change sits at the threshold.
+moment_report's three integrals share one sweep and report the largest relative error
+estimate and the rule's node count where the last one stopped (quad_error_estimate,
+quad_evals).
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ _MAX_LEVEL = 10
 _NODE_LEVELS = _MAX_LEVEL + 1
 # the first call's levels: at rel_tol 1e-10 nearly every state stops at level 5 or 6
 _FIRST_CALL_LEVEL = 6
-_NODES: dict = {}  # (first, last level) -> _nodes(first, last); 8193 nodes in all, 128 KiB
+_NODES: dict = {}  # "all": every level's (w, dw), 8193 nodes, 128 KiB; (first, last) -> _nodes
 
 
 def _log_profile(p, k: float, z: float):
@@ -233,24 +239,27 @@ def f_excess(kappa: KappaLike) -> float:
 # ---------------------------------------------------------------------------
 
 def _nodes(first: int, last: int | None = None):
-    """(w, dw) at the rule's new nodes of levels first..last (default: first alone), in
-    level order: cached read-only views of one concatenation, built once per process."""
+    """(w, dw, starts) at the rule's new nodes of levels first..last (default: first alone), in
+    level order, starts each level's offset in w: cached read-only arrays, w and dw views of
+    one concatenation built once per process."""
     last = first if last is None else last
-    if not _NODES:
-        parts = []
-        for level in range(_NODE_LEVELS):
-            # level 0 takes each integer t, every later one the odd multiples of h;
-            # h enters each term, so that no partial sum exceeds the integral much
-            n, h = _T_MAX << level, 2.0**-level
-            k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
-            u = 0.5 * math.pi * np.sinh(h * k)
-            parts.append((np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)))
-        _NODES[0, _NODE_LEVELS - 1] = nodes = tuple(np.concatenate(a) for a in zip(*parts))
+    if (first, last) not in _NODES:
+        if not _NODES:
+            parts = []
+            for level in range(_NODE_LEVELS):
+                # level 0 takes each integer t, every later one the odd multiples of h;
+                # h enters each term, so that no partial sum exceeds the integral much
+                n, h = _T_MAX << level, 2.0**-level
+                k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
+                u = 0.5 * math.pi * np.sinh(h * k)
+                parts.append((np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)))
+            _NODES["all"] = tuple(np.concatenate(a) for a in zip(*parts))
+        base = _rule_count(first - 1) if first else 0
+        starts = [0] + [_rule_count(level - 1) - base for level in range(first + 1, last + 1)]
+        _NODES[first, last] = nodes = (
+            *(a[base:_rule_count(last)] for a in _NODES["all"]), np.array(starts))
         for a in nodes:
             a.flags.writeable = False
-    if (first, last) not in _NODES:
-        start = _rule_count(first - 1) if first else 0
-        _NODES[first, last] = tuple(a[start:_rule_count(last)] for a in _NODES[0, _NODE_LEVELS - 1])
     return _NODES[first, last]
 
 
@@ -260,68 +269,110 @@ def _rule_count(level: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _double_exponential(integrands: dict, rel_tol: float, shared) -> dict:
-    """{what: (integral, error estimate, evaluation count)} over the real line of each
-    ``integrands[what](w, shared(w))``, all on one sweep.
+def _double_exponential(whats: list, evaluate: Callable, rel_tol: float) -> list:
+    """[(integral, error estimate, evaluation count)] over the real line of each integrand
+    whats[i], all on one sweep; evaluate(w, rows) returns a new array whose rows are the
+    integrands whats[i], i in rows (ascending), at the nodes w.
 
     The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
     w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
     exponentially in |w| decays double-exponentially in |t| (Takahasi &
     Mori 1974; Mori & Sugihara 2001). Each level halves the step and adds only
-    the new, odd nodes. shared(w) and each integrand run once on levels
-    0.._FIRST_CALL_LEVEL together, then once per later level; each level sum is
-    over that level's slice. Each integral stops once its change from the previous
-    level, its error estimate, is at most rel_tol / 2 of its value; its count is the
-    rule's nodes at that level. A level sum that is not finite ends the rule.
+    the new, odd nodes. evaluate runs once on levels 0.._FIRST_CALL_LEVEL together,
+    then once per later level, on the integrals still running. A level sum is
+    np.add.reduceat(values * dw, [0])[0] on that level's slice of a row: its first
+    term plus numpy's pairwise sum of the rest. One reduceat takes every level sum of
+    a call. Each integral stops once its change from the previous level, its error
+    estimate, is at most rel_tol / 2 of its value; its count is the rule's nodes at
+    that level. A level sum that is not finite ends the rule, at the first level that
+    has one, the first such integral in order.
     """
-    results, running = dict.fromkeys(integrands, (0.0, 0.0, 0)), list(integrands)
-    top, evals = _MAX_LEVEL, 0
+    results, running = [(0.0, 0.0, 0)] * len(whats), list(range(len(whats)))
+    top, tol = _MAX_LEVEL, 0.5 * rel_tol
     first = min(_FIRST_CALL_LEVEL, top)
     for levels in [range(first + 1)] + [range(L, L + 1) for L in range(first + 1, top + 1)]:
-        w, dw = _nodes(levels[0], levels[-1])
-        s = shared(w)
-        values = {what: integrands[what](w, s) for what in running}
-        base = evals
-        for level in levels:
-            part, evals = slice(evals - base, _rule_count(level) - base), _rule_count(level)
-            for what in tuple(running):
-                level_sum = float(values[what][part].dot(dw[part]))
+        w, dw, starts = _nodes(levels[0], levels[-1])
+        rows = tuple(running)
+        values = evaluate(w, rows)
+        values *= dw
+        overflow = top + 1, None  # (level, integral) of the first level sum not finite
+        for i, level_sums in zip(rows, np.add.reduceat(values, starts, axis=1).tolist()):
+            value = change = results[i][0]
+            for level, level_sum in zip(levels, level_sums):
                 if not math.isfinite(level_sum):
-                    raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
-                previous = results[what][0]
-                value = 0.5 * previous + level_sum
-                results[what] = value, abs(value - previous), evals
-                if level >= _MIN_LEVEL and results[what][1] <= 0.5 * rel_tol * abs(value):
-                    running.remove(what)
-            if not running:
-                return results
-    value, change, _ = results[running[0]]
+                    overflow = min(overflow, (level, i))
+                    break
+                previous, value = value, 0.5 * value + level_sum
+                change = abs(value - previous)
+                if level >= _MIN_LEVEL and change <= tol * abs(value):
+                    running.remove(i)
+                    break
+            results[i] = value, change, _rule_count(level)
+        if overflow[1] is not None:
+            level, i = overflow
+            raise NonConvergenceError(f"quadrature {whats[i]} overflowed ({_rule_count(level)} evaluations)")
+        if not running:
+            return results
+    value, change, evals = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {running[0]} did not converge in {top} step halvings "
+        f"quadrature {whats[running[0]]} did not converge in {top} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
 
-def _log_profile_at_logq(w, k: float):
-    """-asinh(k q^2)/k at q = e^w, the unit state's ln-density up to ln N^2."""
+def _log_profile_at_logq(two_w, x_log, big, k: float):
+    """-asinh(k q^2)/k at q = e^w, the unit state's ln-density up to ln N^2, given 2w,
+    x_log = ln(k q^2) = ln k + 2w and big = x_log > 40 (both None at k = 0)."""
     if k == 0.0:
-        return -np.exp(np.minimum(2.0 * w, 700.0))
-    x_log = math.log(k) + 2.0 * w
+        return -np.exp(np.minimum(two_w, 700.0))
     # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40; below
     # that X = k e^(2w), not e^(ln k + 2w), whose rounded ln k would scale every X alike
-    x = k * np.exp(np.minimum(2.0 * w, 40.0 - math.log(k)))
-    asinh = np.where(x_log > 40.0, _LN2 + x_log, np.arcsinh(x))
+    x = np.minimum(two_w, 40.0 - math.log(k))
+    np.exp(x, out=x)
+    x *= k
+    np.arcsinh(x, out=x)
+    np.add(_LN2, x_log, out=x, where=big)
     # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
-    return -np.minimum(asinh, 1e300 * k) / k
+    np.minimum(x, 1e300 * k, out=x)
+    return np.divide(x, -k, out=x)
 
 
-def _log_f_at_logq(w, k: float):
-    """ln f(q) at q = e^w, f(q) = sqrt(1 + k^2 q^4) + k^2 q^2, the commutator deformation."""
+def _log_f_at_logq(x_log, big, k: float, out):
+    """ln f(q) into out, f(q) = sqrt(1 + k^2 q^4) + k^2 q^2 the commutator deformation,
+    given x_log = ln(k q^2) and big = x_log > 40 (both None at k = 0)."""
     if k == 0.0:
-        return np.zeros_like(w)
-    x_log = math.log(k) + 2.0 * w
-    x = np.exp(np.minimum(x_log, 40.0))  # k q^2
-    return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
+        out[...] = 0.0
+        return
+    x = np.minimum(x_log, 40.0)
+    np.exp(x, out=x)  # k q^2
+    np.hypot(1.0, x, out=out)
+    x *= k
+    out += x
+    np.log(out, out=out)
+    np.add(math.log1p(k), x_log, out=out, where=big)
+
+
+def _integrands(w, k: float, log_n2: float, powers) -> np.ndarray:
+    """One row per power (None: f) of exp(ln weight + w + ln N^2 + ln-density) at the nodes
+    w, the weight q^power or f(q), summed in that order for all rows at once."""
+    two_w = 2.0 * w
+    x_log = big = None
+    if k > 0.0:
+        x_log = math.log(k) + two_w
+        big = x_log > 40.0
+    values = np.empty((len(powers), w.size))
+    for row, power in zip(values, powers):
+        if power is None:
+            _log_f_at_logq(x_log, big, k, row)
+        else:
+            np.multiply(w, power, out=row)
+    values += w
+    values += log_n2
+    values += _log_profile_at_logq(two_w, x_log, big, k)
+    # exp is 0.0 below ln 2^-1075 = -745.13; the mask skips its slow underflow path there,
+    # and the maximum writes those 0.0s (a nan stays nan)
+    np.exp(values, out=values, where=values > -746.0)
+    return np.maximum(values, 0.0, out=values)
 
 
 def _quadrature(spec: StateSpec, rel_tol: float, *powers) -> list:
@@ -332,20 +383,18 @@ def _quadrature(spec: StateSpec, rel_tol: float, *powers) -> list:
         raise DomainError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
     k = spec.kappa.value
     log_n2 = _LN_N2(k) - 0.5 * math.log(math.pi)  # ln N^2 at zeta = 1
-    integrands = {}
+    whats = []
     for power in powers:
         growth = 2.0 if power is None else float(power)  # f(q) grows like q^2
         # the tail of weight * pdf ~ q^(growth - 2/k) is integrable iff growth < 2/k - 1
         if k > 0.0 and growth >= 2.0 / k - 1.0:
             raise DivergentIntegralError(f"integral of p^{growth} * pdf diverges for kappa={k} "
                                          f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})")
-        log_weight = (lambda w: _log_f_at_logq(w, k)) if power is None else (lambda w, m=power: m * w)
-        what = f"<f> at kappa={k}" if power is None else f"<p^{power}> at kappa={k}"
-        integrands[what] = lambda w, profile, lw=log_weight: np.exp(lw(w) + w + log_n2 + profile)
-    sweep = _double_exponential(integrands, rel_tol, lambda w: _log_profile_at_logq(w, k))
+        whats.append(f"<f> at kappa={k}" if power is None else f"<p^{power}> at kappa={k}")
+    sweep = _double_exponential(
+        whats, lambda w, rows: _integrands(w, k, log_n2, [powers[i] for i in rows]), rel_tol)
     results = []
-    for power, what in zip(powers, integrands):
-        value, change, evals = sweep[what]
+    for power, what, (value, change, evals) in zip(powers, whats, sweep):
         moment = 2.0 * value
         # one division per factor of zeta: past the float range this gives inf or 0, never raises
         for _ in range((power or 0) // 2):

@@ -7,10 +7,11 @@ reference maximizes the entropy in primal null-space coordinates (grid
 scan + projected ascent) instead of the package's dual multiplier
 iteration; the fit reference is scipy's bounded scalar minimizer, scored
 by an mpmath sum of squares. The plain sinh-sinh rule builds each level's
-nodes from the substitution itself and evaluates one level at a time. The
-grid references are the complex-arithmetic, whole-grid forms of the position
-operator and its residuals (the stencil written out, no blocks, no real
-views); they take f, f' and the state's samples as inputs.
+nodes from the substitution itself, evaluates one level at a time and sums
+each integrand's level on its own. The grid references are the
+complex-arithmetic, whole-grid forms of the position operator and its
+residuals (the stencil written out, no blocks, no real views); they take f,
+f' and the state's samples as inputs.
 """
 
 import math
@@ -82,14 +83,15 @@ def quadpack_moment(power, k, z):
     return quad(lambda p: p**power * density(p), 0.0, math.inf, **opts)[0] / norm
 
 
-def plain_double_exponential(integrands, rel_tol, shared, t_max, min_level, max_level):
-    """{what: (integral, error estimate, evaluation count)} of each integrand by the
+def plain_double_exponential(whats, evaluate, rel_tol, t_max, min_level, max_level):
+    """[(integral, error estimate, evaluation count)] of each integrand whats[i] by the
     sinh-sinh rule, one level at a time: level L adds t = j 2^-L for the integers j
     in [-t_max 2^L, t_max 2^L] (level 0) or the odd ones (later levels), at
-    w = sinh(pi/2 sinh t), dw = 2^-L pi/2 cosh t cosh(pi/2 sinh t); shared(w) and
-    each running integrand are evaluated on those nodes alone. Raises
+    w = sinh(pi/2 sinh t), dw = 2^-L pi/2 cosh t cosh(pi/2 sinh t); evaluate(w, rows)
+    gives the running integrands on those nodes alone, one row each, and each level sum
+    is the first term of values * dw plus numpy's pairwise sum of the rest. Raises
     NonConvergenceError with the package's messages."""
-    results, running, evals = dict.fromkeys(integrands, (0.0, 0.0, 0)), list(integrands), 0
+    results, running, evals = [(0.0, 0.0, 0)] * len(whats), list(range(len(whats))), 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(max_level + 1):
             n, h = t_max * 2**level, 2.0**-level
@@ -97,21 +99,21 @@ def plain_double_exponential(integrands, rel_tol, shared, t_max, min_level, max_
             t = h * (j[1::2] if level else j)
             u = math.pi / 2 * np.sinh(t)
             w, dw = np.sinh(u), math.pi / 2 * h * np.cosh(t) * np.cosh(u)
-            s = shared(w)
             evals += w.size
-            for what in list(running):
-                level_sum = float(integrands[what](w, s) @ dw)
+            rows = list(running)
+            for i, values in zip(rows, evaluate(w, tuple(rows))):
+                level_sum = float(np.add.reduceat(values * dw, [0])[0])
                 if not math.isfinite(level_sum):
-                    raise NonConvergenceError(f"quadrature {what} overflowed ({evals} evaluations)")
-                value = 0.5 * results[what][0] + level_sum
-                results[what] = value, abs(value - results[what][0]), evals
-                if level >= min_level and results[what][1] <= 0.5 * rel_tol * abs(value):
-                    running.remove(what)
+                    raise NonConvergenceError(f"quadrature {whats[i]} overflowed ({evals} evaluations)")
+                value = 0.5 * results[i][0] + level_sum
+                results[i] = value, abs(value - results[i][0]), evals
+                if level >= min_level and results[i][1] <= 0.5 * rel_tol * abs(value):
+                    running.remove(i)
             if not running:
                 return results
     value, change, _ = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {running[0]} did not converge in {max_level} step halvings "
+        f"quadrature {whats[running[0]]} did not converge in {max_level} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 

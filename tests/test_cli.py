@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +13,8 @@ from kappa_rup.coherent_states import StateSpec, normalization_constant, psi
 from kappa_rup.kappa_math import KappaParameter
 
 from oracles import gibbs_reference
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(tmp_path, *args, name="out.txt"):
@@ -88,6 +93,18 @@ class TestVerify:
         failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
         assert failing == {"ode_residual"}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_measurement_not_finite_is_null_and_fails(self, tmp_path, monkeypatch, bad):
+        from kappa_rup import deformed_algebra
+
+        monkeypatch.setattr(deformed_algebra, "ode_residual", lambda p, *args: np.full_like(p, bad))
+        code, text = run(tmp_path, "--command", "verify", "--kappa", "0")
+        assert code == EXIT_FAIL
+        assert "NaN" not in text and "Infinity" not in text
+        checks = {c["check_name"]: c for c in json.loads(text, parse_constant=_reject_constant)["checks"]}
+        assert checks["ode_residual"]["measured"] is None
+        assert [name for name, c in checks.items() if c["status"] == "fail"] == ["ode_residual"]
+
     def test_unattainable_tolerance_fails(self, tmp_path):
         code, text = run(tmp_path, "--command", "verify", "--tol", "1e-20")
         assert code == EXIT_FAIL
@@ -115,11 +132,11 @@ class TestVerify:
         # f without its k^2 q^2 term: <f> no longer equals 2 zeta (1 - k^2) <p^2>
         from kappa_rup import coherent_states
 
-        def log_f_without_linear_term(w, k):
+        def log_f_without_linear_term(x_log, big, k, out):  # x_log = ln(k q^2)
             if k == 0.0:
-                return np.zeros_like(w)
-            x_log = math.log(k) + 2.0 * w  # ln(k q^2)
-            return np.where(x_log > 40.0, x_log, np.log(np.hypot(1.0, np.exp(np.minimum(x_log, 40.0)))))
+                out[...] = 0.0
+            else:
+                out[...] = np.where(big, x_log, np.log(np.hypot(1.0, np.exp(np.minimum(x_log, 40.0)))))
 
         monkeypatch.setattr(coherent_states, "_log_f_at_logq", log_f_without_linear_term)
         code, text = run(tmp_path, "--command", "verify")
@@ -573,6 +590,33 @@ def test_documents_are_strict_json(tmp_path, command):
                     assert math.isfinite(float(cell)), (name, cell)
     else:
         json.loads(text, parse_constant=_reject_constant)
+
+
+def test_a_number_not_finite_is_an_error_not_a_token(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from kappa_rup import cli
+
+    bound = cli.kappa_bound
+    monkeypatch.setattr(cli, "kappa_bound",
+                        lambda pheno: dataclasses.replace(bound(pheno), bound_kappa=math.nan))
+    code, text = run(tmp_path, "--command", "bound-alpha")
+    assert (code, text) == (EXIT_FAIL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "strict JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_default_documents_repeat_across_processes(command):
+    # two fresh interpreters print the same bytes: no value rests on memory that a
+    # run leaves unwritten, such as a row of the quadrature's stacked integrand array
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-m", "kappa_rup.cli", "--command", command],
+                              env=env, capture_output=True, timeout=120, check=True).stdout
+               for _ in range(2)]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestTableStatus:

@@ -326,8 +326,8 @@ class TestDoubleExponentialRule:
     def test_value_error_estimate_and_count(self):
         # integral of sech w over the real line is pi, analytic in |Im w| < pi/2
         value, error, evals = coherent_states._double_exponential(
-            {"test": lambda w, _: 1.0 / np.cosh(w)}, 1e-10, lambda w: None
-        )["test"]
+            *_stacked({"test": lambda w: 1.0 / np.cosh(w)}), 1e-10
+        )[0]
         assert abs(value - math.pi) <= 1e-15
         assert 0.0 <= error <= 0.5e-10 * value
         # level L has 2 * _T_MAX * 2^L + 1 nodes, each evaluated once
@@ -339,9 +339,8 @@ class TestDoubleExponentialRule:
         # 1/a; it falls like e^w to the left but only like e^(-a w) to the right
         a = 0.01
         value, _, _ = coherent_states._double_exponential(
-            {"test": lambda w, _: np.exp(w - (1.0 + a) * np.logaddexp(0.0, w))}, 1e-12,
-            lambda w: None,
-        )["test"]
+            *_stacked({"test": lambda w: np.exp(w - (1.0 + a) * np.logaddexp(0.0, w))}), 1e-12
+        )[0]
         assert value == pytest.approx(1.0 / a, rel=1e-14)
 
     @pytest.mark.parametrize("z", [2.3e-306, 1e-300, 1e300])
@@ -407,16 +406,17 @@ class TestSharedSweep:
 
     def test_node_cache_is_read_only(self):
         before = moment_report(spec_of(0.3, 1.7))
-        w, dw = coherent_states._nodes(3)
+        w, dw, starts = coherent_states._nodes(3)
         again = coherent_states._nodes(3)
-        assert again[0] is w and again[1] is dw
-        for a in (w, dw, *again):
+        assert again[0] is w and again[1] is dw and again[2] is starts
+        for a in (w, dw, starts, *again):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert moment_report(spec_of(0.3, 1.7)) == before
 
     def test_overflowing_f_weight_names_f(self, monkeypatch):
-        monkeypatch.setattr(coherent_states, "_log_f_at_logq", lambda w, k: np.full_like(w, np.inf))
+        monkeypatch.setattr(coherent_states, "_log_f_at_logq",
+                            lambda x_log, big, k, out: np.copyto(out, np.inf))
         with pytest.raises(NonConvergenceError, match="<f>"):
             moment_report(spec_of(0.3))
 
@@ -427,11 +427,17 @@ class TestSharedSweep:
             moment_report(spec_of(0.3))
 
 
-def _plain_rule(integrands, rel_tol, shared):
+def _plain_rule(whats, evaluate, rel_tol):
     """The reference rule at the module's current constants, _MAX_LEVEL included."""
     cs = coherent_states
-    return plain_double_exponential(integrands, rel_tol, shared, cs._T_MAX, cs._MIN_LEVEL,
+    return plain_double_exponential(whats, evaluate, rel_tol, cs._T_MAX, cs._MIN_LEVEL,
                                     cs._MAX_LEVEL)
+
+
+def _stacked(integrands):
+    """The rule's (whats, evaluate) for {what: f(w)}: evaluate stacks the rows asked for."""
+    fs = list(integrands.values())
+    return list(integrands), lambda w, rows: np.array([fs[i](w) for i in rows])
 
 
 def _outcome(call):
@@ -443,8 +449,8 @@ def _outcome(call):
 
 SECH_AND_SLOW_TAIL = {
     # integral pi; integral 1/a = 100, falling only like e^(-a w) to the right
-    "sech": lambda w, _: 1.0 / np.cosh(w),
-    "slow tail": lambda w, _: np.exp(w - 1.01 * np.logaddexp(0.0, w)),
+    "sech": lambda w: 1.0 / np.cosh(w),
+    "slow tail": lambda w: np.exp(w - 1.01 * np.logaddexp(0.0, w)),
 }
 
 
@@ -455,13 +461,25 @@ class TestAgainstPlainRule:
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-10, 1e-12])
     def test_sech_and_slow_tail(self, tol):
         # poles at +-0.1i take the rule past the first call's levels, at +-0.01i to its cap
-        poles = [{f"1/(w^2 + {e})": lambda w, _, e=e: 1.0 / (w * w + e)} for e in (1e-2, 1e-4)]
-        shared = lambda w: None
+        poles = [{f"1/(w^2 + {e})": lambda w, e=e: 1.0 / (w * w + e)} for e in (1e-2, 1e-4)]
         for integrands in (*({what: f} for what, f in SECH_AND_SLOW_TAIL.items()),
                            SECH_AND_SLOW_TAIL, poles[0], {**SECH_AND_SLOW_TAIL, **poles[0]},
                            {**poles[0], **poles[1]}):
-            got = _outcome(lambda: coherent_states._double_exponential(integrands, tol, shared))
-            assert got == _outcome(lambda: _plain_rule(integrands, tol, shared))
+            rule = _stacked(integrands)
+            got = _outcome(lambda: coherent_states._double_exponential(*rule, tol))
+            assert got == _outcome(lambda: _plain_rule(*rule, tol))
+
+    def test_first_overflow_in_level_then_integral_order(self):
+        # one call sums levels 0-6 of both rows; the earlier level's overflow wins
+        # though its integral comes second, as in the level-by-level rule
+        def overflowing_at(level):
+            nodes = coherent_states._nodes(level)[0]
+            return lambda w: np.where(np.isin(w, nodes), np.inf, 1.0 / np.cosh(w))
+
+        rule = _stacked({"late": overflowing_at(5), "early": overflowing_at(2)})
+        got = _outcome(lambda: coherent_states._double_exponential(*rule, 1e-10))
+        assert got == "quadrature early overflowed (33 evaluations)"
+        assert got == _outcome(lambda: _plain_rule(*rule, 1e-10))
 
     def test_sweep_states(self, monkeypatch):
         for k in SWEEP_KAPPAS:
@@ -475,10 +493,10 @@ class TestAgainstPlainRule:
 
     def test_capped_level(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", 3)
-        shared = lambda w: None
+        rule = _stacked(SECH_AND_SLOW_TAIL)
         for tol in (1e-3, 1e-12):
-            got = _outcome(lambda: coherent_states._double_exponential(SECH_AND_SLOW_TAIL, tol, shared))
-            assert got == _outcome(lambda: _plain_rule(SECH_AND_SLOW_TAIL, tol, shared))
+            got = _outcome(lambda: coherent_states._double_exponential(*rule, tol))
+            assert got == _outcome(lambda: _plain_rule(*rule, tol))
         s = spec_of(0.3)
         got = _outcome(lambda: coherent_states._quadrature(s, 1e-10, 0, 2, None))
         assert "did not converge in 3 step halvings (65 evaluations" in got
@@ -492,8 +510,60 @@ class TestAgainstPlainRule:
         evaluated = []
         profile = coherent_states._log_profile_at_logq
         monkeypatch.setattr(coherent_states, "_log_profile_at_logq",
-                            lambda w, k: evaluated.append(w.size) or profile(w, k))
+                            lambda two_w, *args: evaluated.append(two_w.size)
+                            or profile(two_w, *args))
         rep = moment_report(spec_of(0.3, 1.0), tol)
         assert rep.quad_evals == count
         assert evaluated == [coherent_states._rule_count(coherent_states._FIRST_CALL_LEVEL)]
         assert evaluated[0] > count
+
+
+def _log_profile_one_at_a_time(w, k):
+    """The unit state's ln-density as each integrand once formed it, from its own ln k + 2w."""
+    if k == 0.0:
+        return -np.exp(np.minimum(2.0 * w, 700.0))
+    x_log = math.log(k) + 2.0 * w
+    x = k * np.exp(np.minimum(2.0 * w, 40.0 - math.log(k)))
+    asinh = np.where(x_log > 40.0, math.log(2.0) + x_log, np.arcsinh(x))
+    return -np.minimum(asinh, 1e300 * k) / k
+
+
+def _log_f_one_at_a_time(w, k):
+    """ln f(e^w) as the <f> integrand once formed it, from its own ln k + 2w."""
+    if k == 0.0:
+        return np.zeros_like(w)
+    x_log = math.log(k) + 2.0 * w
+    x = np.exp(np.minimum(x_log, 40.0))
+    return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
+
+
+class TestStackedIntegrands:
+    """A rule call evaluates its running integrals as the rows of one array, each summed
+    in the order of exp(ln weight + w + ln N^2 + ln-density) formed alone."""
+
+    @pytest.mark.parametrize("k", [*SWEEP_KAPPAS, 2.0 / 3.0 - 1e-2, 2.0 / 3.0 - 1e-7])
+    def test_bit_identical_to_one_integrand_at_a_time(self, k):
+        log_n2 = coherent_states._LN_N2(k) - 0.5 * math.log(math.pi)
+        powers = (0, 2, None, 4, 6)
+        # next to 2/3 the higher powers' tails grow: their exp overflows alike in both forms
+        with np.errstate(over="ignore"):
+            for levels in ((0, coherent_states._FIRST_CALL_LEVEL), (7, 7), (10, 10)):
+                w = coherent_states._nodes(*levels)[0]
+                profile = _log_profile_one_at_a_time(w, k)
+                got = coherent_states._integrands(w, k, log_n2, powers)
+                for row, power in zip(got, powers):
+                    lw = _log_f_one_at_a_time(w, k) if power is None else power * w
+                    want = np.exp(lw + w + log_n2 + profile)
+                    assert np.array_equal(row.view(np.int64), want.view(np.int64)), (levels, power)
+                subset = coherent_states._integrands(w, k, log_n2, powers[1:3])
+                assert np.array_equal(subset.view(np.int64), got[1:3].view(np.int64))
+
+    def test_level_sums_are_each_slices_own_reduceat(self):
+        # the one reduceat over a call's rows gives each level slice's sum bit for bit
+        w, dw, starts = coherent_states._nodes(0, coherent_states._FIRST_CALL_LEVEL)
+        values = coherent_states._integrands(w, 0.3, 0.0, (0, 2, None)) * dw
+        ends = [*starts[1:], w.size]
+        batched = np.add.reduceat(values, starts, axis=1)
+        for row, sums in zip(values, batched):
+            alone = [np.add.reduceat(row[a:b].copy(), [0])[0] for a, b in zip(starts, ends)]
+            assert sums.tolist() == alone
