@@ -154,8 +154,8 @@ def _run_checks(c: dict) -> list:
         return max(fn(s, r) for s, r in states)
 
     p_grid = np.linspace(-5.0 / math.sqrt(z), 5.0 / math.sqrt(z), 200)
-    conv_spec = StateSpec(as_kappa(0.2), z, hb)
-    extent = 400.0 / math.sqrt(z)
+    # the grid residuals are free of zeta and hbar: both convergence checks run on the unit state
+    unit = StateSpec(as_kappa(0.2), 1.0)
 
     def convergence(residual):
         # the stencil's order: the smallest ratio of successive residuals as the grid doubles
@@ -163,8 +163,8 @@ def _run_checks(c: dict) -> list:
         return min(a / b for a, b in zip(res, res[1:]))
 
     def commutator(n):
-        grid = psi(np.linspace(-extent, extent, n), conv_spec)
-        return commutator_residual(GridFunction(-extent, extent, grid), conv_spec.kappa, z, hb)
+        grid = psi(np.linspace(-400.0, 400.0, n), unit)
+        return commutator_residual(GridFunction(-400.0, 400.0, grid), unit.kappa, 1.0)
 
     def kinematics():
         # each kappa's (p, E) at m = c = 1 against the boost's and against the first kappa's
@@ -196,7 +196,7 @@ def _run_checks(c: dict) -> list:
         ("ode_residual", "<=", 1e-9, lambda: worst(lambda s, r: np.max(np.abs(
             ode_residual(p_grid, s.kappa, z, r.delta_x, r.delta_p, hb))))),
         ("annihilation_convergence", ">=", 12.0, lambda: convergence(
-            lambda n: annihilation_residual(conv_spec, -extent, extent, n))),
+            lambda n: annihilation_residual(unit, -400.0, 400.0, n))),
         ("commutator_convergence", ">=", 12.0, lambda: convergence(commutator)),
         ("kinematics", "<=", 1e-12, kinematics),
         ("maxent_gibbs", "<=", 1e-10, lambda: np.max(np.abs(

@@ -84,8 +84,9 @@ _NODES: dict = {}  # "all": every level's (w, dw), 8193 nodes, 128 KiB; (first, 
 
 def _log_profile(p, k: float, z: float):
     """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
-    # not (k z) p^2: k z alone can underflow, and its lost bits scale the exponent
-    return -_asinh_k(z * np.square(p), k)
+    q = math.sqrt(z) * p  # not z p^2 (p^2 overflows past |p| ~ 1.3e154), nor k z (underflows)
+    q *= q  # in place: one grid temporary, as z * np.square(p) had
+    return -_asinh_k(q, k)
 
 
 def normalization_constant(spec: StateSpec) -> float:

@@ -1,54 +1,43 @@
 """Deformed Heisenberg algebra [x, p] = i hbar f(p) and its verification.
 
-The physically selected deformation is
+Everything here runs on the unit state (zeta = hbar = 1), in q = p sqrt(z). The
+physically selected deformation, f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, is
 
-    f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2          (>= 1, even),
+    f~(q) = sqrt(1 + k^2 q^4) + k^2 q^2          (>= 1, even),
 
-the particular member of the general family
+the member of the general family c0 f~(q) + c1 exp_k(q^2), c0 = dx / (hbar z
+(1-k^2) dp), picked out by f -> 1 both for k -> 0 (c1 = 0) and for p -> 0 (c0 = 1).
+The position operator for ordering parameter A in [0, 1] (A = 1/2 symmetric,
+with unit integration measure) is
 
-    f(p) = dx (sqrt(1 + k^2 z^2 p^4) + k^2 z p^2) / (hbar z (1-k^2) dp)
-           + c1 * exp_k(+z p^2)
+    x = i hbar [ f d/dp + A f' ] = i hbar sqrt(z) [ f~ d/dq + A f~' ].
 
-picked out by requiring f -> 1 both for k -> 0 (c1 = 0) and for p -> 0
-(dx = hbar z (1-k^2) dp).
+Grid versions of x use 4th-order finite differences (one-sided at the edges),
+and three residuals measure how well the continuum identities survive:
 
-In momentum space the position operator for ordering parameter A is
-
-    x = i hbar [ f(p) d/dp + A f'(p) ],    A in [0, 1],
-
-with A = 1/2 the symmetric choice (unit integration measure). Grid
-versions of x use 4th-order finite differences (one-sided at the
-edges), and three residuals quantify how well the continuum identities
-survive discretization:
-
-  * annihilation_residual: (x/dx + i p/dp) psi = 0 on the
-    minimum-uncertainty state;
+  * annihilation_residual: (x/dx + i p/dp) psi = 0 on the minimum-uncertainty state;
   * commutator_residual: [x, p] psi = i hbar f psi on any smooth state;
-  * ode_residual: the second-order ODE satisfied by the family above,
-    evaluated pointwise with analytic f', f''.
+  * ode_residual: the second-order ODE of the family, with analytic f', f''.
 
-The residuals run in real arithmetic over blocks of 2^13 points, which stay
-in L2, with the bits of the complex whole-grid form: each complex product
-they replace had a zero part, the stencil scales by 1/(12h) as numpy's
-complex division does, and each norm is one np.sum over the whole grid.
-Per block, p^2 and s = sqrt(1 + x^2), x = k z p^2, are formed once, and f''
-only where it is used. s takes numpy's sqrt, not libm's per-element hypot,
-with x capped at 2^27 before squaring (past it, s is x): it stays within
-1 ulp of hypot(1, x) over the whole float range and cannot overflow.
-The annihilation and commutator residuals do not change when hbar is
-scaled (with dx, which is linear in it), nor the ODE residual when hbar dp f
-and dx are scaled together, so each brings those scales near 1 by powers of
-two first. That keeps every bit, and no hbar overflows or underflows them.
+Each maps its momenta to q once, on entry (a grid by its two ends, so zeta = 1
+adds no array pass). With dp = dq / sqrt(z), x/dx, p/dp and the commutator
+identity are free of zeta and hbar; the ODE holds only dq = dp sqrt(z) and
+dy = dx / (hbar sqrt(z)). Only q is squared, never p, so every zeta that
+StateSpec takes leaves the residuals finite.
 
-All derivative formulas used below (s = sqrt(1 + k^2 z^2 p^4),
-u = k z p^2 / s in [0, 1), X = exp_k(z p^2)):
+The residuals run in real arithmetic over blocks of 2^13 points, which stay in
+L2, with the bits of the complex whole-grid form: each complex product they
+replace had a zero part, the stencil scales by 1/(12h) as numpy's complex
+division does, and each norm is one np.sum over the whole grid. Per block, q^2
+and s = sqrt(1 + x^2), x = k q^2, are formed once, f'' only where it is used.
+s takes numpy's sqrt, with x capped at 2^27 before squaring (past it, s is x):
+within 1 ulp of libm's hypot(1, x) over the whole float range, and no overflow.
 
-    f_core'  = 2 k^2 z p (1 + z p^2 / s)
-    f_core'' = 2 k z (k + u (3 - 2 u^2))
-    X'       = 2 z p X / s
-    X''      = (2 z X / s^3) (s^2 + 2 z p^2 s - 2 k^2 z^2 p^4)
+The derivatives in q (u = x / s in [0, 1), X = exp_k(q^2)), unit-tested against
+central differences:
 
-and are unit-tested against central differences.
+    f~'  = 2 k^2 q (1 + q^2 / s)            X'  = 2 q X / s
+    f~'' = 2 k (k + u (3 - 2 u^2))          X'' = (2 X / s^3) (s^2 + 2 q^2 s - 2 k^2 q^4)
 """
 
 from __future__ import annotations
@@ -124,7 +113,7 @@ class GridFunction:
         arr = np.array(self.samples, dtype=complex)  # a private copy
         if arr.ndim != 1 or arr.size < 16:
             raise DomainError("GridFunction needs a 1-d array of >= 16 samples")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arr.view(float)).all():
             raise DomainError("GridFunction samples must be finite")
         if not self.p_max > self.p_min:
             raise DomainError("GridFunction needs p_max > p_min")
@@ -147,49 +136,49 @@ class GridFunction:
 # deformation function and friends
 # ---------------------------------------------------------------------------
 
-def _f_core(p, k: float, z: float):
-    """p^2, x = k z p^2, s = sqrt(1 + x^2) and f = s + k x: the one place f is written."""
-    p2 = np.square(p)
-    x = k * z * p2
+def _f_core(q, k: float):
+    """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x: the one place f is written."""
+    q2 = np.square(q)
+    x = k * q2
     # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
     s = np.maximum(np.sqrt(1.0 + np.square(np.minimum(x, 2.0**27))), x)
-    return p2, x, s, s + k * x
+    return q2, x, s, s + k * x
 
 
-def _f_f1(p, k: float, z: float):
-    """(x, s, f, f') on an array of momenta, without f''."""
-    p2, x, s, f = _f_core(p, k, z)
-    return x, s, f, 2.0 * k * k * z * p * (1.0 + z * p2 / s)
+def _f_f1(q, k: float):
+    """(q^2, x, s, f~, f~') on an array of unit-state momenta, without f~''."""
+    q2, x, s, f = _f_core(q, k)
+    return q2, x, s, f, 2.0 * k * k * q * (1.0 + q2 / s)
 
 
-def _general_parts(p, k: float, z: float, c0: float, c1: float):
-    """(s, f, f', f'') of the general family, c0 = dx / (hbar z (1-k^2) dp);
-    c0 = 1, c1 = 0 is the selected deformation."""
-    x, s, f, f1 = _f_f1(p, k, z)
-    # u = x / s in [0, 1), not p^6 / s^3: that overflows past |p| ~ 2e51
+def _general_parts(q, k: float, c0: float, c1: float):
+    """(q^2, s, f~, f~', f~'') of the general family on the unit state, derivatives in q,
+    c0 = dx / (hbar z (1-k^2) dp); c0 = 1, c1 = 0 is the selected deformation."""
+    q2, x, s, f, f1 = _f_f1(q, k)
+    # u = x / s in [0, 1), not q^6 / s^3: that overflows past |q| ~ 2e51
     u = x / s
-    f2 = 2.0 * k * z * (k + u * (3.0 - 2.0 * np.square(u)))
+    f2 = 2.0 * k * (k + u * (3.0 - 2.0 * np.square(u)))
     f, f1, f2 = c0 * f, c0 * f1, c0 * f2
     if c1 != 0.0:
-        big_x = kappa_exp(z * np.square(p), k)
+        big_x = kappa_exp(q2, k)
         f = f + c1 * big_x
-        f1 = f1 + c1 * 2.0 * z * p * big_x / s
-        f2 = f2 + c1 * (2.0 * z * big_x / s**3) * (
-            s * s + 2.0 * z * np.square(p) * s - 2.0 * (k * z) ** 2 * p**4
-        )
-    return s, f, f1, f2
+        f1 = f1 + c1 * 2.0 * q * big_x / s
+        f2 = f2 + c1 * (2.0 * big_x / s**3) * (s * s + 2.0 * q2 * s - 2.0 * k**2 * q**4)
+    return q2, s, f, f1, f2
 
 
 @elementwise
 def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
-    """(f, f', f'') of the selected deformation, analytic forms."""
-    return _general_parts(p, as_kappa(kappa).value, zeta, 1.0, 0.0)[1:]
+    """(f, f', f'') of the selected deformation, analytic: (f~, sqrt(z) f~', z f~'')."""
+    r = math.sqrt(zeta)
+    f, f1, f2 = _general_parts(p * r, as_kappa(kappa).value, 1.0, 0.0)[2:]
+    return f, r * f1, zeta * f2
 
 
 @elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
-    """Commutator deformation f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, overflow-free."""
-    return _f_core(p, as_kappa(kappa).value, zeta)[3]
+    """Commutator deformation f(p) = f~(p sqrt(z)), overflow-free."""
+    return _f_core(p * math.sqrt(zeta), as_kappa(kappa).value)[3]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
@@ -227,9 +216,10 @@ def convert_ordering(phi: GridFunction, A_from: OrderingLike, A_to: OrderingLike
 _BLOCK = 1 << 13  # points per block: a block's float64 temporaries stay in L2
 
 
-def _binade_shift(x: float) -> int:
-    """The power of two that brings |x| into [1, 2); a scaling by it is exact."""
-    return 1 - math.frexp(x)[1]
+def _unit_grid(p_min: float, p_max: float, n: int, r: float):
+    """(q, step) of a grid at q = p r, r = sqrt(zeta): its ends scale, so r = 1 costs nothing."""
+    q_min, q_max = p_min * r, p_max * r
+    return np.linspace(q_min, q_max, n), (q_max - q_min) / (n - 1)
 
 
 def _blocks(n: int):
@@ -242,7 +232,7 @@ def _blocks(n: int):
 
 
 def _derivative(s: np.ndarray, h: float) -> np.ndarray:
-    """4th-order d/dp along axis 0 (one-sided at the edges), times 1/(12h)."""
+    """4th-order d/dq along axis 0 (one-sided at the edges), times 1/(12h)."""
     c = 1.0 / (12.0 * h)
     d = np.empty_like(s)
     d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) * c
@@ -253,18 +243,21 @@ def _derivative(s: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _x_block(w, h, at, f, af1, hbar):
-    return hbar * (f * _derivative(w, h)[at] + af1 * w[at])
+def _x_block(w, h, at, f, af1):
+    return f * _derivative(w, h)[at] + af1 * w[at]
 
 
 def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
                             kappa: KappaLike, zeta: float,
                             hbar: float = 1.0) -> GridFunction:
-    """x psi = i hbar [f psi' + A f' psi] sampled on the grid."""
-    _, _, f, f1 = _f_f1(psi_grid.p_values(), as_kappa(kappa).value, zeta)
+    """x psi = i hbar [f psi' + A f' psi] sampled on the grid: hbar sqrt(zeta) times the
+    unit state's operator f~ d/dq + A f~' at q = p sqrt(zeta)."""
+    r = math.sqrt(zeta)
+    q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, r)
+    f, f1 = _f_f1(q, as_kappa(kappa).value)[3:]
     af1, s = _ordering_value(A) * f1, psi_grid.samples
-    # x psi = i (X re + i X im), X the real operator hbar (f d/dp + A f')
-    x_re, x_im = (_x_block(w, psi_grid.h, slice(None), f, af1, hbar) for w in (s.real, s.imag))
+    # x psi = i (X re + i X im), X the real operator hbar sqrt(zeta) (f~ d/dq + A f~')
+    x_re, x_im = (hbar * r * _x_block(w, h, slice(None), f, af1) for w in (s.real, s.imag))
     return GridFunction(psi_grid.p_min, psi_grid.p_max, 1j * x_re - x_im)
 
 
@@ -275,26 +268,23 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     x is applied with the symmetric ordering and the closed-form dx, dp.
     Converges to 0 at the stencil order for the true state;
     ``delta_p_factor`` != 1 is the wrong-state control and leaves an
-    O(1) floor.
+    O(1) floor. Free of zeta and hbar, it runs on the unit state.
     """
     bound = 8.0 / math.sqrt(spec.zeta)
     if p_min > -bound or p_max < bound:
         raise DomainError(f"grid must cover [-8, 8]/sqrt(zeta) = [-{bound:.3g}, {bound:.3g}]")
     if n_points < 16 or not math.isfinite(p_max - p_min):
         raise DomainError("the grid needs >= 16 points between finite ends")
-    p = np.linspace(p_min, p_max, n_points)
-    h = (p_max - p_min) / (n_points - 1)
-    # x / dx is free of hbar: with hbar in [1, 2) and dx scaled alike, both stay finite
-    shift = _binade_shift(spec.hbar)
-    hbar = math.ldexp(spec.hbar, shift)
-    inv_dx = 1.0 / math.ldexp(state_delta_x(spec), shift)
-    inv_dp = 1.0 / (state_delta_p(spec) * delta_p_factor)
-    psi = state_psi(p, spec)
-    r2 = np.empty_like(p)
-    for sl, halo, at in _blocks(p.size):
-        _, _, f, f1 = _f_f1(p[sl], spec.kappa.value, spec.zeta)
-        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1, hbar)
-        r2[sl] = np.square(x_psi * inv_dx + p[sl] * psi[sl] * inv_dp)
+    unit = StateSpec(spec.kappa, 1.0)
+    q, h = _unit_grid(p_min, p_max, n_points, math.sqrt(spec.zeta))
+    inv_dx = 1.0 / state_delta_x(unit)
+    inv_dp = 1.0 / (state_delta_p(unit) * delta_p_factor)
+    psi = state_psi(q, unit)
+    r2 = np.empty_like(q)
+    for sl, halo, at in _blocks(q.size):
+        f, f1 = _f_f1(q[sl], spec.kappa.value)[3:]
+        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1)
+        r2[sl] = np.square(x_psi * inv_dx + q[sl] * psi[sl] * inv_dp)
     return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
 
 
@@ -303,26 +293,26 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     """|| [x, p] psi - i hbar f psi || / || hbar f psi || on any smooth state.
 
     The commutator is an operator identity, so this converges to 0 at
-    the stencil order independently of the state.
+    the stencil order independently of the state. It runs as hbar [y, q],
+    y = x / (hbar sqrt(zeta)) = i (f~ d/dq + A f~'), free of zeta and hbar.
     """
-    p, h, s = psi_grid.p_values(), psi_grid.h, psi_grid.samples
+    q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, math.sqrt(zeta))
+    s = psi_grid.samples
     parts = [s.real, s.imag] if s.imag.any() else [s.real]
     k = as_kappa(kappa).value
-    # the ratio is free of hbar: with hbar in [1, 2), both norms scale exactly and stay finite
-    hbar = math.ldexp(hbar, _binade_shift(hbar))
-    r2, t2 = np.zeros_like(p), np.zeros_like(p)
-    for sl, halo, at in _blocks(p.size):
-        _, _, f, f1 = _f_f1(p[sl], k, zeta)
+    r2, t2 = np.zeros_like(q), np.zeros_like(q)
+    for sl, halo, at in _blocks(q.size):
+        f, f1 = _f_f1(q[sl], k)[3:]
         af1 = ORDER_X3.A * f1
         for w in parts:
-            pw = p[halo] * w[halo]
-            x_pw, x_w = _x_block(pw, h, at, f, af1, hbar), _x_block(w[halo], h, at, f, af1, hbar)
-            target = hbar * f * w[sl]
-            r2[sl] += np.square(x_pw - p[sl] * x_w - target)
+            qw = q[halo] * w[halo]
+            y_qw, y_w = _x_block(qw, h, at, f, af1), _x_block(w[halo], h, at, f, af1)
+            target = f * w[sl]
+            r2[sl] += np.square(y_qw - q[sl] * y_w - target)
             t2[sl] += np.square(target)
     target_norm = math.sqrt(float(np.sum(t2)) * h)
     if target_norm == 0.0:
-        raise DomainError("commutator_residual needs a state whose hbar f psi is not 0 on the grid")
+        raise DomainError("commutator_residual needs a state whose f psi is not 0 on the grid")
     return math.sqrt(float(np.sum(r2)) * h) / target_norm
 
 
@@ -330,17 +320,15 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
 # minimum-uncertainty ODE residual
 # ---------------------------------------------------------------------------
 
-def _ode_terms(p, k, z, dx, dp, hbar, c0, c1, f_parts):
-    """ode_residual on one block of points; the general family's f unless f_parts."""
+def _ode_terms(q, k, dy, dq, c0, c1, f_parts):
+    """ode_residual on one block in q; the general family's f~ unless f_parts (d/dq)."""
     if f_parts:
-        s, (f, f1, f2) = _f_core(p, k, z)[2], f_parts
+        (q2, _, s, _), (f, f1, f2) = _f_core(q, k), f_parts
     else:
-        s, f, f1, f2 = _general_parts(p, k, z, c0, c1)
-    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
-    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
-    t3 = 2.0 * hbar * s**2 * dp * f * (
-        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
-    )
+        q2, s, f, f1, f2 = _general_parts(q, k, c0, c1)
+    t1 = 4.0 * (1.0 - q2 * (k * k * q2 + s)) * dq**2 * f**2
+    t2 = s**3 * (4.0 * q2 * dy**2 - dq**2 * f1**2)
+    t3 = 2.0 * s**2 * dq * f * (4.0 * q * dq * f1 - s * (2.0 * dy + dq * f2))
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
     return (t1 + t2 + t3) / scale
 
@@ -360,25 +348,23 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     """
     k = as_kappa(kappa).value
     parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
-    c0 = None if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
-    # each term is a quadratic form in (hbar dp f, dx), f = c0 f_core + c1 X: hbar and the
-    # larger of |c0|, |c1| into [1, 2), and hbar dp f and dx by the power of two that brings
-    # their product near 1, scale every term exactly and keep each factor in the float range
-    scale = 1.0 if c0 is None else max(abs(c0), abs(c1))
-    h_shift, f_shift = _binade_shift(hbar), _binade_shift(scale)
-    shift = -sum(math.frexp(v)[1] for v in (hbar, dp, scale, dx)) // 2
-    if c0 is not None:
-        c0, c1 = math.ldexp(c0, f_shift), math.ldexp(c1, f_shift)
+    c0 = 0.0 if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
+    r = math.sqrt(zeta)
     flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
+    # onto the unit state, q = p sqrt(zeta) and f_parts' d/dp to d/dq = d/dp / sqrt(zeta)
+    flat = flat if r == 1.0 else [flat[0] * r] + [a / r**i for i, a in enumerate(flat[1:])]
+    # each term is a quadratic form in (dq f~, dy), f~ = c0 f~_core + c1 X: max(|c0|, |c1|) into
+    # [1, 2) against dq, then dq and dy by the power of two that brings their product near 1
+    f_shift = 0 if parts else 1 - math.frexp(max(abs(c0), abs(c1)))[1]
+    c0, c1 = math.ldexp(c0, f_shift), math.ldexp(c1, f_shift)
     out = np.empty_like(flat[0])
     try:
-        hbar, dp = math.ldexp(hbar, h_shift), math.ldexp(dp, shift - h_shift - f_shift)
-        dx = math.ldexp(dx, shift)
+        dq, dy = math.ldexp(dp * r, -f_shift), dx / hbar / r
+        shift = -(math.frexp(dq)[1] + math.frexp(dy)[1]) // 2
+        dq, dy = math.ldexp(dq, shift), math.ldexp(dy, shift)
         for sl, _, _ in _blocks(out.size):
-            out[sl] = _ode_terms(flat[0][sl], k, zeta, dx, dp, hbar, c0, c1,
-                                 [a[sl] for a in flat[1:]])
+            out[sl] = _ode_terms(flat[0][sl], k, dy, dq, c0, c1, [a[sl] for a in flat[1:]])
     except OverflowError:
-        # a scalar or its square past the float range: hbar dp f and dx lie too far apart
-        raise DomainError("ode_residual's terms leave the float range: hbar dp f and dx "
-                          "differ by more than it spans") from None
+        raise DomainError("ode_residual's terms leave the float range: dp sqrt(zeta) f and "
+                          "dx / (hbar sqrt(zeta)) differ by more than it spans") from None
     return out.reshape(np.broadcast(p, *parts).shape)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleMeanError, NonConvergenceError
-from .kappa_math import KappaLike, KappaParameter, _sinh_k, as_kappa, kappa_exp, kappa_log
+from .kappa_math import KappaLike, KappaParameter, _asinh_k, _sinh_k, as_kappa, kappa_exp, kappa_log
 
 __all__ = [
     "MaxEntProblem",
@@ -252,7 +252,9 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     The amplitude is eliminated analytically for each trial b; b itself
     starts from the log-linear (Gibbs) estimate and is refined by a
     Newton iteration on d(ssq)/db, safeguarded by bisection on the
-    bracket that the sign of d(ssq)/db narrows at every step.
+    bracket that the sign of d(ssq)/db narrows at every step, and widened where
+    a step leaves through an edge no sign has moved: a strongly deformed fit's b
+    can lie far past it, or at infinity, where exp_k(-b E) ~ E^(-1/k).
     """
     e = np.asarray(energies, dtype=float)
     n = np.asarray(solution.distribution, dtype=float)
@@ -272,9 +274,11 @@ def fit_kappa_exponential(solution: MaxEntSolution,
     # Newton on g = d(ssq)/db, ssq = |r|^2, r = a u - n. ssq is stationary in
     # a, so g = 2 a r.u', with u' = -v u, u'' = v^2 u (1 + k^2 b v) and
     # v = E / sqrt(1 + (k b E)^2). A step that leaves the bracket, which the
-    # sign of g narrows, bisects it instead.
+    # sign of g narrows, bisects it instead, or doubles a side g never set.
     span = 10.0 * (abs(b0) + 1.0 / float(e.max() - e.min()))
     lo, hi, b = b0 - span, b0 + span, b0
+    set_lo = set_hi = widened = False  # set_lo, set_hi: a sign of g has moved that edge
+    eps = np.finfo(float).eps
     a, u, r = start = fitted(b0)
     for _ in range(_FIT_MAX_ITER):
         v = e / np.sqrt(1.0 + np.square(k * b * e))
@@ -286,13 +290,20 @@ def fit_kappa_exponential(solution: MaxEntSolution,
         r_d2u = float(rw @ v) + k * k * b * float((rw * v) @ v)  # r.u''
         dg = 2.0 * (a * (float((a * w - da * u) @ w) + r_d2u) - da * r_w)
         newton = g / dg if dg > 0.0 else math.copysign(math.inf, g)
-        # stop where the step is within rounding of b, or g is nan
-        if not abs(newton) > np.finfo(float).eps * span:
+        # stop where the step is within rounding of b, or g is nan; once widened, also where
+        # it lowers ssq (by about g newton / 2) less than ssq's rounding
+        if not abs(newton) > eps * span or widened and not abs(g * newton) > eps * float(r @ r):
             break
         if g > 0.0:
-            hi = b
+            hi, set_hi = b, True
         else:
-            lo = b
+            lo, set_lo = b, True
+        # past an unset edge, double that side while u.u stays in range: max exp_k(-b E) in e^+-300
+        edge = b0 + math.copysign(2.0 * span, -g)
+        if not (set_hi if g < 0.0 else set_lo) and not lo < b - newton < hi \
+                and abs(float(np.max(_asinh_k(-edge * e, k)))) <= 300.0:
+            span, widened = 2.0 * span, True
+            lo, hi = (lo, edge) if g < 0.0 else (edge, hi)
         # converging quadratically, the error left after a step is ~newton^2
         done = abs(newton) <= 1e-10 * span
         b_next = b - newton if done or lo < b - newton < hi else 0.5 * (lo + hi)

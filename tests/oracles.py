@@ -11,7 +11,9 @@ nodes from the substitution itself, evaluates one level at a time and sums
 each integrand's level on its own. The grid references are the
 complex-arithmetic, whole-grid forms of the position operator and its
 residuals (the stencil written out, no blocks, no real views); they take f,
-f' and the state's samples as inputs.
+f' and the state's samples as inputs. The residuals are the unit state's
+(zeta = hbar = 1), in q = p sqrt(zeta): the package evaluates them there for
+every zeta and hbar.
 """
 
 import math
@@ -259,30 +261,29 @@ def _complex_l2_norm(samples, h):
     return math.sqrt(float(np.sum(np.abs(samples) ** 2)) * h)
 
 
-def complex_annihilation_residual(psi, p, h, f, f1, dx, dp, hbar):
-    """|| (x/dx + i p/dp) psi || / ||psi|| with the symmetric ordering, in complex
-    arithmetic on psi cast to complex."""
+def complex_annihilation_residual(psi, q, h, f, f1, dx, dq):
+    """|| (x/dx + i q/dq) psi || / ||psi|| on the unit state with the symmetric ordering,
+    in complex arithmetic on psi cast to complex."""
     s = np.asarray(psi).astype(complex)
-    residual = complex_position_operator(s, h, f, f1, 0.5, hbar) / dx + 1j * p * s / dp
+    residual = complex_position_operator(s, h, f, f1, 0.5, 1.0) / dx + 1j * q * s / dq
     return _complex_l2_norm(residual, h) / _complex_l2_norm(s, h)
 
 
-def complex_commutator_residual(samples, p, h, f, f1, hbar):
-    """|| [x, p] psi - i hbar f psi || / || hbar f psi ||, symmetric ordering, in
+def complex_commutator_residual(samples, q, h, f, f1):
+    """|| [x, q] psi - i f psi || / || f psi || on the unit state, symmetric ordering, in
     complex arithmetic."""
-    x_p_psi = complex_position_operator(p * samples, h, f, f1, 0.5, hbar)
-    x_psi = complex_position_operator(samples, h, f, f1, 0.5, hbar)
-    target = 1j * hbar * f * samples
-    return _complex_l2_norm(x_p_psi - p * x_psi - target, h) / _complex_l2_norm(target, h)
+    x_q_psi = complex_position_operator(q * samples, h, f, f1, 0.5, 1.0)
+    x_psi = complex_position_operator(samples, h, f, f1, 0.5, 1.0)
+    target = 1j * f * samples
+    return _complex_l2_norm(x_q_psi - q * x_psi - target, h) / _complex_l2_norm(target, h)
 
 
-def whole_grid_ode_residual(p, k, z, dx, dp, hbar, s, f, f1, f2):
-    """The minimum-uncertainty ODE residual, each term over the whole grid at once,
-    from s = sqrt(1 + k^2 z^2 p^4) and f, f', f'' on that grid."""
-    t1 = 4.0 * hbar**2 * z * (1.0 - np.square(p) * z * (k * k * np.square(p) * z + s)) * dp**2 * f**2
-    t2 = s**3 * (4.0 * np.square(p) * dx**2 - hbar**2 * dp**2 * f1**2)
-    t3 = 2.0 * hbar * s**2 * dp * f * (
-        4.0 * hbar * p * z * dp * f1 - s * (2.0 * dx + hbar * dp * f2)
-    )
+def whole_grid_ode_residual(q, k, dy, dq, s, f, f1, f2):
+    """The minimum-uncertainty ODE residual on the unit state, each term over the whole
+    grid at once, from s = sqrt(1 + k^2 q^4) and f, f', f'' (d/dq) on that grid, for the
+    pair dq = dp sqrt(zeta) and dy = dx / (hbar sqrt(zeta))."""
+    t1 = 4.0 * (1.0 - np.square(q) * (k * k * np.square(q) + s)) * dq**2 * f**2
+    t2 = s**3 * (4.0 * np.square(q) * dy**2 - dq**2 * f1**2)
+    t3 = 2.0 * s**2 * dq * f * (4.0 * q * dq * f1 - s * (2.0 * dy + dq * f2))
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
     return (t1 + t2 + t3) / scale

@@ -189,6 +189,29 @@ class TestVerify:
         assert (code, json.loads(text)["all_passed"]) == (EXIT_OK, True)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("zeta", ["2.3e-306", "2.2250738585072017e-306"])
+    def test_smallest_zeta_in_a_fresh_process_passes(self, zeta):
+        # the grids reach |p| ~ 2.7e155, where p^2 would overflow: any RuntimeWarning is
+        # an error, and the process exits 0 with an empty stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kappa_rup.cli",
+                               "--command", "verify", "--zeta", zeta],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert json.loads(proc.stdout)["all_passed"] is True
+
+    def test_convergence_is_the_same_bits_for_every_zeta_and_hbar(self, tmp_path):
+        # both convergence checks run on the unit state, so neither zeta nor hbar moves a bit
+        names = ("annihilation_convergence", "commutator_convergence")
+        measured = set()
+        for zeta in ("1", "2.3e-306", "1e-300", "7.3", "1e300"):
+            for hbar in ("1", "1e-150"):
+                _, text = run(tmp_path, "--command", "verify", "--zeta", zeta, "--hbar", hbar)
+                checks = json.loads(text)["checks"]
+                measured.add(tuple(c["measured"] for c in checks if c["check_name"] in names))
+        assert len(measured) == 1 and None not in next(iter(measured))
+
     @pytest.mark.parametrize("command", ["verify", "table"])
     @pytest.mark.parametrize("hbar, zeta", [("1e-310", "1"), ("1e300", "1e300")])
     def test_dx_past_the_float_range_exits_2(self, tmp_path, capsys, command, hbar, zeta):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestPsi:
         s = spec_of(0.25)
         slope = (math.log(psi(1e4, s)) - math.log(psi(1e3, s))) / math.log(10.0)
         assert slope == pytest.approx(-4.0, rel=2e-2)
+
+    def test_finite_where_p_squared_overflows(self):
+        # p^2 overflows past |p| ~ 1.3e154; q = p sqrt(zeta) ~ 152 does not (zeta = 1e-306
+        # is below what StateSpec takes). The profile is the unit state's at that q, and
+        # pdf and log_pdf stay finite, with no warning
+        s, unit, p = spec_of(0.3, 2.3e-306), spec_of(0.3), 1e155
+        q = math.sqrt(s.zeta) * p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = psi(p, s) / normalization_constant(s)
+            ref = psi(q, unit) / normalization_constant(unit)
+            log_got = log_pdf(p, s)
+            log_ref = (2.0 * math.log(normalization_constant(s))
+                       + (log_pdf(q, unit) - 2.0 * math.log(normalization_constant(unit))))
+            density = pdf(p, s)
+        assert 0.0 < ref and abs(got - ref) <= 2.0 * math.ulp(ref)
+        assert abs(log_got - log_ref) <= 2.0 * math.ulp(log_got)
+        assert 0.0 < density < math.inf
 
     def test_even_positive_decreasing(self):
         s = spec_of(0.3, 0.8)

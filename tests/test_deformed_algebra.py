@@ -43,8 +43,11 @@ def spec_of(k, z=1.0):
 
 
 def general_family(p, k, z, dx, dp, hbar=1.0, c1=0.0):
-    """(f, f', f'') of the general solution family for the pair (dx, dp)."""
-    return _general_parts(p, k, z, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[1:]
+    """(f, f', f'') of the general solution family for the pair (dx, dp), d/dp: the
+    kernel's d/dq at q = p sqrt(z), times sqrt(z) per derivative."""
+    r = math.sqrt(z)
+    f, f1, f2 = _general_parts(p * r, k, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[2:]
+    return f, r * f1, z * f2
 
 
 class TestDeformationF:
@@ -74,21 +77,20 @@ class TestDeformationF:
             assert f > 1.0
 
     def test_s_within_one_ulp_of_hypot(self):
-        # s = sqrt(1 + x^2), x capped at 2^27, against libm hypot(1, x): over the
-        # float range, on a dense uniform stretch from 0, and at 2^27 and its two
-        # neighbours. k z is exactly 1 or 2 - 2^-52, 2, 2 + 2^-51, so x = k z p^2
-        # is p^2 or exactly 2^27 (1 - 2^-53, 1, 1 + 2^-52); k = 2^-10 keeps
-        # f = s + k x finite
+        # s = sqrt(1 + x^2), x = k q^2 capped at 2^27, against libm hypot(1, x): for q^2
+        # over the float range, on a dense uniform stretch of x from 0, and at 2^27 and its
+        # two neighbours. k = 2^-10 keeps f = s + k x finite; at q = 2^13, k = 2 c for
+        # c = 1 - 2^-53, 1, 1 + 2^-52 makes x exactly 2^27 c
         k = 2.0**-10
-        x = np.concatenate([np.geomspace(1e-300, 1.7e308, 2 * 10**6),
-                            np.linspace(0.0, 1e5, 2 * 10**6)])
-        cases = [(np.sqrt(x), 1.0 / k)] + [
-            (np.array([2.0**13]), 2.0 * c / k)
+        q2 = np.concatenate([np.geomspace(1e-300, 1.7e308, 2 * 10**6),
+                             np.linspace(0.0, 1e5, 2 * 10**6) / k])
+        cases = [(np.sqrt(q2), k)] + [
+            (np.array([2.0**13]), 2.0 * c)
             for c in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
         ]
         with np.errstate(over="raise", invalid="raise"):
-            for p, z in cases:
-                _, x, s, _ = _f_core(p, k, z)
+            for q, k in cases:
+                _, x, s, _ = _f_core(q, k)
                 ref = np.hypot(1.0, x)
                 assert np.all(np.abs(s - ref) <= np.spacing(ref))
 
@@ -368,14 +370,15 @@ class TestCommutatorResidual:
 
     @pytest.mark.parametrize("n", [2**11, 2**14])
     def test_bit_identical_to_operator_composition(self, n):
-        # reference: [x, p] psi composed from apply_position_operator on GridFunctions
+        # reference: [x, p] psi composed from apply_position_operator on GridFunctions at
+        # hbar = 1, the unit state's; the residual is free of hbar, so it is those bits at 1.3
         k, z, hbar = 0.2, 1.0, 1.3
         g = self.build(lambda p: psi(p, spec_of(k, z)), 400.0, n)
         p = g.p_values()
         x_p_psi = apply_position_operator(
-            GridFunction(g.p_min, g.p_max, p * g.samples), ORDER_X3, k, z, hbar)
-        x_psi = apply_position_operator(g, ORDER_X3, k, z, hbar)
-        target = 1j * hbar * deformation_f(p, k, z) * g.samples
+            GridFunction(g.p_min, g.p_max, p * g.samples), ORDER_X3, k, z)
+        x_psi = apply_position_operator(g, ORDER_X3, k, z)
+        target = 1j * deformation_f(p, k, z) * g.samples
         diff = x_p_psi.samples - p * x_psi.samples - target
         ref = (math.sqrt(float(np.sum(np.abs(diff) ** 2)) * g.h)
                / math.sqrt(float(np.sum(np.abs(target) ** 2)) * g.h))
@@ -428,7 +431,9 @@ def test_residual_evaluates_f_once_per_point(monkeypatch, residual):
 class TestBlockedKernelsMatchWholeGrid:
     """The real, blocked kernels against the complex whole-grid forms in
     oracles, on one block, many blocks, and sizes that end in a short block
-    (one point past 2^13 leaves a last block narrower than the stencil)."""
+    (one point past 2^13 leaves a last block narrower than the stencil). The
+    residuals are free of hbar, so at every hbar they are the unit state's
+    (hbar = 1) forms, to the bit."""
 
     def build(self, n, k, hbar, extent=400.0):
         spec = StateSpec(KappaParameter(k), 1.0, hbar)
@@ -439,19 +444,19 @@ class TestBlockedKernelsMatchWholeGrid:
     def test_annihilation_residual(self, n, k, hbar):
         spec, grid, p, f, f1 = self.build(n, k, hbar)
         ref = complex_annihilation_residual(grid.samples.real, p, grid.h, f, f1,
-                                            delta_x(spec), delta_p(spec), hbar)
+                                            delta_x(spec_of(k)), delta_p(spec_of(k)))
         assert annihilation_residual(spec, -400.0, 400.0, n) == ref
 
     def test_commutator_residual_real_state(self, n, k, hbar):
         _, grid, p, f, f1 = self.build(n, k, hbar)
-        ref = complex_commutator_residual(grid.samples, p, grid.h, f, f1, hbar)
+        ref = complex_commutator_residual(grid.samples, p, grid.h, f, f1)
         assert commutator_residual(grid, k, 1.0, hbar) == ref
 
     def test_commutator_residual_complex_state(self, n, k, hbar):
         # the real and imaginary parts' squares add, where complex abs takes hypot
         _, grid, p, f, f1 = self.build(n, k, hbar)
         samples = grid.samples * np.exp(0.3j * p)
-        ref = complex_commutator_residual(samples, p, grid.h, f, f1, hbar)
+        ref = complex_commutator_residual(samples, p, grid.h, f, f1)
         got = commutator_residual(GridFunction(-400.0, 400.0, samples), k, 1.0, hbar)
         assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
 
@@ -466,7 +471,7 @@ class TestBlockedKernelsMatchWholeGrid:
     def test_ode_residual(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
-        ref = whole_grid_ode_residual(p, k, 1.0, dx, dp, hbar, _f_core(p, k, 1.0)[2],
+        ref = whole_grid_ode_residual(p, k, dx / hbar, dp, _f_core(p, k)[2],
                                       *general_family(p, k, 1.0, dx, dp, hbar, 0.0))
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, dx, dp, hbar), ref)
 
@@ -474,14 +479,14 @@ class TestBlockedKernelsMatchWholeGrid:
         # f and f^2 would overflow on a wide grid at kappa = 0 (f ~ exp(z p^2))
         p = np.linspace(-10.0, 10.0, n)
         parts = general_family(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
-        ref = whole_grid_ode_residual(p, k, 1.0, 0.77, 1.21, hbar, _f_core(p, k, 1.0)[2], *parts)
+        ref = whole_grid_ode_residual(p, k, 0.77 / hbar, 1.21, _f_core(p, k)[2], *parts)
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, 0.77, 1.21, hbar, c1=0.05), ref)
 
     def test_ode_residual_with_f_parts(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
         parts = deformation_f_derivatives(p, k, 1.0)
-        ref = whole_grid_ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, _f_core(p, k, 1.0)[2], *parts)
+        ref = whole_grid_ode_residual(p, k, 1.5 * dx / hbar, dp, _f_core(p, k)[2], *parts)
         got = ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, f_parts=parts)
         np.testing.assert_array_equal(got, ref)
 
@@ -567,9 +572,10 @@ class TestOrderingSymmetry:
 
 
 class TestScaleFreeResiduals:
-    """Each residual is a ratio free of hbar, and the ODE's terms are quadratic forms in
-    (hbar dp f, dx): a power-of-two change of those scales keeps every bit, and an hbar
-    or dp far from 1 neither overflows nor divides by zero."""
+    """Each residual runs on the unit state, free of hbar, and the ODE's terms are
+    quadratic forms in (dq f, dy), dq = dp sqrt(zeta), dy = dx / (hbar sqrt(zeta)): a
+    power-of-two change of those scales keeps every bit, and an hbar or dp far from 1
+    neither overflows nor divides by zero."""
 
     @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
     def test_annihilation_and_commutator_ignore_hbar(self, e):
@@ -583,13 +589,40 @@ class TestScaleFreeResiduals:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_annihilation_where_hbar_zeta_leaves_the_float_range(self, scale):
-        # hbar zeta is 1e400 or 1e-400 with dx in range: hbar times psi' would overflow
-        # or underflow, so the residual must equal its value at hbar in [1, 2)
+        # hbar zeta is 1e400 or 1e-400 with dx in range: the residual, free of hbar, is
+        # finite and equals its value at hbar in [1, 2)
         n, bound = 3 * 2**13 + 5, 400.0 / math.sqrt(scale)
         got = annihilation_residual(StateSpec(0.2, scale, scale), -bound, bound, n)
         unit_hbar = math.ldexp(scale, 1 - math.frexp(scale)[1])
         assert math.isfinite(got)
         assert got == annihilation_residual(StateSpec(0.2, scale, unit_hbar), -bound, bound, n)
+
+    @pytest.mark.parametrize("zeta", [2.2250738585072017e-306, 1e-300, 7.3, 1e300])
+    @pytest.mark.parametrize("hbar", [1.0, 1e-150])
+    def test_residuals_at_any_zeta_are_the_unit_states(self, zeta, hbar):
+        # a grid over +-400 / sqrt(zeta) maps to q in +-400 up to the rounding of its ends,
+        # and |p| up to 2.7e155 (p^2 past the float range) raises no warning
+        n, r = 4096, math.sqrt(zeta)
+        spec, unit = StateSpec(0.2, zeta, hbar), spec_of(0.2)
+        p = np.linspace(-400.0 / r, 400.0 / r, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ann = annihilation_residual(spec, -400.0 / r, 400.0 / r, n)
+            grid = GridFunction(-400.0 / r, 400.0 / r, psi(p, spec))
+            comm = commutator_residual(grid, 0.2, zeta, hbar)
+            ode = ode_residual(p, 0.2, zeta, delta_x(spec), delta_p(spec), hbar)
+        q = np.linspace(-400.0, 400.0, n)
+        assert ann == pytest.approx(annihilation_residual(unit, -400.0, 400.0, n), rel=1e-11)
+        unit_grid = GridFunction(-400.0, 400.0, psi(q, unit))
+        assert comm == pytest.approx(commutator_residual(unit_grid, 0.2, 1.0), rel=1e-11)
+        assert np.max(np.abs(ode)) < 1e-9
+
+    def test_ode_pair_past_the_float_range_is_a_domain_error(self):
+        # dq = 1e300 and dy = 1e-300 lie further apart than the float range spans
+        p = np.linspace(-5.0, 5.0, 20)
+        ones = np.ones_like(p)
+        with pytest.raises(DomainError, match="leave the float range"):
+            ode_residual(p, 0.2, 1.0, 1e-300, 1e300, f_parts=(ones, 0 * ones, 0 * ones))
 
     @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
     @pytest.mark.parametrize("c1", [0.0, 0.05])

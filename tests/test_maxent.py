@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,20 +173,37 @@ class TestFit:
         tight = fit_kappa_exponential(maxent_solve(problem(0.2), 1e-12), np.arange(5.0))
         assert abs(loose.max_residual - tight.max_residual) < 1e-6
 
-    def test_stalled_fit_stops_where_it_repeats(self, monkeypatch):
-        # after 57 steps b sits one ulp below the bracket's top and bisects to itself:
-        # the fit it would hold to the 100-step cap, after 1 + 57 kappa_exp calls
-        from kappa_rup import maxent
-
-        calls = []
-        monkeypatch.setattr(maxent, "kappa_exp", lambda *a: calls.append(a) or kappa_exp(*a))
+    def test_fit_past_the_first_bracket_is_a_stationary_minimum(self):
+        # a strongly deformed case whose ssq falls past the first bracket b0 +- 10 (|b0| +
+        # 1/(E_max - E_min)), all the way to b -> infinity: exp_k(-b E) tends to a multiple
+        # of E^(-1/k). A fit held to that bracket returns its edge, b = 4.4507, where
+        # b d(ssq)/db = -0.013 ssq; the widened fit stops where ssq is flat to rounding.
+        # Scored at 40 digits: no slope, and no b from b/2 to 10 b lower by more than 1e-12
         e = np.random.default_rng(186718646).uniform(0.0, 10.0, 5)
         mean = e.min() + 0.1915910722514954 * (e.max() - e.min())
-        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(0.8518456536968337)))
-        fit = fit_kappa_exponential(sol, e)
-        assert (fit.amplitude.hex(), fit.beta_fit.hex(), fit.max_residual.hex()) == (
-            "0x1.0612835ced38fp+4", "0x1.1cd79a6cd747ap+2", "0x1.4fe1d6046d990p-2")
-        assert len(calls) == 58
+        k = 0.8518456536968337
+        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(k)))
+        b, n = fit_kappa_exponential(sol, e).beta_fit, sol.distribution
+        ssq = mp_fit_ssq(b, n, e, k)
+        slope = (mp_fit_ssq(b * (1 + 1e-6), n, e, k) - mp_fit_ssq(b * (1 - 1e-6), n, e, k)) / 2e-6
+        assert abs(slope) <= 1e-12 * ssq
+        for factor in (0.5, 2.0, 10.0):
+            assert ssq <= mp_fit_ssq(factor * b, n, e, k) * (1 + 1e-12)
+
+    def test_widened_bracket_keeps_u_in_the_float_range(self):
+        # a hot, near-classical case (mean at 98.8% of the span) whose ssq keeps falling as
+        # b -> -infinity: the bracket widens only while exp_k(-b E) stays within e^+-300, so
+        # u.u neither overflows nor warns, and the fit scores below the first bracket's edge
+        e = np.random.default_rng(3701058395).uniform(0.0, 10.0, 36)
+        mean = e.min() + 0.987938295686977 * (e.max() - e.min())
+        k = 0.02666007811736739
+        sol = maxent_solve(MaxEntProblem(e, mean, KappaParameter(k)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_kappa_exponential(sol, e)
+        assert all(math.isfinite(v) for v in (fit.amplitude, fit.beta_fit, fit.max_residual))
+        n = sol.distribution
+        assert mp_fit_ssq(fit.beta_fit, n, e, k) < mp_fit_ssq(-42.94470472157211, n, e, k)
 
     def test_shape_mismatch(self):
         sol = maxent_solve(problem(0.2), 1e-12)
