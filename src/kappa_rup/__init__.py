@@ -30,7 +30,7 @@ _ORIGIN = {name: module for module, names in {
                         "deformation_f ode_residual ordering_weight robertson_bound",
     "kinematics": "ParticleFrame aux_energy physical_map",
     "maxent": "MaxEntProblem MaxEntSolution fit_kappa_exponential kaniadakis_entropy maxent_solve",
-    "phenomenology": "PhenoConfig Quantity effective_alpha effective_hbar "
+    "phenomenology": "PhenoConfig effective_alpha effective_hbar "
                      "gac_match_zeta kappa_bound landau_zeta minimal_length putra_bound",
 }.items() for name in names.split()}
 

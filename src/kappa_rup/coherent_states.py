@@ -57,11 +57,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import KappaLike, _asinh_k, as_kappa, elementwise
-from .params import StateSpec
+from .kappa_math import _asinh_k, elementwise
+from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
-    "StateSpec", "MomentReport", "normalization_constant", "psi", "pdf", "log_pdf",
+    "MomentReport", "normalization_constant", "psi", "pdf", "log_pdf",
     "second_moment", "second_moment_excess", "delta_p", "delta_x", "f_expectation", "f_excess",
     "f_expectation_quadrature", "quadrature_moment", "tail_exponent_estimate",
     "moment_report",
@@ -215,8 +215,9 @@ def delta_x(spec: StateSpec) -> float:
 
 
 def _ln_f(kappa: KappaLike) -> float:
-    k = as_kappa(kappa).value
-    if k >= 2.0 / 3.0:
+    kappa = as_kappa(kappa)
+    k = kappa.value
+    if not kappa.moment_safe:
         raise DomainError(f"F(kappa) requires kappa < 2/3, got {k}")
     return _LN_P2(k) + math.log1p(-k * k)
 

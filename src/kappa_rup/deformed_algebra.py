@@ -48,13 +48,12 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .coherent_states import StateSpec
 from .coherent_states import delta_p as state_delta_p
 from .coherent_states import delta_x as state_delta_x
 from .coherent_states import psi as state_psi
 from .errors import DomainError
-from .kappa_math import KappaLike, as_kappa, elementwise, kappa_exp
-from .phenomenology import minimal_length  # re-exported: the one definition is numpy-free
+from .kappa_math import elementwise, kappa_exp
+from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
     "OrderingParameter",
@@ -65,7 +64,6 @@ __all__ = [
     "deformation_f",
     "deformation_f_derivatives",
     "robertson_bound",
-    "minimal_length",
     "ordering_weight",
     "convert_ordering",
     "apply_position_operator",

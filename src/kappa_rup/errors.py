@@ -17,10 +17,6 @@ class BelowMinimalLengthError(DomainError):
     """A position uncertainty below the minimal length hbar*kappa*sqrt(zeta)."""
 
 
-class UnitMismatchError(KappaRupError, ValueError):
-    """A tagged quantity was passed with the wrong unit."""
-
-
 class InfeasibleMeanError(KappaRupError, ValueError):
     """The requested mean energy is not strictly inside the energy range."""
 

@@ -1,4 +1,4 @@
-"""Deformed exponential/logarithm primitives and the kappa parameter (from params).
+"""Deformed exponential/logarithm primitives and log-Gamma ratios.
 
 The one-parameter deformation of the exponential,
 
@@ -31,10 +31,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-# the kappa parameter's names, re-exported from params
-from .params import MOMENT_SAFE_LIMIT, KappaLike, KappaParameter, as_kappa
+from .params import KappaLike, as_kappa
 
-__all__ = ["KappaParameter", "kappa_exp", "kappa_log", "log_gamma", "gamma_ratio"]
+__all__ = ["kappa_exp", "kappa_log", "log_gamma", "gamma_ratio"]
 
 # math.lgamma (libm) applied elementwise; numpy has no log-Gamma ufunc
 _lgamma = np.vectorize(math.lgamma, otypes=[float])

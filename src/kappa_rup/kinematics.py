@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kappa_math import KappaLike, KappaParameter, as_kappa, elementwise
+from .kappa_math import elementwise
+from .params import KappaLike, KappaParameter, as_kappa
 
 __all__ = [
     "ParticleFrame",

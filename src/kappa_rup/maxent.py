@@ -35,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleMeanError, NonConvergenceError
-from .kappa_math import KappaLike, KappaParameter, _asinh_k, _sinh_k, as_kappa, kappa_exp, kappa_log
+from .kappa_math import _asinh_k, _sinh_k, kappa_exp, kappa_log
+from .params import KappaLike, KappaParameter, as_kappa
 
 __all__ = [
     "MaxEntProblem",
@@ -82,14 +83,6 @@ class MaxEntProblem:
             "mean_energy": self.mean_energy,
             "kappa": self.kappa.value,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MaxEntProblem":
-        return cls(
-            energies=np.asarray(data["energies"], dtype=float),
-            mean_energy=float(data["mean_energy"]),
-            kappa=as_kappa(data["kappa"]),
-        )
 
 
 @dataclass(frozen=True)

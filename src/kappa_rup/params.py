@@ -1,8 +1,7 @@
 """Validated parameters: the deformation kappa and a kappa-Gaussian state.
 
 Plain Python, so that phenomenology, the command line's argument checks and
-its config errors run without numpy. kappa_math and coherent_states
-re-export these names.
+its config errors run without numpy.
 """
 
 import math

@@ -15,11 +15,9 @@ and demanding the shift stay below the experimental resolution of
 1/alpha = 137.035999206(11) bounds k sqrt(z), and, once the momentum
 scale 1/sqrt(z) is fixed, k itself.
 
-Units are MeV-based throughout: momenta in MeV/c, lengths in
-(MeV/c)^-1 (natural units, hbar = c = 1 by default), with
-hbar c = 197.3269804 MeV fm available for metric conversions. Values
-may be passed as plain floats in those units or wrapped in Quantity
-tags; a tag with the wrong unit raises UnitMismatchError.
+Every input is a plain float in MeV-based units: momenta in MeV/c,
+lengths in (MeV/c)^-1, zeta in (MeV/c)^-2, masses in MeV/c^2 and
+speeds in units of c (natural units, hbar = c = 1 by default).
 """
 
 from __future__ import annotations
@@ -27,17 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Union
 
-from .errors import BelowMinimalLengthError, DomainError, UnitMismatchError
+from .errors import BelowMinimalLengthError, DomainError
 from .params import KappaLike, as_kappa
 
 __all__ = [
-    "Quantity",
-    "UNIT_MOMENTUM",
-    "UNIT_LENGTH",
-    "UNIT_INV_MOMENTUM_SQ",
-    "UNIT_SPEED",
     "PhenoConfig",
     "AlphaShift",
     "KappaBound",
@@ -51,31 +43,7 @@ __all__ = [
     "putra_bound",
 ]
 
-UNIT_MOMENTUM = "MeV/c"
-UNIT_LENGTH = "(MeV/c)^-1"
-UNIT_INV_MOMENTUM_SQ = "(MeV/c)^-2"
-UNIT_SPEED = "c"
-UNIT_MASS = "MeV/c^2"
-
 ZETA_FIXINGS = ("characteristic-momentum", "landau", "gac")
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with its unit string."""
-
-    value: float
-    unit: str
-
-
-def _value_in(x: Union[float, Quantity], unit: str, name: str) -> float:
-    if isinstance(x, Quantity):
-        if x.unit != unit:
-            raise UnitMismatchError(
-                f"{name} expects unit {unit!r}, got {x.unit!r}"
-            )
-        return float(x.value)
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -97,7 +65,6 @@ class PhenoConfig:
     hbar: float = 1.0
     c: float = 1.0
     electron_mass: float = 0.511              # MeV/c^2
-    hbar_c_mev_fm: float = 197.3269804
     zeta_fixing: str = "characteristic-momentum"
 
     def __post_init__(self):
@@ -175,12 +142,10 @@ class PutraBound:
     expansion_first_order: float
 
 
-def effective_hbar(delta_p, kappa: KappaLike, zeta, hbar: float = 1.0) -> float:
+def effective_hbar(delta_p: float, kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     """hbar_eff = hbar (1 + kappa^2 zeta dp^2)."""
-    dp = _value_in(delta_p, UNIT_MOMENTUM, "delta_p")
-    z = _value_in(zeta, UNIT_INV_MOMENTUM_SQ, "zeta")
     k = as_kappa(kappa).value
-    return hbar * (1.0 + k * k * z * dp * dp)
+    return hbar * (1.0 + k * k * zeta * delta_p * delta_p)
 
 
 def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
@@ -188,21 +153,19 @@ def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     return hbar * as_kappa(kappa).value * math.sqrt(zeta)
 
 
-def effective_alpha(a0, kappa: KappaLike, zeta, config: PhenoConfig) -> AlphaShift:
+def effective_alpha(a0: float, kappa: KappaLike, zeta: float, config: PhenoConfig) -> AlphaShift:
     """Effective fine-structure constant for position uncertainty a0.
 
     Exact form alpha (1 + sqrt(1 - r)) / 2 with r = hbar^2 k^2 z / a0^2,
     returned together with the (negative) shift delta_alpha computed
     cancellation-free; at leading order delta_alpha ~ -alpha r / 4.
     """
-    a0_val = _value_in(a0, UNIT_LENGTH, "a0")
-    z = _value_in(zeta, UNIT_INV_MOMENTUM_SQ, "zeta")
     k = as_kappa(kappa).value
     alpha = config.alpha
-    r = (config.hbar * k / a0_val) ** 2 * z
+    r = (config.hbar * k / a0) ** 2 * zeta
     if r > 1.0:
         raise BelowMinimalLengthError(
-            f"a0={a0_val} below minimal length hbar*kappa*sqrt(zeta)"
+            f"a0={a0} below minimal length hbar*kappa*sqrt(zeta)"
         )
     delta = -alpha * r / (2.0 * (1.0 + math.sqrt(1.0 - r)))
     return AlphaShift(alpha_eff=alpha + delta, delta_alpha=delta)
@@ -225,31 +188,30 @@ def kappa_bound(config: PhenoConfig) -> KappaBound:
     return KappaBound(bound_kappa_sqrt_zeta=bound_ksz, bound_kappa=bound_k)
 
 
-def landau_zeta(kappa: KappaLike, m, c: float = 1.0) -> float:
+def landau_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     """zeta fixed so the minimal length equals the Compton wavelength:
     sqrt(zeta) = 1/(kappa m c)."""
     k = as_kappa(kappa).value
     if k <= 0.0:
         raise DomainError("landau_zeta requires kappa > 0")
-    t = 1.0 / (k * _value_in(m, UNIT_MASS, "m") * c)
+    t = 1.0 / (k * m * c)
     return t * t
 
 
-def gac_match_zeta(kappa: KappaLike, m, c: float = 1.0) -> float:
+def gac_match_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     """zeta = 3/(4 kappa^2 m^2 c^2), matching the dispersion-based
     squared relation 1 + (3/2) dp^2/(m c)^2 at leading order."""
     return 0.75 * landau_zeta(kappa, m, c)
 
 
-def putra_bound(v_g, c: float = 1.0, hbar: float = 1.0) -> PutraBound:
+def putra_bound(v_g: float, c: float = 1.0, hbar: float = 1.0) -> PutraBound:
     """Velocity-dependent bound (hbar/2) gamma^2(v_g) and its weakly
     relativistic expansion (hbar/2)(1 + v_g^2/c^2)."""
-    v = _value_in(v_g, UNIT_SPEED, "v_g")
-    if not abs(v) < c:
-        raise DomainError(f"|v_g| must be below c, got {v}")
-    beta_sq = (v / c) ** 2
-    gamma_sq = 1.0 / ((1.0 - v / c) * (1.0 + v / c))
+    if not abs(v_g) < c:
+        raise DomainError(f"|v_g| must be below c, got {v_g}")
+    beta = v_g / c
+    gamma_sq = 1.0 / ((1.0 - beta) * (1.0 + beta))
     return PutraBound(
         bound=0.5 * hbar * gamma_sq,
-        expansion_first_order=0.5 * hbar * (1.0 + beta_sq),
+        expansion_first_order=0.5 * hbar * (1.0 + beta * beta),
     )

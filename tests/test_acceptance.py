@@ -12,7 +12,6 @@ import pytest
 
 from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from kappa_rup.coherent_states import (
-    StateSpec,
     delta_p,
     delta_x,
     f_expectation,
@@ -31,15 +30,21 @@ from kappa_rup.deformed_algebra import (
     commutator_residual,
     convert_ordering,
     deformation_f,
-    minimal_length,
     ode_residual,
     ordering_weight,
 )
 from kappa_rup.errors import DivergentIntegralError, DomainError
-from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.kinematics import ParticleFrame, physical_map
 from kappa_rup.maxent import MaxEntProblem, fit_kappa_exponential, maxent_solve
-from kappa_rup.phenomenology import PhenoConfig, gac_match_zeta, kappa_bound, landau_zeta, putra_bound
+from kappa_rup.params import KappaParameter, StateSpec
+from kappa_rup.phenomenology import (
+    PhenoConfig,
+    gac_match_zeta,
+    kappa_bound,
+    landau_zeta,
+    minimal_length,
+    putra_bound,
+)
 
 from oracles import brute_force_maxent, gibbs_reference
 

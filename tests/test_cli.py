@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _f17, _gibbs_distribution, main
-from kappa_rup.coherent_states import StateSpec, normalization_constant, psi
-from kappa_rup.kappa_math import KappaParameter
+from kappa_rup.coherent_states import normalization_constant, psi
+from kappa_rup.params import KappaParameter, StateSpec
 
 from oracles import gibbs_reference
 
@@ -370,6 +370,16 @@ class TestBoundAlpha:
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_hbar_c_is_no_pheno_key(self, tmp_path, capsys):
+        # nothing reads hbar c, so a config file cannot set it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pheno": {"hbar_c_mev_fm": 197.3}}))
+        code, text = run(tmp_path, "--command", "bound-alpha", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert text == ""
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("config error:") and "hbar_c_mev_fm" in first
 
 
 class TestMaxentDemo:

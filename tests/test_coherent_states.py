@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kappa_rup.coherent_states import (
     MomentReport,
-    StateSpec,
     delta_p,
     delta_x,
     f_expectation,
@@ -25,7 +24,7 @@ from kappa_rup.coherent_states import (
 )
 from kappa_rup import coherent_states
 from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
-from kappa_rup.kappa_math import KappaParameter
+from kappa_rup.params import KappaParameter, StateSpec
 
 from oracles import mp_moment, mp_state, plain_double_exponential, quadpack_moment
 from test_small_kappa import KAPPAS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_rup.coherent_states import StateSpec, delta_p, delta_x, f_expectation, f_expectation_quadrature, psi
+from kappa_rup.coherent_states import delta_p, delta_x, f_expectation, f_expectation_quadrature, psi
 from kappa_rup.deformed_algebra import (
     ORDER_X1,
     ORDER_X2,
@@ -19,14 +19,13 @@ from kappa_rup.deformed_algebra import (
     convert_ordering,
     deformation_f,
     deformation_f_derivatives,
-    minimal_length,
     ode_residual,
     ordering_weight,
     robertson_bound,
 )
 from kappa_rup.errors import DomainError
-from kappa_rup.kappa_math import KappaParameter
-from kappa_rup.phenomenology import landau_zeta
+from kappa_rup.params import KappaParameter, StateSpec
+from kappa_rup.phenomenology import landau_zeta, minimal_length
 
 from kappa_rup.deformed_algebra import _f_core, _general_parts
 from oracles import (

@@ -7,7 +7,7 @@ Python float; a 1-d array gives an ndarray of the same shape.
 import numpy as np
 import pytest
 
-from kappa_rup.coherent_states import StateSpec, log_pdf, pdf, psi
+from kappa_rup.coherent_states import log_pdf, pdf, psi
 from kappa_rup.deformed_algebra import (
     deformation_f,
     deformation_f_derivatives,
@@ -16,6 +16,7 @@ from kappa_rup.deformed_algebra import (
 )
 from kappa_rup.kappa_math import gamma_ratio, kappa_exp, kappa_log, log_gamma
 from kappa_rup.kinematics import aux_energy
+from kappa_rup.params import StateSpec
 
 SPEC = StateSpec(0.2, 1.3)
 

@@ -6,15 +6,17 @@ Every test of what is loaded runs in a fresh interpreter, because
 sys.modules is shared by the whole test process.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import kappa_rup
-from kappa_rup import coherent_states, kappa_math, params
 from kappa_rup.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -136,15 +138,31 @@ def test_unknown_name_is_an_attribute_error():
         kappa_rup.no_such_name
 
 
-@pytest.mark.parametrize("name", ["KappaParameter", "KappaLike", "as_kappa",
-                                  "MOMENT_SAFE_LIMIT"])
-def test_kappa_math_reexports_the_parameter_names(name):
-    assert getattr(kappa_math, name) is getattr(params, name)
+def public_lists():
+    # the __all__ of each kappa_rup module that has one
+    modules = (importlib.import_module(f"kappa_rup.{info.name}")
+               for info in pkgutil.iter_modules(kappa_rup.__path__))
+    return {m.__name__.rpartition(".")[2]: m.__all__ for m in modules if hasattr(m, "__all__")}
 
 
-def test_coherent_states_reexports_the_state():
-    assert coherent_states.StateSpec is params.StateSpec
-    assert kappa_rup.StateSpec is params.StateSpec
+@pytest.mark.parametrize("module_name", sorted(set(kappa_rup._ORIGIN.values())))
+def test_public_names_have_one_home(module_name):
+    # a name in this module's __all__ is in no other module's, and a listed class or
+    # function is defined here rather than imported
+    lists = public_lists()
+    module = importlib.import_module(f"kappa_rup.{module_name}")
+    shared = {n: other for other, names in lists.items() if other != module_name
+              for n in names if n in lists[module_name]}
+    assert shared == {}
+    defs = {n: getattr(module, n) for n in lists[module_name]}
+    imported = [n for n, obj in defs.items() if (inspect.isclass(obj) or inspect.isfunction(obj))
+                and obj.__module__ != module.__name__]
+    assert imported == []
+
+
+def test_package_names_resolve_to_the_module_that_lists_them():
+    lists = public_lists()
+    assert {n: m for n, m in kappa_rup._ORIGIN.items() if n not in lists.get(m, ())} == {}
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from kappa_rup.errors import DomainError
 from kappa_rup.kappa_math import (
-    KappaParameter,
     gamma_ratio,
     kappa_exp,
     kappa_log,
     log_gamma,
 )
+from kappa_rup.params import KappaParameter
 
 mp.mp.dps = 40
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_rup.errors import DomainError
-from kappa_rup.kappa_math import KappaParameter
 from kappa_rup.kinematics import ParticleFrame, aux_energy, physical_map
+from kappa_rup.params import KappaParameter
 
 
 def frame(k, m=1.0, c=1.0):

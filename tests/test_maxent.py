@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from kappa_rup.errors import DomainError, InfeasibleMeanError
-from kappa_rup.kappa_math import KappaParameter, kappa_exp, kappa_log
+from kappa_rup.kappa_math import kappa_exp, kappa_log
 from kappa_rup.maxent import (
     MaxEntProblem,
     fit_kappa_exponential,
     kaniadakis_entropy,
     maxent_solve,
 )
+from kappa_rup.params import KappaParameter
 
 from oracles import bounded_fit_beta, brute_force_maxent, gibbs_reference, mp_fit_ssq
 
@@ -66,7 +67,9 @@ class TestProblemValidation:
 
     def test_json_round_trip(self):
         p = problem(0.2)
-        q = MaxEntProblem.from_json_dict(p.to_json_dict())
+        # the document's problem section, rebuilt through the constructor
+        data = p.to_json_dict()
+        q = MaxEntProblem(data["energies"], data["mean_energy"], data["kappa"])
         assert np.allclose(q.energies, p.energies)
         assert q.mean_energy == p.mean_energy
         assert q.kappa.value == p.kappa.value

@@ -3,15 +3,10 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from kappa_rup.errors import BelowMinimalLengthError, DomainError, UnitMismatchError
+from kappa_rup.errors import BelowMinimalLengthError, DomainError
 from kappa_rup.phenomenology import (
-    UNIT_INV_MOMENTUM_SQ,
-    UNIT_LENGTH,
-    UNIT_MOMENTUM,
-    UNIT_SPEED,
     ZETA_FIXINGS,
     PhenoConfig,
-    Quantity,
     effective_alpha,
     effective_hbar,
     gac_match_zeta,
@@ -20,6 +15,10 @@ from kappa_rup.phenomenology import (
     minimal_length,
     putra_bound,
 )
+
+
+# hbar c in MeV fm, to convert natural-unit lengths to femtometres
+HBAR_C_MEV_FM = 197.3269804
 
 
 class TestEffectiveHbar:
@@ -31,15 +30,7 @@ class TestEffectiveHbar:
 
     def test_direct(self):
         assert effective_hbar(2.0, 0.1, 1.0, 1.0) == pytest.approx(1.04, rel=1e-14)
-
-    def test_unit_tags(self):
-        assert effective_hbar(
-            Quantity(2.0, UNIT_MOMENTUM), 0.1, Quantity(1.0, UNIT_INV_MOMENTUM_SQ)
-        ) == pytest.approx(1.04, rel=1e-14)
-        with pytest.raises(UnitMismatchError):
-            effective_hbar(Quantity(2.0, "MeV"), 0.1, 1.0)
-        with pytest.raises(UnitMismatchError):
-            effective_hbar(2.0, 0.1, Quantity(1.0, UNIT_LENGTH))
+        assert effective_hbar(2.0, 0.1, 1.0) == pytest.approx(1.04, rel=1e-14)
 
 
 class TestEffectiveAlpha:
@@ -166,6 +157,7 @@ class TestKappaBound:
 class TestZetaFixings:
     def test_landau_direct(self):
         assert landau_zeta(0.1, 1.0, 1.0) == pytest.approx(100.0, rel=1e-14)
+        assert landau_zeta(0.1, 1.0) == pytest.approx(100.0, rel=1e-14)
 
     def test_landau_requires_positive_kappa(self):
         with pytest.raises(DomainError):
@@ -175,15 +167,6 @@ class TestZetaFixings:
         k, me = 1e-5, 0.511
         assert math.sqrt(landau_zeta(k, me)) == pytest.approx(1.0 / (k * me), rel=1e-12)
         assert math.sqrt(landau_zeta(k, me)) == pytest.approx(195694.7, rel=1e-6)
-
-    def test_mass_unit_tag(self):
-        from kappa_rup.phenomenology import UNIT_MASS
-
-        assert landau_zeta(0.1, Quantity(1.0, UNIT_MASS)) == pytest.approx(100.0, rel=1e-14)
-        with pytest.raises(UnitMismatchError):
-            landau_zeta(0.1, Quantity(1.0, UNIT_MOMENTUM))
-        with pytest.raises(UnitMismatchError):
-            gac_match_zeta(0.1, Quantity(1.0, "kg"))
 
     def test_gac_direct(self):
         assert gac_match_zeta(0.5, 1.0, 1.0) == pytest.approx(3.0, rel=1e-15)
@@ -232,11 +215,6 @@ class TestPutra:
         with pytest.raises(DomainError):
             putra_bound(v)
 
-    def test_unit_tag(self):
-        assert putra_bound(Quantity(0.0, UNIT_SPEED)).bound == 0.5
-        with pytest.raises(UnitMismatchError):
-            putra_bound(Quantity(0.5, UNIT_MOMENTUM))
-
 
 class TestConfig:
     def test_defaults_documented(self):
@@ -244,12 +222,11 @@ class TestConfig:
         assert cfg.alpha_inverse == 137.035999206
         assert cfg.alpha_inverse_uncertainty == 1.1e-8
         assert cfg.characteristic_momentum == 3.7e-3
-        assert cfg.hbar_c_mev_fm == 197.3269804
 
     def test_bohr_radius_metric_value(self):
         # a0 = hbar c / (p c) ~ 0.53 angstrom for the hydrogen scale
         cfg = PhenoConfig()
-        a0_fm = cfg.bohr_radius * cfg.hbar_c_mev_fm
+        a0_fm = cfg.bohr_radius * HBAR_C_MEV_FM
         assert a0_fm == pytest.approx(5.33e4, rel=2e-3)
 
     def test_delta_alpha_propagation(self):
