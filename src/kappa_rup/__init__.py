@@ -3,7 +3,7 @@
 Library layout:
 
   params            the validated kappa parameter and state (numpy-free)
-  kappa_math        deformed exp/log, log-Gamma, Gamma ratios
+  kappa_math        deformed exp/log and the scalar/array decorator
   coherent_states   kappa-Gaussian states, moments, quadrature oracles
   deformed_algebra  deformation f(p) and its derivatives, operator orderings, residuals
   kinematics        the auxiliary energy and the physical scaling map
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # each public name, by the module that defines it
 _ORIGIN = {name: module for module, names in {
     "params": "KappaParameter StateSpec",
-    "kappa_math": "gamma_ratio kappa_exp kappa_log log_gamma",
+    "kappa_math": "kappa_exp kappa_log",
     "coherent_states": "MomentReport delta_p delta_x f_excess f_expectation moment_report "
                        "normalization_constant pdf psi quadrature_moment second_moment "
                        "second_moment_excess tail_exponent_estimate",

@@ -1,4 +1,4 @@
-"""Deformed exponential/logarithm primitives and log-Gamma ratios.
+"""Deformed exponential and logarithm primitives.
 
 The one-parameter deformation of the exponential,
 
@@ -20,23 +20,20 @@ cancellation of the naive power form.
 
 _asinh_k and _sinh_k hold those exponents and their k -> 0 limits for every module,
 in their classical form at k == 0 only; a subnormal k, whose k y would lose its low
-bits, is stored as 0. gamma_ratio takes exp(lgamma(a) - lgamma(b)), safe past Gamma's overflow.
+bits, is stored as 0. elementwise is the scalar/array decorator shared by the
+package's elementwise functions.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .errors import DomainError
 from .params import KappaLike, as_kappa
 
-__all__ = ["kappa_exp", "kappa_log", "log_gamma", "gamma_ratio"]
-
-# math.lgamma (libm) applied elementwise; numpy has no log-Gamma ufunc
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+__all__ = ["kappa_exp", "kappa_log"]
 
 
 def _asinh_k(x, k: float):
@@ -81,30 +78,3 @@ def kappa_log(y, kappa: KappaLike):
     if np.any(~(y > 0.0)):
         raise DomainError("kappa_log requires y > 0")
     return _sinh_k(np.log(y), k)
-
-
-@elementwise
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (scalar or array).
-
-    Validated front for libm's lgamma; relative accuracy is a few ulp
-    across (0, 1e4], far inside the 1e-12 budget needed by the moment
-    formulas. Negative arguments are out of scope: every Gamma argument
-    reachable from kappa < 1 is positive.
-    """
-    if np.any(~(x > 0.0)):
-        raise DomainError("log_gamma requires x > 0")
-    return _lgamma(x)
-
-
-@elementwise
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) via exp(lgamma(a) - lgamma(b)), a, b > 0.
-
-    Safe where the direct ratio overflows (a, b ~ 1/(2 kappa) for small
-    kappa).
-    """
-    b = np.asarray(b, dtype=float)
-    if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
-        raise DomainError("gamma_ratio requires a > 0 and b > 0")
-    return np.exp(_lgamma(a) - _lgamma(b))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kappa_math import elementwise
-from .params import KappaLike, KappaParameter, as_kappa
+from .params import KappaLike, KappaParameter, as_kappa, positive_float
 
 __all__ = [
     "ParticleFrame",
@@ -51,10 +51,8 @@ class ParticleFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", as_kappa(self.kappa))
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise DomainError(f"mass must be > 0, got {self.mass!r}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise DomainError(f"c must be > 0, got {self.c!r}")
+        for name in ("mass", "c"):
+            object.__setattr__(self, name, positive_float(name, getattr(self, name)))
         if self.kappa.value <= 0.0:
             raise DomainError("ParticleFrame requires kappa > 0")
 

@@ -20,10 +20,16 @@ and the solver reduces to a damped Newton iteration on the two
 multipliers alone. For k = 0 everything collapses to the Gibbs
 exponential n = exp(y - 1).
 
-The maximizer is proportional to the deformed Boltzmann factor
-exp_k(-beta E_i) exactly at k = 0 and approximately for k > 0;
-fit_kappa_exponential quantifies the discrepancy instead of asserting
-it away.
+That inverse is Kaniadakis's canonical distribution (Phys. Rev. E 66,
+056125 (2002)): the maximizer is exactly the deformed exponential of an
+affine function of the energy,
+
+    n_i = alpha exp_k(-(lam0 + lam1 E_i) / lambda),
+    lambda = sqrt(1 - k^2),   alpha = exp(-atanh(k) / k),
+
+with alpha -> 1/e as k -> 0. For k > 0 it is in general no multiple
+A exp_k(-b E_i) of the deformed Boltzmann factor; fit_kappa_exponential
+measures how far the best such multiple lies from it.
 """
 
 from __future__ import annotations

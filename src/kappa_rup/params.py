@@ -5,13 +5,15 @@ its config errors run without numpy.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
 
-__all__ = ["MOMENT_SAFE_LIMIT", "KappaParameter", "KappaLike", "as_kappa", "StateSpec"]
+__all__ = ["MOMENT_SAFE_LIMIT", "KappaParameter", "KappaLike", "as_kappa", "positive_float",
+           "StateSpec"]
 
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
 
@@ -47,6 +49,18 @@ def as_kappa(kappa: KappaLike) -> KappaParameter:
     return KappaParameter(float(kappa))
 
 
+def positive_float(name: str, value) -> float:
+    """``value`` as a float: a finite real number > 0, and not a bool. DomainError
+    otherwise."""
+    try:
+        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else 0.0
+    except OverflowError:   # an int past the float range
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"{name} must be > 0, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """One kappa-Gaussian state: (kappa, zeta, hbar), zeta > 0, hbar > 0."""
@@ -58,10 +72,7 @@ class StateSpec:
     def __post_init__(self):
         object.__setattr__(self, "kappa", as_kappa(self.kappa))
         for name in ("zeta", "hbar"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_float(name, getattr(self, name)))
         # <p^2> is 1/(2 zeta) at kappa 0, 400/zeta by kappa ~ 0.6663 and unbounded as
         # kappa -> 2/3: a zeta whose 400/zeta overflows is rejected as input, and
         # second_moment raises where <p^2> itself overflows

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .errors import BelowMinimalLengthError, DomainError
-from .params import KappaLike, as_kappa
+from .params import KappaLike, as_kappa, positive_float
 
 __all__ = [
     "PhenoConfig",
@@ -69,12 +69,8 @@ class PhenoConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name == "zeta_fixing":
-                continue
-            v = getattr(self, f.name)
-            # a bool is no number; a huge int would overflow float arithmetic later
-            if type(v) is bool or not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
-                raise DomainError(f"PhenoConfig.{f.name} must be a positive number")
+            if f.name != "zeta_fixing":
+                positive_float(f"PhenoConfig.{f.name}", getattr(self, f.name))
         if not 0.0 < 1.0 / self.alpha_inverse < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
         # the largest shift is alpha / 2: a resolution rho alpha past it bounds nothing
@@ -145,11 +141,13 @@ class PutraBound:
 def effective_hbar(delta_p: float, kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     """hbar_eff = hbar (1 + kappa^2 zeta dp^2)."""
     k = as_kappa(kappa).value
+    zeta, hbar = positive_float("zeta", zeta), positive_float("hbar", hbar)
     return hbar * (1.0 + k * k * zeta * delta_p * delta_p)
 
 
 def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
     """Minimal position uncertainty hbar kappa sqrt(zeta)."""
+    zeta, hbar = positive_float("zeta", zeta), positive_float("hbar", hbar)
     return hbar * as_kappa(kappa).value * math.sqrt(zeta)
 
 
@@ -161,6 +159,7 @@ def effective_alpha(a0: float, kappa: KappaLike, zeta: float, config: PhenoConfi
     cancellation-free; at leading order delta_alpha ~ -alpha r / 4.
     """
     k = as_kappa(kappa).value
+    a0, zeta = positive_float("a0", a0), positive_float("zeta", zeta)
     alpha = config.alpha
     r = (config.hbar * k / a0) ** 2 * zeta
     if r > 1.0:
@@ -194,8 +193,13 @@ def landau_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     k = as_kappa(kappa).value
     if k <= 0.0:
         raise DomainError("landau_zeta requires kappa > 0")
-    t = 1.0 / (k * m * c)
-    return t * t
+    kmc = k * positive_float("m", m) * positive_float("c", c)
+    t = 1.0 / kmc if kmc > 0.0 else math.inf
+    zeta = t * t
+    if not 0.0 < zeta <= sys.float_info.max:
+        raise DomainError(f"zeta = 1/(kappa m c)^2 is out of the float range at "
+                          f"kappa={k!r}, m={m!r}, c={c!r}")
+    return zeta
 
 
 def gac_match_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:

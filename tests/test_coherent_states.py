@@ -35,7 +35,8 @@ def spec_of(k, z=1.0, hbar=1.0):
 
 
 class TestStateSpec:
-    @pytest.mark.parametrize("z,hb", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("z,hb", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (True, 1.0), (1.0, True), (1.0, False)])
     def test_validation(self, z, hb):
         with pytest.raises(DomainError):
             StateSpec(KappaParameter(0.1), z, hb)

@@ -14,7 +14,7 @@ from kappa_rup.deformed_algebra import (
     ode_residual,
     ordering_weight,
 )
-from kappa_rup.kappa_math import gamma_ratio, kappa_exp, kappa_log, log_gamma
+from kappa_rup.kappa_math import kappa_exp, kappa_log
 from kappa_rup.kinematics import aux_energy
 from kappa_rup.params import StateSpec
 
@@ -23,8 +23,6 @@ SPEC = StateSpec(0.2, 1.3)
 FUNCTIONS = {
     "kappa_exp": lambda x: kappa_exp(x, 0.3),
     "kappa_log": lambda x: kappa_log(x, 0.3),
-    "log_gamma": log_gamma,
-    "gamma_ratio": lambda x: gamma_ratio(x, 2.5),
     "psi": lambda x: psi(x, SPEC),
     "pdf": lambda x: pdf(x, SPEC),
     "log_pdf": lambda x: log_pdf(x, SPEC),

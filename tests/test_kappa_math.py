@@ -1,21 +1,13 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_rup.errors import DomainError
-from kappa_rup.kappa_math import (
-    gamma_ratio,
-    kappa_exp,
-    kappa_log,
-    log_gamma,
-)
-from kappa_rup.params import KappaParameter
-
-mp.mp.dps = 40
+from kappa_rup.kappa_math import kappa_exp, kappa_log
+from kappa_rup.params import KappaParameter, positive_float
 
 
 class TestKappaParameter:
@@ -40,6 +32,24 @@ class TestKappaParameter:
     ])
     def test_moment_safe_below_two_thirds(self, value, safe):
         assert KappaParameter(value).moment_safe is safe
+
+
+class TestPositiveFloat:
+    @pytest.mark.parametrize("value", [
+        2, 0.5, np.float32(0.25), np.int64(3), 5e-324, pytest.param(2**1000, id="2**1000"),
+    ])
+    def test_returns_a_float(self, value):
+        out = positive_float("x", value)
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("bad", [
+        0.0, -1.0, -0.0, float("nan"), float("inf"), np.float32("inf"), True, False,
+        np.bool_(True), pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+        "1.0", None, np.array(2.0),
+    ])
+    def test_rejects(self, bad):
+        with pytest.raises(DomainError, match=r"^x must be > 0, got "):
+            positive_float("x", bad)
 
 
 class TestKappaExp:
@@ -117,52 +127,3 @@ class TestKappaLog:
     @settings(max_examples=200)
     def test_inverse_pair(self, y, k):
         assert kappa_log(kappa_exp(y, k), k) == pytest.approx(y, rel=1e-11, abs=1e-11)
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_gamma_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_against_high_precision(self):
-        # mpmath.loggamma(10.25)
-        assert log_gamma(10.25) == pytest.approx(13.368023671476046, rel=1e-14)
-
-    def test_relative_error_budget(self):
-        # spot grid across (0, 1e4], avoiding the zeros at x = 1, 2
-        xs = [0.05, 0.31, 0.5, 3.0, 7.3, 10.25, 123.456, 2048.0, 9999.5]
-        for x in xs:
-            ref = float(mp.loggamma(mp.mpf(repr(x))))
-            assert abs(log_gamma(x) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    @pytest.mark.parametrize("bad", [0.0, -3.2])
-    def test_domain_error(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-
-class TestGammaRatio:
-    def test_integer_case(self):
-        assert gamma_ratio(5.0, 3.0) == pytest.approx(12.0, rel=1e-13)
-
-    @pytest.mark.parametrize("z", [0.5, 1.0, 7.3, 500.0])
-    def test_recurrence(self, z):
-        assert gamma_ratio(z + 1.0, z) == pytest.approx(z, rel=1e-11)
-
-    def test_small_kappa_arguments(self):
-        # Gamma(5.25)/Gamma(4.75), mpmath-checked
-        assert gamma_ratio(5.25, 4.75) == pytest.approx(2.1229454588983415, rel=1e-12)
-
-    def test_no_overflow_for_large_arguments(self):
-        # ratio ~ a^(1/2) stays modest even when Gamma(a) itself overflows;
-        # reference from mpmath.gamma at 40 digits
-        a = 5.0e4
-        ref = float(mp.gamma(mp.mpf(a) + 0.25) / mp.gamma(mp.mpf(a) - 0.25))
-        assert gamma_ratio(a + 0.25, a - 0.25) == pytest.approx(ref, rel=1e-9)
-
-    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)])
-    def test_domain_error(self, args):
-        with pytest.raises(DomainError):
-            gamma_ratio(*args)

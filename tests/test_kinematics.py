@@ -18,7 +18,8 @@ class TestFrame:
     def test_v_star(self):
         assert frame(0.3, c=2.0).v_star == pytest.approx(0.6, rel=1e-15)
 
-    @pytest.mark.parametrize("m,c", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("m,c", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (True, 1.0),
+                                     (1.0, math.inf), (math.nan, 1.0)])
     def test_validation(self, m, c):
         with pytest.raises(DomainError):
             ParticleFrame(m, c, KappaParameter(0.2))
@@ -26,6 +27,10 @@ class TestFrame:
     def test_requires_positive_kappa(self):
         with pytest.raises(DomainError):
             ParticleFrame(1.0, 1.0, KappaParameter(0.0))
+
+    def test_stores_floats(self):
+        f = ParticleFrame(2, 3, KappaParameter(0.2))
+        assert type(f.mass) is float and type(f.c) is float
 
 
 class TestAuxiliaries:

@@ -21,8 +21,8 @@ def problem(k, energies=(0.0, 1.0, 2.0, 3.0, 4.0), mean=1.2):
     return MaxEntProblem(np.asarray(energies, dtype=float), mean, KappaParameter(k))
 
 
-def many_level_problem(k, seed):
-    e = np.random.default_rng(seed).uniform(0.0, 10.0, 200)
+def many_level_problem(k, seed, levels=200):
+    e = np.random.default_rng(seed).uniform(0.0, 10.0, levels)
     return MaxEntProblem(e, e.min() + 0.3 * (e.max() - e.min()), KappaParameter(k))
 
 
@@ -227,6 +227,23 @@ class TestFit:
         e, n, k = fit_problem.energies, sol.distribution, fit_problem.kappa.value
         b = fit_kappa_exponential(sol, e).beta_fit
         assert mp_fit_ssq(b, n, e, k) <= mp_fit_ssq(bounded_fit_beta(n, e, k), n, e, k)
+
+
+class TestCanonicalForm:
+    # Kaniadakis, Phys. Rev. E 66, 056125 (2002): the maximizer is the deformed
+    # exponential of an affine function of the energy,
+    # n_i = alpha exp_k(-(lam0 + lam1 E_i) / lambda), lambda = sqrt(1 - k^2),
+    # alpha = exp(-atanh(k) / k), with alpha -> 1/e as k -> 0
+    @pytest.mark.parametrize("k", [0.0, 1e-8, 1e-5, 1e-3, 0.2, 0.9])
+    @pytest.mark.parametrize("levels", [5, 50, 200])
+    def test_solution_is_the_canonical_distribution(self, k, levels):
+        prob = problem(k) if levels == 5 else many_level_problem(k, 2, levels)
+        sol = maxent_solve(prob, 1e-12)
+        lam = math.sqrt(1.0 - k * k)
+        alpha = math.exp(-math.atanh(k) / k) if k > 0.0 else math.exp(-1.0)
+        affine = sol.multiplier_normalization + sol.multiplier_energy * prob.energies
+        canonical = alpha * kappa_exp(-affine / lam, k)
+        assert np.max(np.abs(sol.distribution / canonical - 1.0)) <= 1e-13
 
 
 class TestSmallKappa:

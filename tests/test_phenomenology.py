@@ -195,6 +195,42 @@ class TestZetaFixings:
         )
 
 
+class TestInputChecks:
+    # each input these functions divide by, take a root of or scale by is a finite
+    # number > 0, or the call raises DomainError naming it
+    @pytest.mark.parametrize("call, name", [
+        (lambda: landau_zeta(0.1, 0.0), "m"),
+        (lambda: landau_zeta(0.1, -2.0), "m"),
+        (lambda: landau_zeta(0.1, 1.0, math.inf), "c"),
+        (lambda: gac_match_zeta(0.1, 1.0, 0.0), "c"),
+        (lambda: effective_alpha(0.0, 0.1, 1.0, PhenoConfig()), "a0"),
+        (lambda: effective_alpha(1.0, 0.1, -1.0, PhenoConfig()), "zeta"),
+        (lambda: minimal_length(0.1, -1.0), "zeta"),
+        (lambda: minimal_length(0.1, 1.0, math.nan), "hbar"),
+        (lambda: effective_hbar(1.0, 0.1, -1.0), "zeta"),
+        (lambda: effective_hbar(1.0, 0.1, 1.0, 0.0), "hbar"),
+        (lambda: effective_hbar(1.0, 0.1, True), "zeta"),
+    ])
+    def test_rejects_non_positive(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} must be > 0, got "):
+            call()
+
+    @pytest.mark.parametrize("k, m, c", [
+        (1e-300, 1e-300, 1.0),    # k m c underflows to 0
+        (0.5, 1e-160, 1e-160),    # 1/(k m c)^2 overflows
+        (0.5, 1e300, 1e300),      # k m c overflows, so zeta would read 0
+    ])
+    def test_landau_zeta_out_of_the_float_range(self, k, m, c):
+        with pytest.raises(DomainError, match="out of the float range"):
+            landau_zeta(k, m, c)
+        with pytest.raises(DomainError, match="out of the float range"):
+            gac_match_zeta(k, m, c)
+
+    def test_config_names_the_field(self):
+        with pytest.raises(DomainError, match=r"^PhenoConfig.hbar must be > 0, got 0$"):
+            PhenoConfig(hbar=0)
+
+
 class TestPutra:
     def test_rest(self):
         assert putra_bound(0.0).bound == 0.5
