@@ -2,10 +2,10 @@
 
 Library layout:
 
-  params            the validated kappa parameter and state (numpy-free)
+  params            the validated kappa parameter with its two rules, and the state (numpy-free)
   kappa_math        deformed exp/log and the scalar/array decorator
   coherent_states   kappa-Gaussian states, moments, quadrature oracles
-  deformed_algebra  deformation f(p) and its derivatives, operator orderings, residuals
+  deformed_algebra  f(p) and its derivatives, orderings A in [0, 1] (plain floats), residuals
   kinematics        the auxiliary energy and the physical scaling map
   maxent            Kaniadakis entropy and constrained maximization
   phenomenology     effective hbar / fine-structure-constant bounds (numpy-free)
@@ -25,9 +25,9 @@ _ORIGIN = {name: module for module, names in {
     "coherent_states": "MomentReport delta_p delta_x f_excess f_expectation moment_report "
                        "normalization_constant pdf psi quadrature_moment second_moment "
                        "second_moment_excess tail_exponent_estimate",
-    "deformed_algebra": "GridFunction OrderingParameter annihilation_residual "
-                        "apply_position_operator commutator_residual convert_ordering "
-                        "deformation_f ode_residual ordering_weight robertson_bound",
+    "deformed_algebra": "GridFunction annihilation_residual apply_position_operator "
+                        "commutator_residual convert_ordering deformation_f ode_residual "
+                        "ordering_weight robertson_bound",
     "kinematics": "ParticleFrame aux_energy physical_map",
     "maxent": "MaxEntProblem MaxEntSolution fit_kappa_exponential kaniadakis_entropy maxent_solve",
     "phenomenology": "PhenoConfig effective_alpha effective_hbar "

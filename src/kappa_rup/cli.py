@@ -225,11 +225,11 @@ def _run_checks(c: dict) -> list:
 # document to write (None for none); main writes it.
 
 def cmd_verify(c: dict) -> Tuple[int, Optional[str]]:
-    for k in c["kappa"]:
-        if not as_kappa(k).moment_safe:
-            raise ConfigError(
-                f"verify runs moment checks and needs kappa < 2/3, got {k}"
-            )
+    try:
+        for k in c["kappa"]:
+            as_kappa(k).require_moment_safe("verify")
+    except KappaRupError as exc:
+        raise ConfigError(str(exc)) from exc
     checks = _run_checks(c)
     all_passed = all(check["status"] == "pass" for check in checks)
     doc = _json_document(c, {"checks": checks, "all_passed": all_passed})

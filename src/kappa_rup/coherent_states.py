@@ -183,10 +183,9 @@ _LN_N2 = functools.lru_cache(maxsize=1)(_LogGammaRatio((0.0, 1.25), (-0.25, 1.0)
 _LN_P2 = functools.lru_cache(maxsize=1)(_LogGammaRatio((-0.75, 1.25), (-0.25, 1.75)))
 
 
-def _second_moment_via(spec: StateSpec, exp: Callable[[float], float]) -> float:
+def _second_moment_via(spec: StateSpec, exp: Callable[[float], float], what: str) -> float:
     """exp(ln(2 zeta <p^2>)) / (2 zeta) for exp = math.exp, the excess for math.expm1."""
-    spec.require_moment_safe()
-    value = 0.5 / spec.zeta * exp(_LN_P2(spec.kappa.value))
+    value = 0.5 / spec.zeta * exp(_LN_P2(spec.kappa.require_moment_safe(what)))
     if not math.isfinite(value):
         raise DomainError(
             f"<p^2> overflowed the float range at kappa={spec.kappa.value}, zeta={spec.zeta}"
@@ -196,12 +195,12 @@ def _second_moment_via(spec: StateSpec, exp: Callable[[float], float]) -> float:
 
 def second_moment(spec: StateSpec) -> float:
     """<p^2> of the state; requires kappa < 2/3 and a <p^2> within the float range."""
-    return _second_moment_via(spec, math.exp)
+    return _second_moment_via(spec, math.exp, "second_moment")
 
 
 def second_moment_excess(spec: StateSpec) -> float:
     """<p^2> - 1/(2 zeta), to full relative accuracy as kappa -> 0."""
-    return _second_moment_via(spec, math.expm1)
+    return _second_moment_via(spec, math.expm1, "second_moment_excess")
 
 
 def delta_p(spec: StateSpec) -> float:
@@ -214,11 +213,8 @@ def delta_x(spec: StateSpec) -> float:
     return spec.delta_x_for(delta_p(spec))
 
 
-def _ln_f(kappa: KappaLike) -> float:
-    kappa = as_kappa(kappa)
-    k = kappa.value
-    if not kappa.moment_safe:
-        raise DomainError(f"F(kappa) requires kappa < 2/3, got {k}")
+def _ln_f(kappa: KappaLike, what: str) -> float:
+    k = as_kappa(kappa).require_moment_safe(what)
     return _LN_P2(k) + math.log1p(-k * k)
 
 
@@ -228,12 +224,12 @@ def f_expectation(kappa: KappaLike) -> float:
     Equals the mean of the commutator deformation function over the
     state; F -> 1 in the classical limit.
     """
-    return math.exp(_ln_f(kappa))
+    return math.exp(_ln_f(kappa, "f_expectation"))
 
 
 def f_excess(kappa: KappaLike) -> float:
     """F(kappa) - 1, to full relative accuracy as kappa -> 0 (~ 7/8 kappa^2)."""
-    return math.expm1(_ln_f(kappa))
+    return math.expm1(_ln_f(kappa, "f_excess"))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +426,7 @@ def tail_exponent_estimate(spec: StateSpec) -> float:
 
     Converges to -2/kappa; only meaningful for kappa > 0.
     """
-    if spec.kappa.value == 0.0:
-        raise DomainError("tail exponent is defined only for kappa > 0")
+    spec.kappa.require_positive("tail_exponent_estimate")
     p = np.geomspace(1e2 / math.sqrt(spec.zeta), 1e4 / math.sqrt(spec.zeta), _TAIL_POINTS)
     slope = np.polyfit(np.log(p), log_pdf(p, spec), 1)[0]
     return float(slope)
@@ -471,7 +466,7 @@ class MomentReport:
 
 def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     """Evaluate all closed forms and their quadrature counterparts."""
-    spec.require_moment_safe()
+    spec.kappa.require_moment_safe("moment_report")
 
     def with_uncertainties(n, p2, f):
         dp = math.sqrt(p2)

@@ -7,8 +7,9 @@ physically selected deformation, f(p) = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2, is
 
 the member of the general family c0 f~(q) + c1 exp_k(q^2), c0 = dx / (hbar z
 (1-k^2) dp), picked out by f -> 1 both for k -> 0 (c1 = 0) and for p -> 0 (c0 = 1).
-The position operator for ordering parameter A in [0, 1] (A = 1/2 symmetric,
-with unit integration measure) is
+The position operator for ordering parameter A, a plain float in [0, 1]
+(ORDER_X1, ORDER_X2 and ORDER_X3 are 0, 1 and 1/2; A = 1/2 is symmetric, with
+unit integration measure), is
 
     x = i hbar [ f d/dp + A f' ] = i hbar sqrt(z) [ f~ d/dq + A f~' ].
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .kappa_math import elementwise, kappa_exp
 from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
-    "OrderingParameter",
     "ORDER_X1",
     "ORDER_X2",
     "ORDER_X3",
@@ -73,30 +73,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderingParameter:
-    """Operator-ordering label A in [0, 1]; 0, 1/2, 1 give x1, x3, x2."""
-
-    A: float
-
-    def __post_init__(self):
-        a = float(self.A)
-        if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-            raise DomainError(f"ordering parameter must lie in [0, 1], got {self.A!r}")
-        object.__setattr__(self, "A", a)
+# the orderings x1, x2 and x3 (symmetric) as values of A
+ORDER_X1, ORDER_X2, ORDER_X3 = 0.0, 1.0, 0.5
 
 
-ORDER_X1 = OrderingParameter(0.0)
-ORDER_X3 = OrderingParameter(0.5)
-ORDER_X2 = OrderingParameter(1.0)
-
-OrderingLike = Union[OrderingParameter, float, int]
-
-
-def _ordering_value(A: OrderingLike) -> float:
-    if isinstance(A, OrderingParameter):
-        return A.A
-    return OrderingParameter(float(A)).A
+def _ordering_value(A: float) -> float:
+    """A as a float: finite and in [0, 1], else DomainError."""
+    a = float(A)
+    if not (math.isfinite(a) and 0.0 <= a <= 1.0):
+        raise DomainError(f"ordering parameter must lie in [0, 1], got {A!r}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -190,13 +176,13 @@ def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
     return 0.5 * hbar * f_mean
 
 
-def ordering_weight(p, A: OrderingLike, kappa: KappaLike, zeta: float):
+def ordering_weight(p, A: float, kappa: KappaLike, zeta: float):
     """Momentum-space measure weight g(p) = f(p)^(2A-1) that makes the
     A-ordered position operator symmetric; g(0) = 1 for every A."""
     return deformation_f(p, kappa, zeta) ** (2.0 * _ordering_value(A) - 1.0)
 
 
-def convert_ordering(phi: GridFunction, A_from: OrderingLike, A_to: OrderingLike,
+def convert_ordering(phi: GridFunction, A_from: float, A_to: float,
                      kappa: KappaLike, zeta: float) -> GridFunction:
     """Rescale a wavefunction between ordering conventions:
     phi_to = f^(A_from - A_to) phi_from, pointwise on the same grid."""
@@ -245,7 +231,7 @@ def _x_block(w, h, at, f, af1):
     return f * _derivative(w, h)[at] + af1 * w[at]
 
 
-def apply_position_operator(psi_grid: GridFunction, A: OrderingLike,
+def apply_position_operator(psi_grid: GridFunction, A: float,
                             kappa: KappaLike, zeta: float,
                             hbar: float = 1.0) -> GridFunction:
     """x psi = i hbar [f psi' + A f' psi] sampled on the grid: hbar sqrt(zeta) times the
@@ -281,7 +267,7 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     r2 = np.empty_like(q)
     for sl, halo, at in _blocks(q.size):
         f, f1 = _f_f1(q[sl], spec.kappa.value)[3:]
-        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3.A * f1)
+        x_psi = _x_block(psi[halo], h, at, f, ORDER_X3 * f1)
         r2[sl] = np.square(x_psi * inv_dx + q[sl] * psi[sl] * inv_dp)
     return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(np.square(psi))) * h)
 
@@ -301,7 +287,7 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     r2, t2 = np.zeros_like(q), np.zeros_like(q)
     for sl, halo, at in _blocks(q.size):
         f, f1 = _f_f1(q[sl], k)[3:]
-        af1 = ORDER_X3.A * f1
+        af1 = ORDER_X3 * f1
         for w in parts:
             qw = q[halo] * w[halo]
             y_qw, y_w = _x_block(qw, h, at, f, af1), _x_block(w[halo], h, at, f, af1)

@@ -53,8 +53,7 @@ class ParticleFrame:
         object.__setattr__(self, "kappa", as_kappa(self.kappa))
         for name in ("mass", "c"):
             object.__setattr__(self, name, positive_float(name, getattr(self, name)))
-        if self.kappa.value <= 0.0:
-            raise DomainError("ParticleFrame requires kappa > 0")
+        self.kappa.require_positive("ParticleFrame")
 
     @property
     def v_star(self) -> float:
@@ -71,17 +70,10 @@ class PhysicalState:
     W: float
 
 
-def _require_positive_kappa(kappa: KappaLike) -> float:
-    k = as_kappa(kappa).value
-    if k <= 0.0:
-        raise DomainError("auxiliary kinematics require kappa > 0")
-    return k
-
-
 @elementwise
 def aux_energy(p_tilde, kappa: KappaLike):
     """eps = sqrt(1 + k^2 p~^2) / k^2; satisfies eps - W~ = 1/k^2."""
-    k = _require_positive_kappa(kappa)
+    k = as_kappa(kappa).require_positive("aux_energy")
     return np.hypot(1.0, k * p_tilde) / (k * k)
 
 

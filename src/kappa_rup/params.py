@@ -38,6 +38,18 @@ class KappaParameter:
         """True when second moments of the kappa-Gaussian exist (kappa < 2/3)."""
         return self.value < MOMENT_SAFE_LIMIT
 
+    def require_positive(self, what: str) -> float:
+        """The value if kappa > 0; else DomainError naming ``what``, which needs it."""
+        if not self.value > 0.0:
+            raise DomainError(f"{what} requires kappa > 0, got kappa={self.value!r}")
+        return self.value
+
+    def require_moment_safe(self, what: str) -> float:
+        """The value if kappa < 2/3; else DomainError naming ``what``, which needs it."""
+        if not self.moment_safe:
+            raise DomainError(f"{what} requires kappa < 2/3, got kappa={self.value!r}")
+        return self.value
+
 
 KappaLike = Union[KappaParameter, float, int]
 
@@ -49,15 +61,15 @@ def as_kappa(kappa: KappaLike) -> KappaParameter:
     return KappaParameter(float(kappa))
 
 
-def positive_float(name: str, value) -> float:
-    """``value`` as a float: a finite real number > 0, and not a bool. DomainError
-    otherwise."""
+def positive_float(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a float: a finite real number > 0 (>= 0 if zero_ok), and not a bool.
+    DomainError otherwise."""
     try:
-        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else 0.0
+        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:   # an int past the float range
         v = math.inf
-    if not 0.0 < v < math.inf:
-        raise DomainError(f"{name} must be > 0, got {value!r}")
+    if not 0.0 <= v < math.inf or (v == 0.0 and not zero_ok):
+        raise DomainError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
     return v
 
 
@@ -78,12 +90,6 @@ class StateSpec:
         # second_moment raises where <p^2> itself overflows
         if not math.isfinite(400.0 / self.zeta):
             raise DomainError(f"zeta={self.zeta!r} is too small: 400/zeta overflows")
-
-    def require_moment_safe(self):
-        if not self.kappa.moment_safe:
-            raise DomainError(
-                f"moment queries need kappa < 2/3, got kappa={self.kappa.value}"
-            )
 
     def delta_x_for(self, dp: float) -> float:
         """Position uncertainty dx = hbar zeta (1 - kappa^2) dp paired with dp. DomainError

@@ -139,10 +139,15 @@ class PutraBound:
 
 
 def effective_hbar(delta_p: float, kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
-    """hbar_eff = hbar (1 + kappa^2 zeta dp^2)."""
+    """hbar_eff = hbar (1 + kappa^2 zeta dp^2), for a finite dp >= 0; DomainError where it
+    leaves the float range."""
     k = as_kappa(kappa).value
     zeta, hbar = positive_float("zeta", zeta), positive_float("hbar", hbar)
-    return hbar * (1.0 + k * k * zeta * delta_p * delta_p)
+    dp = positive_float("delta_p", delta_p, zero_ok=True)
+    value = hbar * (1.0 + k * k * zeta * dp * dp)
+    if not math.isfinite(value):
+        raise DomainError(f"hbar_eff overflows at delta_p={dp!r}, kappa={k!r}, zeta={zeta!r}")
+    return value
 
 
 def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
@@ -154,18 +159,17 @@ def minimal_length(kappa: KappaLike, zeta: float, hbar: float = 1.0) -> float:
 def effective_alpha(a0: float, kappa: KappaLike, zeta: float, config: PhenoConfig) -> AlphaShift:
     """Effective fine-structure constant for position uncertainty a0.
 
-    Exact form alpha (1 + sqrt(1 - r)) / 2 with r = hbar^2 k^2 z / a0^2,
-    returned together with the (negative) shift delta_alpha computed
-    cancellation-free; at leading order delta_alpha ~ -alpha r / 4.
+    Exact form alpha (1 + sqrt(1 - r)) / 2 with r = (l / a0)^2, l = hbar k sqrt(z)
+    the minimal length, returned together with the (negative) shift delta_alpha
+    computed cancellation-free; at leading order delta_alpha ~ -alpha r / 4.
     """
-    k = as_kappa(kappa).value
-    a0, zeta = positive_float("a0", a0), positive_float("zeta", zeta)
-    alpha = config.alpha
-    r = (config.hbar * k / a0) ** 2 * zeta
-    if r > 1.0:
+    a0 = positive_float("a0", a0)
+    length = minimal_length(kappa, zeta, config.hbar)
+    if length > a0:
         raise BelowMinimalLengthError(
             f"a0={a0} below minimal length hbar*kappa*sqrt(zeta)"
         )
+    alpha, r = config.alpha, (length / a0) ** 2
     delta = -alpha * r / (2.0 * (1.0 + math.sqrt(1.0 - r)))
     return AlphaShift(alpha_eff=alpha + delta, delta_alpha=delta)
 
@@ -190,9 +194,7 @@ def kappa_bound(config: PhenoConfig) -> KappaBound:
 def landau_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     """zeta fixed so the minimal length equals the Compton wavelength:
     sqrt(zeta) = 1/(kappa m c)."""
-    k = as_kappa(kappa).value
-    if k <= 0.0:
-        raise DomainError("landau_zeta requires kappa > 0")
+    k = as_kappa(kappa).require_positive("landau_zeta")
     kmc = k * positive_float("m", m) * positive_float("c", c)
     t = 1.0 / kmc if kmc > 0.0 else math.inf
     zeta = t * t

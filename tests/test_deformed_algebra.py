@@ -12,7 +12,6 @@ from kappa_rup.deformed_algebra import (
     ORDER_X2,
     ORDER_X3,
     GridFunction,
-    OrderingParameter,
     annihilation_residual,
     apply_position_operator,
     commutator_residual,
@@ -234,10 +233,6 @@ class TestOrderingWeight:
         g = ordering_weight(p, a, 0.35, 1.2)
         f = deformation_f(p, 0.35, 1.2)
         assert np.allclose(g * f ** (1.0 - 2.0 * a), 1.0, rtol=1e-12)
-
-    def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            OrderingParameter(1.2)
 
 
 class TestGridFunction:

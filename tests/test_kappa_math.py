@@ -51,6 +51,16 @@ class TestPositiveFloat:
         with pytest.raises(DomainError, match=r"^x must be > 0, got "):
             positive_float("x", bad)
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 2.5])
+    def test_zero_ok_takes_zero(self, value):
+        out = positive_float("x", value, zero_ok=True)
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf"), False, "0", None])
+    def test_zero_ok_rejects(self, bad):
+        with pytest.raises(DomainError, match=r"^x must be >= 0, got "):
+            positive_float("x", bad, zero_ok=True)
+
 
 class TestKappaExp:
     def test_at_zero(self):

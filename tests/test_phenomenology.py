@@ -32,6 +32,16 @@ class TestEffectiveHbar:
         assert effective_hbar(2.0, 0.1, 1.0, 1.0) == pytest.approx(1.04, rel=1e-14)
         assert effective_hbar(2.0, 0.1, 1.0) == pytest.approx(1.04, rel=1e-14)
 
+    @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf, -2.0, -1e-300])
+    def test_rejects_a_spread_that_is_not_finite_and_nonnegative(self, dp):
+        with pytest.raises(DomainError, match=r"^delta_p must be >= 0, got "):
+            effective_hbar(dp, 0.1, 1.0)
+
+    @pytest.mark.parametrize("dp, k, z", [(1e200, 0.5, 1.0), (1e100, 0.5, 1e300)])
+    def test_rejects_a_result_past_the_float_range(self, dp, k, z):
+        with pytest.raises(DomainError, match=r"^hbar_eff overflows at delta_p="):
+            effective_hbar(dp, k, z)
+
 
 class TestEffectiveAlpha:
     def config(self):
@@ -61,6 +71,12 @@ class TestEffectiveAlpha:
     def test_below_minimal_length(self):
         with pytest.raises(BelowMinimalLengthError):
             effective_alpha(0.5, 0.9, 1.0, self.config())
+
+    @pytest.mark.parametrize("a0", [1e-300, 5e-324])
+    def test_tiny_a0_is_below_minimal_length(self, a0):
+        # (hbar k / a0)^2 would overflow; (l / a0)^2 is only formed once l <= a0
+        with pytest.raises(BelowMinimalLengthError):
+            effective_alpha(a0, 0.1, 1.0, self.config())
 
     def test_heisenberg_branch(self):
         # r = 1e-18: alpha_eff = alpha to rounding, the shift is its leading term
