@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import _asinh_k, elementwise
+from .kappa_math import _BLOCK, _asinh_k, elementwise
 from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
@@ -82,11 +82,18 @@ _FIRST_CALL_LEVEL = 6
 _NODES: dict = {}  # "all": every level's (w, dw), 8193 nodes, 128 KiB; (first, last) -> _nodes
 
 
-def _log_profile(p, k: float, z: float):
-    """ln exp_k(-zeta p^2), the unnormalized ln-density of the state."""
-    q = math.sqrt(z) * p  # not z p^2 (p^2 overflows past |p| ~ 1.3e154), nor k z (underflows)
-    q *= q  # in place: one grid temporary, as z * np.square(p) had
-    return -_asinh_k(q, k)
+def _log_profile(p, k: float, z: float, out):
+    """ln exp_k(-zeta p^2), the unnormalized ln-density of the state, in place in ``out``."""
+    # not z p^2 (p^2 overflows past |p| ~ 1.3e154), nor k z (underflows)
+    q = np.multiply(math.sqrt(z), p, out=out)
+    return np.negative(_asinh_k(np.square(q, out=q), k, out=q), out=q)
+
+
+def _psi_into(p, k: float, z: float, n_const: float, out):
+    """N exp(ln-profile / 2) at the momenta p, written into ``out``: psi's arithmetic on
+    one block, in place, shared with annihilation_residual's halo blocks."""
+    np.multiply(_log_profile(p, k, z, out), 0.5, out=out)
+    return np.multiply(np.exp(out, out=out), n_const, out=out)
 
 
 def normalization_constant(spec: StateSpec) -> float:
@@ -99,10 +106,19 @@ def psi(p, spec: StateSpec):
     """Wavefunction amplitude at momentum p (real, positive, even).
 
     Evaluated as N * exp(-asinh(k zeta p^2) / (2k)), i.e. always on the
-    decaying branch of the deformed exponential.
+    decaying branch of the deformed exponential. It runs over blocks of 2^13
+    points of the flattened p, each computed in place in its slice of the one
+    output array, so the only memory it takes is that output (and, for a p that
+    is not C-contiguous, one block read out of it at a time); every value has the
+    bits of the whole-array expression.
     """
-    k, z = spec.kappa.value, spec.zeta
-    return normalization_constant(spec) * np.exp(0.5 * _log_profile(p, k, z))
+    k, z, n_const = spec.kappa.value, spec.zeta, normalization_constant(spec)
+    out = np.empty(p.shape)  # C-contiguous, so its flat view is no copy
+    flat, src = out.reshape(-1), p.reshape(-1) if p.flags.c_contiguous else p.flat
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _psi_into(src[block], k, z, n_const, flat[block])
+    return out
 
 
 @elementwise
@@ -115,7 +131,7 @@ def pdf(p, spec: StateSpec):
 def log_pdf(p, spec: StateSpec):
     """ln |psi(p)|^2, useful deep in the power-law tail where pdf underflows."""
     k, z = spec.kappa.value, spec.zeta
-    return 2.0 * math.log(normalization_constant(spec)) + _log_profile(p, k, z)
+    return 2.0 * math.log(normalization_constant(spec)) + _log_profile(p, k, z, np.empty(p.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +221,12 @@ def second_moment_excess(spec: StateSpec) -> float:
 
 def delta_p(spec: StateSpec) -> float:
     """Momentum uncertainty sqrt(<p^2>) (the state has <p> = 0)."""
-    return math.sqrt(second_moment(spec))
+    return math.sqrt(_second_moment_via(spec, math.exp, "delta_p"))
 
 
 def delta_x(spec: StateSpec) -> float:
     """Position uncertainty, dx = hbar zeta (1 - kappa^2) dp."""
-    return spec.delta_x_for(delta_p(spec))
+    return spec.delta_x_for(math.sqrt(_second_moment_via(spec, math.exp, "delta_x")))
 
 
 def _ln_f(kappa: KappaLike, what: str) -> float:

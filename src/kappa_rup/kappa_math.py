@@ -21,7 +21,8 @@ cancellation of the naive power form.
 _asinh_k and _sinh_k hold those exponents and their k -> 0 limits for every module,
 in their classical form at k == 0 only; a subnormal k, whose k y would lose its low
 bits, is stored as 0. elementwise is the scalar/array decorator shared by the
-package's elementwise functions.
+package's elementwise functions, and _BLOCK the length of the blocks that its
+grid kernels (the state psi and the residual verifiers) work through.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from .params import KappaLike, as_kappa
 __all__ = ["kappa_exp", "kappa_log"]
 
 
-def _asinh_k(x, k: float):
-    return x if k == 0.0 else np.arcsinh(k * x) / k
+_BLOCK = 1 << 13  # points per block: a block's float64 temporaries stay in L2
+
+
+def _asinh_k(x, k: float, out=None):
+    """asinh(k x) / k, written into ``out`` (which may be x) if given; x itself at k == 0."""
+    return x if k == 0.0 else np.divide(np.arcsinh(np.multiply(k, x, out=out), out=out), k, out=out)
 
 
 def _sinh_k(t, k: float):

@@ -18,9 +18,21 @@ __all__ = ["MOMENT_SAFE_LIMIT", "KappaParameter", "KappaLike", "as_kappa", "posi
 MOMENT_SAFE_LIMIT = 2.0 / 3.0   # <p^2> of the kappa-Gaussian converges
 
 
+def _real(value) -> float:
+    """``value`` as a float if it is a real number and not a bool; else nan, which every
+    range check here rejects (inf for an int past the float range)."""
+    if isinstance(value, float):  # numpy's float64 too; the numbers.Real check is slower
+        return float(value)
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class KappaParameter:
-    """Validated deformation parameter, 0 <= value < 1 (a subnormal one is 0).
+    """Validated deformation parameter: a real number (not a bool), 0 <= value < 1 (a
+    subnormal one is 0).
 
     value = 0 denotes the exact classical (Boltzmann-Gibbs) limit.
     """
@@ -28,7 +40,7 @@ class KappaParameter:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        v = _real(self.value)
         if not math.isfinite(v) or not 0.0 <= v < 1.0:
             raise DomainError(f"kappa must satisfy 0 <= kappa < 1, got {self.value!r}")
         object.__setattr__(self, "value", v if v >= sys.float_info.min else 0.0)
@@ -56,18 +68,13 @@ KappaLike = Union[KappaParameter, float, int]
 
 def as_kappa(kappa: KappaLike) -> KappaParameter:
     """Coerce a float into a validated KappaParameter (no-op if already one)."""
-    if isinstance(kappa, KappaParameter):
-        return kappa
-    return KappaParameter(float(kappa))
+    return kappa if isinstance(kappa, KappaParameter) else KappaParameter(kappa)
 
 
 def positive_float(name: str, value, zero_ok: bool = False) -> float:
     """``value`` as a float: a finite real number > 0 (>= 0 if zero_ok), and not a bool.
     DomainError otherwise."""
-    try:
-        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:   # an int past the float range
-        v = math.inf
+    v = _real(value)
     if not 0.0 <= v < math.inf or (v == 0.0 and not zero_ok):
         raise DomainError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
     return v

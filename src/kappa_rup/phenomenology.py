@@ -194,7 +194,12 @@ def kappa_bound(config: PhenoConfig) -> KappaBound:
 def landau_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     """zeta fixed so the minimal length equals the Compton wavelength:
     sqrt(zeta) = 1/(kappa m c)."""
-    k = as_kappa(kappa).require_positive("landau_zeta")
+    return _landau_zeta(kappa, m, c, "landau_zeta")
+
+
+def _landau_zeta(kappa: KappaLike, m: float, c: float, what: str) -> float:
+    """landau_zeta for the entry point ``what``, which a kappa error names."""
+    k = as_kappa(kappa).require_positive(what)
     kmc = k * positive_float("m", m) * positive_float("c", c)
     t = 1.0 / kmc if kmc > 0.0 else math.inf
     zeta = t * t
@@ -207,7 +212,7 @@ def landau_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
 def gac_match_zeta(kappa: KappaLike, m: float, c: float = 1.0) -> float:
     """zeta = 3/(4 kappa^2 m^2 c^2), matching the dispersion-based
     squared relation 1 + (3/2) dp^2/(m c)^2 at leading order."""
-    return 0.75 * landau_zeta(kappa, m, c)
+    return 0.75 * _landau_zeta(kappa, m, c, "gac_match_zeta")
 
 
 def putra_bound(v_g: float, c: float = 1.0, hbar: float = 1.0) -> PutraBound:

@@ -11,7 +11,7 @@ nodes from the substitution itself, evaluates one level at a time and sums
 each integrand's level on its own. The grid references are the
 complex-arithmetic, whole-grid forms of the position operator and its
 residuals (the stencil written out, no blocks, no real views); they take f,
-f' and the state's samples as inputs. The residuals are the unit state's
+f' and the state's samples as inputs. The state psi is its whole-array expression. The residuals are the unit state's
 (zeta = hbar = 1), in q = p sqrt(zeta): the package evaluates them there for
 every zeta and hbar.
 """
@@ -242,6 +242,14 @@ def gibbs_reference(energies, mean_energy):
     beta = 0.5 * (lo + hi)
     w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
+
+
+def whole_array_psi(p, k, z, n_const):
+    """N exp(-asinh(k (sqrt(z) p)^2) / (2k)) (N exp(-(sqrt(z) p)^2 / 2) at k = 0), each
+    step one numpy expression over the whole array."""
+    q = math.sqrt(z) * np.asarray(p, dtype=float)
+    q = q * q
+    return n_const * np.exp(0.5 * -(q if k == 0 else np.arcsinh(k * q) / k))
 
 
 def complex_position_operator(samples, h, f, f1, a, hbar):

@@ -26,7 +26,8 @@ from kappa_rup import coherent_states
 from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
 from kappa_rup.params import KappaParameter, StateSpec
 
-from oracles import mp_moment, mp_state, plain_double_exponential, quadpack_moment
+from oracles import (mp_moment, mp_state, plain_double_exponential, quadpack_moment,
+                     whole_array_psi)
 from test_small_kappa import KAPPAS
 
 
@@ -120,6 +121,33 @@ class TestPsi:
         assert np.all(v > 0)
         assert np.all(np.diff(v) < 0)
         assert np.allclose(psi(-p, s), v, rtol=0, atol=0)
+
+
+_LONG = np.linspace(-60.0, 60.0, 3 * 2**13 + 5)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.3])
+@pytest.mark.parametrize("k", [0.0, 1e-8, 0.3, 0.6])
+@pytest.mark.parametrize("layout", {
+    "0-d": np.array(1.7),
+    "empty": np.array([]),
+    "2-D": _LONG[:3 * 2**13].reshape(3, 2**13),
+    "transposed (F-order)": _LONG[:3 * 2**13].reshape(2**13, 3).T,
+    "strided view": _LONG[::3],
+    "2^13 - 1": _LONG[:2**13 - 1],
+    "2^13 + 1": _LONG[:2**13 + 1],
+    "3 2^13 + 5": _LONG,
+}.items(), ids=lambda item: item[0])
+def test_blocked_psi_is_the_whole_array_expression(layout, k, z):
+    # psi runs in blocks of 2^13 of the flattened p, in place in its output; every
+    # value, and the shape, must be the whole-array expression's (deep tails included:
+    # at kappa 0 the state underflows past |q| ~ 38.6)
+    _, p = layout
+    s = spec_of(k, z)
+    got = np.asarray(psi(p, s))
+    ref = whole_array_psi(p, k, z, normalization_constant(s))
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 class TestPdf:

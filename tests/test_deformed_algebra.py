@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -417,6 +418,32 @@ def test_residual_evaluates_f_once_per_point(monkeypatch, residual):
     for a, b in zip(blocks, blocks[1:]):
         assert b.__array_interface__["data"][0] == a.__array_interface__["data"][0] + a.nbytes
     np.testing.assert_array_equal(np.concatenate(blocks), np.linspace(-400.0, 400.0, n))
+
+
+# the peak memory of each grid kernel at 2^17 points, in arrays of that many floats: psi
+# takes its output and at most one block; each residual no more than the whole-grid-
+# temporaries form it replaced (which measured 4.19, 3.88 and 1.75)
+_PEAK_BOUNDS = {"psi": 1.0 + 2.0**-4, "annihilation": 4.19, "commutator": 3.88, "ode": 1.75}
+
+
+@pytest.mark.parametrize("kernel", sorted(_PEAK_BOUNDS))
+def test_grid_kernel_peak_memory(kernel):
+    n, s = 2**17, spec_of(0.3)
+    p = np.linspace(-400.0, 400.0, n)
+    grid = GridFunction(-400.0, 400.0, psi(p, s) * np.exp(0.3j * p))
+    run = {"psi": lambda: psi(p, s),
+           "annihilation": lambda: annihilation_residual(s, -400.0, 400.0, n),
+           "commutator": lambda: commutator_residual(grid, 0.3, 1.0),
+           "ode": lambda: ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s))}[kernel]
+    run()  # the closed forms' one-entry caches filled
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BOUNDS[kernel] * p.nbytes
 
 
 @pytest.mark.parametrize("hbar", [1.0, 1.3])

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from kappa_rup.cli import EXIT_CONFIG, main
-from kappa_rup.coherent_states import (f_excess, f_expectation, moment_report, second_moment,
-                                       second_moment_excess, tail_exponent_estimate)
+from kappa_rup.coherent_states import (delta_p, delta_x, f_excess, f_expectation, moment_report,
+                                       second_moment, second_moment_excess,
+                                       tail_exponent_estimate)
 from kappa_rup.deformed_algebra import (ORDER_X1, ORDER_X2, ORDER_X3, GridFunction,
-                                        apply_position_operator, convert_ordering,
-                                        ordering_weight)
+                                        annihilation_residual, apply_position_operator,
+                                        convert_ordering, ordering_weight)
 from kappa_rup.errors import DomainError
 from kappa_rup.kinematics import ParticleFrame, aux_energy
-from kappa_rup.params import KappaParameter, StateSpec
-from kappa_rup.phenomenology import landau_zeta
+from kappa_rup.params import KappaParameter, StateSpec, as_kappa
+from kappa_rup.phenomenology import gac_match_zeta, landau_zeta
 
 # each entry point that needs kappa > 0 (the auxiliary kinematics, the Compton
 # fixing, the power-law tail), by the name its error gives
@@ -24,6 +25,7 @@ NEEDS_POSITIVE = {
     "ParticleFrame": lambda k: ParticleFrame(1.0, 1.0, k),
     "aux_energy": lambda k: aux_energy(1.0, k),
     "landau_zeta": lambda k: landau_zeta(k, 1.0),
+    "gac_match_zeta": lambda k: gac_match_zeta(k, 1.0),
     "tail_exponent_estimate": lambda k: tail_exponent_estimate(StateSpec(k, 1.0)),
 }
 
@@ -32,6 +34,9 @@ NEEDS_MOMENT_SAFE = {
     "second_moment": lambda k: second_moment(StateSpec(k, 1.0)),
     "second_moment_excess": lambda k: second_moment_excess(StateSpec(k, 1.0)),
     "moment_report": lambda k: moment_report(StateSpec(k, 1.0)),
+    "delta_p": lambda k: delta_p(StateSpec(k, 1.0)),
+    "delta_x": lambda k: delta_x(StateSpec(k, 1.0)),
+    "annihilation_residual": lambda k: annihilation_residual(StateSpec(k, 1.0), -8.0, 8.0, 64),
     "f_expectation": f_expectation,
     "f_excess": f_excess,
 }
@@ -87,3 +92,17 @@ def test_orderings_are_plain_floats():
 def test_ordering_outside_zero_one_is_rejected(name, a):
     with pytest.raises(DomainError, match=rf"^ordering parameter must lie in \[0, 1\], got "):
         TAKES_ORDERING[name](a)
+
+
+@pytest.mark.parametrize("value", ["x", None, "0.3", False, [0.3], np.array(0.3)])
+@pytest.mark.parametrize("entry", [KappaParameter, as_kappa])
+def test_kappa_that_is_not_a_real_number_is_rejected(entry, value):
+    # as positive_float does: a real number, not a bool, else the range check's DomainError
+    with pytest.raises(DomainError, match=r"^kappa must satisfy 0 <= kappa < 1, got "):
+        entry(value)
+
+
+@pytest.mark.parametrize("a", ["x", None, True])
+def test_ordering_that_is_not_a_real_number_is_rejected(a):
+    with pytest.raises(DomainError, match=r"^ordering parameter must lie in \[0, 1\], got "):
+        ordering_weight(0.0, a, 0.3, 1.0)
