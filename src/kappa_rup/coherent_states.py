@@ -61,10 +61,8 @@ from .kappa_math import _BLOCK, _asinh_k, elementwise
 from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
-    "MomentReport", "normalization_constant", "psi", "pdf", "log_pdf",
-    "second_moment", "second_moment_excess", "delta_p", "delta_x", "f_expectation", "f_excess",
-    "f_expectation_quadrature", "quadrature_moment", "tail_exponent_estimate",
-    "moment_report",
+    "MomentReport", "normalization_constant", "psi", "second_moment", "second_moment_excess",
+    "delta_p", "delta_x", "f_expectation", "f_excess", "tail_exponent_estimate", "moment_report",
 ]
 
 _LN2 = math.log(2.0)
@@ -119,19 +117,6 @@ def psi(p, spec: StateSpec):
         block = slice(start, start + _BLOCK)
         _psi_into(src[block], k, z, n_const, flat[block])
     return out
-
-
-@elementwise
-def pdf(p, spec: StateSpec):
-    """Momentum probability density |psi(p)|^2."""
-    return np.exp(log_pdf(p, spec))
-
-
-@elementwise
-def log_pdf(p, spec: StateSpec):
-    """ln |psi(p)|^2, useful deep in the power-law tail where pdf underflows."""
-    k, z = spec.kappa.value, spec.zeta
-    return 2.0 * math.log(normalization_constant(spec)) + _log_profile(p, k, z, np.empty(p.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +404,15 @@ def _quadrature(spec: StateSpec, rel_tol: float, *powers) -> list:
     return results
 
 
-def quadrature_moment(power: int, spec: StateSpec, rel_tol: float = 1e-10) -> float:
-    """Moment <p^power> by double-exponential quadrature (even power only).
-
-    Independent of the Gamma-function closed forms; raises
-    DivergentIntegralError when the power-law tail makes the moment
-    infinite (power >= 2/kappa - 1). The rule integrates <q^power> at
-    q = p sqrt(zeta); the moment is that over zeta^(power/2).
-    """
-    if power < 0 or power != int(power) or int(power) % 2 != 0:
-        raise DomainError(f"power must be an even nonnegative integer, got {power}")
-    return _quadrature(spec, rel_tol, int(power))[0][0]
-
-
-def f_expectation_quadrature(spec: StateSpec, rel_tol: float = 1e-10) -> float:
-    """<f(p)> for the commutator deformation shape, quadrature route for F(kappa)."""
-    return _quadrature(spec, rel_tol, None)[0][0]
-
-
 def tail_exponent_estimate(spec: StateSpec) -> float:
     """Least-squares slope of ln pdf vs ln p over p in [1e2, 1e4]/sqrt(zeta).
 
-    Converges to -2/kappa; only meaningful for kappa > 0.
+    Converges to -2/kappa; only meaningful for kappa > 0. It fits the unnormalized
+    ln-density: the constant ln N^2 does not change a slope.
     """
-    spec.kappa.require_positive("tail_exponent_estimate")
+    k = spec.kappa.require_positive("tail_exponent_estimate")
     p = np.geomspace(1e2 / math.sqrt(spec.zeta), 1e4 / math.sqrt(spec.zeta), _TAIL_POINTS)
-    slope = np.polyfit(np.log(p), log_pdf(p, spec), 1)[0]
+    slope = np.polyfit(np.log(p), _log_profile(p, k, spec.zeta, np.empty(p.shape)), 1)[0]
     return float(slope)
 
 
@@ -468,11 +436,11 @@ class MomentReport:
     f_expect_quad: float
     max_rel_discrepancy: float
     # integral of the closed-form pdf by quadrature; 1 for an exact N
-    probability_quad: float = 1.0
+    probability_quad: float
     # the largest last change / value of the three integrals; the rule's node count at the
     # level where the last of them stopped (the first call may evaluate levels past it)
-    quad_error_estimate: float = 0.0
-    quad_evals: int = 0
+    quad_error_estimate: float
+    quad_evals: int
 
     def __post_init__(self):
         for name, value in self.__dict__.items():

@@ -64,7 +64,7 @@ from .coherent_states import delta_x as state_delta_x
 from .coherent_states import _psi_into, normalization_constant
 from .errors import DomainError
 from .kappa_math import _BLOCK, _asinh_k, elementwise
-from .params import KappaLike, StateSpec, _real, as_kappa
+from .params import KappaLike, StateSpec, _real, as_kappa, positive_float
 
 __all__ = [
     "ORDER_X1",
@@ -72,7 +72,6 @@ __all__ = [
     "ORDER_X3",
     "GridFunction",
     "deformation_f",
-    "deformation_f_derivatives",
     "robertson_bound",
     "ordering_weight",
     "convert_ordering",
@@ -109,8 +108,8 @@ class GridFunction:
             raise DomainError("GridFunction needs a 1-d array of >= 16 samples")
         if not np.isfinite(arr.view(float)).all():
             raise DomainError("GridFunction samples must be finite")
-        if not self.p_max > self.p_min:
-            raise DomainError("GridFunction needs p_max > p_min")
+        if not (self.p_max > self.p_min and math.isfinite(self.p_max - self.p_min)):
+            raise DomainError("GridFunction needs p_max > p_min, a finite span apart")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -136,10 +135,10 @@ def _scratch(count: int, shape):
     return [buf[i, ...] for i in range(count)]
 
 
-def _f_core(q, k: float, rows=None):
+def _f_core(q, k: float, rows):
     """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x: the one place f is written.
-    Each is formed in place in one of rows[:4] (buffers of q's shape; new ones by default)."""
-    q2, x, s, f = _scratch(4, np.shape(q)) if rows is None else rows[:4]
+    Each is formed in place in one of rows[:4], buffers of q's shape."""
+    q2, x, s, f = rows[:4]
     np.multiply(np.square(q, out=q2), k, out=x)
     # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
     np.sqrt(np.add(np.square(np.minimum(x, 2.0**27, out=s), out=s), 1.0, out=s), out=s)
@@ -157,11 +156,10 @@ def _f_f1(q, k: float, rows):
     return q2, x, s, f, np.multiply(np.multiply(q, 2.0 * k * k, out=tmp), f1, out=f1)
 
 
-def _general_parts(q, k: float, c0: float, c1: float, rows=None):
+def _general_parts(q, k: float, c0: float, c1: float, rows):
     """(q^2, s, f~, f~', f~'') of the general family on the unit state, derivatives in q,
     c0 = dx / (hbar z (1-k^2) dp); c0 = 1, c1 = 0 is the selected deformation. In rows[:7]
-    (rows[:8] if c1 != 0), of which rows 1 and 5 end as scratch."""
-    rows = _scratch(7 + (c1 != 0.0), np.shape(q)) if rows is None else rows
+    (rows[:8] if c1 != 0), buffers of q's shape, of which rows 1 and 5 end as scratch."""
     q2, u, s, f, f1 = _f_f1(q, k, rows)
     tmp, f2 = rows[5], rows[6]
     # u = x / s in [0, 1), not q^6 / s^3: that overflows past |q| ~ 2e51
@@ -189,28 +187,22 @@ def _general_parts(q, k: float, c0: float, c1: float, rows=None):
 
 
 @elementwise
-def deformation_f_derivatives(p, kappa: KappaLike, zeta: float):
-    """(f, f', f'') of the selected deformation, analytic: (f~, sqrt(z) f~', z f~'')."""
-    r = math.sqrt(zeta)
-    f, f1, f2 = _general_parts(p * r, as_kappa(kappa).value, 1.0, 0.0)[2:]
-    return f, r * f1, zeta * f2
-
-
-@elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
     """Commutator deformation f(p) = f~(p sqrt(z)), overflow-free."""
-    return _f_core(p * math.sqrt(zeta), as_kappa(kappa).value)[3]
+    q = p * math.sqrt(positive_float("zeta", zeta))
+    return _f_core(q, as_kappa(kappa).value, _scratch(4, p.shape))[3]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
     """Uncertainty bound (hbar/2) <f(p)> from the Robertson inequality.
 
-    Rejects <f> < 1, which no state attains for the deformation above
-    (a rounding-level dip below 1 is tolerated).
+    Rejects an <f> that is not finite, and <f> < 1, which no state attains
+    for the deformation above (a rounding-level dip below 1 is tolerated).
     """
-    if f_mean < 1.0 - 1e-12:
-        raise DomainError(f"mean deformation must be >= 1, got {f_mean}")
-    return 0.5 * hbar * f_mean
+    f = _real(f_mean)
+    if not 1.0 - 1e-12 <= f < math.inf:
+        raise DomainError(f"mean deformation must be finite and >= 1, got {f_mean!r}")
+    return 0.5 * positive_float("hbar", hbar) * f
 
 
 def ordering_weight(p, A: float, kappa: KappaLike, zeta: float):
@@ -283,7 +275,8 @@ def apply_position_operator(psi_grid: GridFunction, A: float,
                             hbar: float = 1.0) -> GridFunction:
     """x psi = i hbar [f psi' + A f' psi] sampled on the grid: hbar sqrt(zeta) times the
     unit state's operator f~ d/dq + A f~' at q = p sqrt(zeta)."""
-    r, k, a = math.sqrt(zeta), as_kappa(kappa).value, _ordering_value(A)
+    r, k, a = math.sqrt(positive_float("zeta", zeta)), as_kappa(kappa).value, _ordering_value(A)
+    hbar = positive_float("hbar", hbar)
     q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, r)
     s = psi_grid.samples
     out, i_x_re = np.empty_like(s), np.empty(min(q.size, _BLOCK), dtype=complex)
@@ -339,7 +332,8 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
     the stencil order independently of the state. It runs as hbar [y, q],
     y = x / (hbar sqrt(zeta)) = i (f~ d/dq + A f~'), free of zeta and hbar.
     """
-    q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, math.sqrt(zeta))
+    r = math.sqrt(positive_float("zeta", zeta))
+    q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, r)
     s = psi_grid.samples
     parts = [s.real, s.imag] if s.imag.any() else [s.real]
     k = as_kappa(kappa).value
@@ -410,9 +404,9 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     divided by the largest of its three additive terms.
     """
     k = as_kappa(kappa).value
+    r, hbar = math.sqrt(positive_float("zeta", zeta)), positive_float("hbar", hbar)
     parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
     c0 = 0.0 if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
-    r = math.sqrt(zeta)
     flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
     # each term is a quadratic form in (dq f~, dy), f~ = c0 f~_core + c1 X: max(|c0|, |c1|) into
     # [1, 2) against dq, then dq and dy by the power of two that brings their product near 1

@@ -49,20 +49,14 @@ def _sinh_k(t, k: float):
     return t if k == 0.0 else np.sinh(k * t) / k
 
 
-def _maybe_scalar(out):
-    return float(out) if getattr(out, "ndim", 0) == 0 else out
-
-
 def elementwise(fn):
-    """Decorator: ``fn`` gets its first argument as a float ndarray, and each
-    0-d result (alone or in a tuple) comes back as a Python float."""
+    """Decorator: ``fn`` gets its first argument as a float ndarray, and a 0-d
+    result comes back as a Python float."""
 
     @functools.wraps(fn)
     def wrapper(x, *args, **kwargs):
         out = fn(np.asarray(x, dtype=float), *args, **kwargs)
-        if isinstance(out, tuple):
-            return tuple(map(_maybe_scalar, out))
-        return _maybe_scalar(out)
+        return float(out) if getattr(out, "ndim", 0) == 0 else out
 
     return wrapper
 

@@ -12,12 +12,12 @@ import pytest
 
 from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from kappa_rup.coherent_states import (
+    _quadrature,
     delta_p,
     delta_x,
     f_expectation,
-    f_expectation_quadrature,
+    moment_report,
     psi,
-    quadrature_moment,
     second_moment,
 )
 from kappa_rup.deformed_algebra import (
@@ -64,7 +64,7 @@ ZETA_GRID = (0.5, 1.0, 2.0)
 
 def test_criterion_01_normalization_oracle():
     worst = max(
-        abs(quadrature_moment(0, spec_of(k, z), 1e-10) - 1.0)
+        abs(moment_report(spec_of(k, z), 1e-10).probability_quad - 1.0)
         for k in KAPPA_GRID
         for z in ZETA_GRID
     )
@@ -73,13 +73,13 @@ def test_criterion_01_normalization_oracle():
 
 def test_criterion_02_moment_equivalence():
     worst = max(
-        abs(second_moment(s) - quadrature_moment(2, s, 1e-10)) / second_moment(s)
+        abs(second_moment(s) - moment_report(s, 1e-10).second_moment_quad) / second_moment(s)
         for s in (spec_of(k, z) for k in KAPPA_GRID for z in ZETA_GRID)
     )
     with pytest.raises(DomainError):
         second_moment(spec_of(0.7))
     with pytest.raises(DivergentIntegralError):
-        quadrature_moment(2, spec_of(0.7), 1e-10)
+        _quadrature(spec_of(0.7), 1e-10, 2)
     report(2, worst < 1e-6, f"max rel closed-vs-quad <p^2> = {worst:.3e} < 1e-6; kappa=0.7 raises")
 
 
@@ -90,15 +90,15 @@ def test_criterion_03_saturation_identity():
         for s in (spec_of(k, z) for k in KAPPA_GRID for z in ZETA_GRID)
     )
     worst_quad = max(
-        abs(f_expectation(KappaParameter(k)) - f_expectation_quadrature(spec_of(k), 1e-10))
+        abs(f_expectation(KappaParameter(k)) - moment_report(spec_of(k), 1e-10).f_expect_quad)
         / f_expectation(KappaParameter(k))
         for k in (0.1, 0.2, 0.3, 0.5)
     )
     # <f> = 2 zeta (1 - k^2) <p^2>, each side by its own quadrature (verify's saturation_identity)
     worst_identity = 0.0
     for s in (spec_of(k, z) for k in KAPPA_GRID for z in ZETA_GRID):
-        f_quad = f_expectation_quadrature(s, 1e-10)
-        p2_quad = quadrature_moment(2, s, 1e-10)
+        rep = moment_report(s, 1e-10)
+        f_quad, p2_quad = rep.f_expect_quad, rep.second_moment_quad
         k, z = s.kappa.value, s.zeta
         worst_identity = max(worst_identity, abs(f_quad - 2.0 * z * (1.0 - k * k) * p2_quad) / f_quad)
     ok = worst_closed < 1e-12 and worst_quad < 1e-6 and worst_identity < 1e-9

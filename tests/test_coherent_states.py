@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from kappa_rup.coherent_states import (
     MomentReport,
+    _quadrature,
     delta_p,
     delta_x,
     f_expectation,
-    f_expectation_quadrature,
-    log_pdf,
     moment_report,
     normalization_constant,
-    pdf,
     psi,
-    quadrature_moment,
     second_moment,
     second_moment_excess,
     tail_exponent_estimate,
@@ -76,7 +73,7 @@ class TestNormalization:
     @pytest.mark.parametrize("k,z", [(0.2, 1.0), (0.4, 2.0)])
     def test_makes_state_normalized(self, k, z):
         # quadrature integrates N^2 exp_k(-z p^2) independently of the Gamma form
-        assert quadrature_moment(0, spec_of(k, z), 1e-11) == pytest.approx(1.0, abs=1e-9)
+        assert moment_report(spec_of(k, z), 1e-11).probability_quad == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPsi:
@@ -98,21 +95,15 @@ class TestPsi:
 
     def test_finite_where_p_squared_overflows(self):
         # p^2 overflows past |p| ~ 1.3e154; q = p sqrt(zeta) ~ 152 does not (zeta = 1e-306
-        # is below what StateSpec takes). The profile is the unit state's at that q, and
-        # pdf and log_pdf stay finite, with no warning
+        # is below what StateSpec takes). The profile is the unit state's at that q, with
+        # no warning
         s, unit, p = spec_of(0.3, 2.3e-306), spec_of(0.3), 1e155
         q = math.sqrt(s.zeta) * p
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = psi(p, s) / normalization_constant(s)
             ref = psi(q, unit) / normalization_constant(unit)
-            log_got = log_pdf(p, s)
-            log_ref = (2.0 * math.log(normalization_constant(s))
-                       + (log_pdf(q, unit) - 2.0 * math.log(normalization_constant(unit))))
-            density = pdf(p, s)
         assert 0.0 < ref and abs(got - ref) <= 2.0 * math.ulp(ref)
-        assert abs(log_got - log_ref) <= 2.0 * math.ulp(log_got)
-        assert 0.0 < density < math.inf
 
     def test_even_positive_decreasing(self):
         s = spec_of(0.3, 0.8)
@@ -152,20 +143,8 @@ def test_blocked_psi_is_the_whole_array_expression(layout, k, z):
 
 class TestPdf:
     def test_normalized(self):
-        assert quadrature_moment(0, spec_of(0.3), 1e-11) == pytest.approx(1.0, abs=1e-9)
-
-    def test_even(self):
-        s = spec_of(0.4)
-        p = np.linspace(0.1, 5, 17)
-        assert np.allclose(pdf(-p, s), pdf(p, s), rtol=0, atol=0)
-
-    def test_gaussian_peak_value(self):
-        assert pdf(0.0, spec_of(0.0)) == pytest.approx(0.5641895835477563, rel=1e-14)
-
-    def test_log_pdf_consistent(self):
-        s = spec_of(0.2, 1.3)
-        p = np.linspace(-3, 3, 13)
-        assert np.allclose(np.exp(log_pdf(p, s)), pdf(p, s), rtol=1e-14)
+        # the closed-form pdf's integral, by quadrature
+        assert moment_report(spec_of(0.3), 1e-11).probability_quad == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSecondMoment:
@@ -176,7 +155,7 @@ class TestSecondMoment:
     def test_against_quadrature(self):
         s = spec_of(0.2)
         closed = second_moment(s)
-        quad = quadrature_moment(2, s, 1e-11)
+        quad = moment_report(s, 1e-11).second_moment_quad
         assert closed == pytest.approx(0.5413059498526723, rel=1e-12)  # mpmath
         assert abs(closed - quad) / closed < 1e-6
 
@@ -192,11 +171,11 @@ class TestSecondMoment:
                 quantity(s)
         # the quadrature integrates at zeta = 1; its scaling by zeta^-1 overflows
         with pytest.raises(NonConvergenceError, match="overflowed"):
-            quadrature_moment(2, s)
+            _quadrature(s, 1e-10, 2)
         # <p^4> ~ 1e600 raises the same way, and ~ 1e-600 underflows to 0
         with pytest.raises(NonConvergenceError, match="overflowed"):
-            quadrature_moment(4, spec_of(0.1, 1e-300))
-        assert quadrature_moment(4, spec_of(0.1, 1e300)) == 0.0
+            _quadrature(spec_of(0.1, 1e-300), 1e-10, 4)
+        assert _quadrature(spec_of(0.1, 1e300), 1e-10, 4)[0][0] == 0.0
 
 
 class TestDeltas:
@@ -219,7 +198,7 @@ class TestDeltas:
             1.0, rel=1e-15
         )
         # value pinned by the quadrature route for <p^2>
-        dp_quad = math.sqrt(quadrature_moment(2, s, 1e-11))
+        dp_quad = moment_report(s, 1e-11).delta_p_quad
         assert delta_x(s) == pytest.approx((1 - 0.09) * dp_quad, rel=1e-7)
         assert delta_x(s) == pytest.approx(0.7085899566635019, rel=1e-12)  # mpmath
 
@@ -243,7 +222,7 @@ class TestFExpectation:
 
     def test_against_quadrature(self):
         f_closed = f_expectation(KappaParameter(0.2))
-        f_quad = f_expectation_quadrature(spec_of(0.2), 1e-11)
+        f_quad = moment_report(spec_of(0.2), 1e-11).f_expect_quad
         assert f_closed == pytest.approx(1.0393074237171308, rel=1e-12)  # mpmath
         assert abs(f_closed - f_quad) / f_closed < 1e-6
 
@@ -253,41 +232,51 @@ class TestFExpectation:
 
 
 class TestQuadratureMoment:
+    """_quadrature, the one route of moment_report's integrals, one power at a time."""
+
     @pytest.mark.parametrize("k", [0.05, 0.1, 0.3, 0.6])
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
     def test_normalization_grid(self, k, z):
-        assert abs(quadrature_moment(0, spec_of(k, z), 1e-10) - 1.0) < 1e-8
+        assert abs(moment_report(spec_of(k, z), 1e-10).probability_quad - 1.0) < 1e-8
 
     def test_second_moment_consistency(self):
         s = spec_of(0.2)
-        assert abs(quadrature_moment(2, s, 1e-10) - second_moment(s)) / second_moment(s) < 1e-6
+        quad = moment_report(s, 1e-10).second_moment_quad
+        assert abs(quad - second_moment(s)) / second_moment(s) < 1e-6
 
     def test_divergence_detected(self):
         with pytest.raises(DivergentIntegralError):
-            quadrature_moment(2, spec_of(0.7))
+            _quadrature(spec_of(0.7), 1e-10, 2)
+        # <p^4> needs 4 < 2/kappa - 1, kappa < 0.4, at every zeta
+        for z in (2.3e-306, 1.0, 1e300):
+            with pytest.raises(DivergentIntegralError, match=r"p\^4\.0"):
+                _quadrature(spec_of(0.45, z), 1e-10, 4)
 
     def test_against_mpmath(self):
         # fully independent high-precision reference
         for k, z in [(0.3, 1.0), (0.6, 0.5)]:
             ref = mp_moment(2, k, z)
-            assert quadrature_moment(2, spec_of(k, z), 1e-11) == pytest.approx(ref, rel=1e-9)
+            assert moment_report(spec_of(k, z), 1e-11).second_moment_quad == pytest.approx(
+                ref, rel=1e-9)
+
+    def test_fourth_moment_against_mpmath(self):
+        # a power no command integrates, at kappa 0 and next to its divergence at 0.4
+        for k, z in [(0.0, 1.0), (0.3, 2.0), (0.38, 0.5)]:
+            value, error, _ = _quadrature(spec_of(k, z), 1e-11, 4)[0]
+            assert value == pytest.approx(mp_moment(4, k, z), rel=1e-9)
+            assert 0.0 <= error <= 0.5e-11
 
     def test_refinement_consistency(self):
         s = spec_of(0.45, 1.5)
-        coarse = quadrature_moment(2, s, 1e-5)
-        fine = quadrature_moment(2, s, 1e-11)
+        coarse = moment_report(s, 1e-5).second_moment_quad
+        fine = moment_report(s, 1e-11).second_moment_quad
         assert abs(coarse - fine) / fine < 1e-5
 
     def test_rel_tol_validation(self):
         with pytest.raises(DomainError):
-            quadrature_moment(0, spec_of(0.2), 1e-2)
+            _quadrature(spec_of(0.2), 1e-2, 0)
         with pytest.raises(DomainError):
-            quadrature_moment(0, spec_of(0.2), 1e-13)
-
-    @pytest.mark.parametrize("power", [1, 3, -2, 2.5])
-    def test_power_validation(self, power):
-        with pytest.raises(DomainError):
-            quadrature_moment(power, spec_of(0.2))
+            _quadrature(spec_of(0.2), 1e-13, 0)
 
 
 class TestTailExponent:
@@ -349,7 +338,7 @@ class TestMomentReport:
 
     def test_field_validation(self):
         with pytest.raises(DomainError):
-            MomentReport(*([1.0] * 10 + [float("nan")]))
+            MomentReport(*([1.0] * 10 + [float("nan")] + [1.0] * 2 + [0]))
 
 
 # every 30th kappa of the small-kappa sweep, and two next to kappa = 2/3
@@ -368,7 +357,7 @@ class TestDoubleExponentialRule:
     @pytest.mark.parametrize("k,z", [(0.0, 1.0), (0.2, 0.3), (0.45, 2.0), (0.66, 1.3)])
     def test_matches_quadpack(self, k, z):
         s = spec_of(k, z)
-        assert quadrature_moment(2, s) == pytest.approx(quadpack_moment(2, k, z), rel=1e-11)
+        assert _quadrature(s, 1e-10, 2)[0][0] == pytest.approx(quadpack_moment(2, k, z), rel=1e-11)
 
     def test_value_error_estimate_and_count(self):
         # integral of sech w over the real line is pi, analytic in |Im w| < pi/2
@@ -408,7 +397,7 @@ class TestDoubleExponentialRule:
     def test_level_cap_raises(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
         with pytest.raises(NonConvergenceError, match="did not converge"):
-            quadrature_moment(2, spec_of(0.3))
+            _quadrature(spec_of(0.3), 1e-10, 2)
 
 
 SWEEP_KAPPAS = [0.0, 1e-8, 1e-5, 0.05, 0.3, 0.65, 0.66]
@@ -426,9 +415,10 @@ class TestSharedSweep:
                 for tol in SWEEP_TOLS:
                     s = spec_of(k, z)
                     rep = moment_report(s, tol)
-                    assert rep.probability_quad == quadrature_moment(0, s, tol)
-                    assert rep.second_moment_quad == quadrature_moment(2, s, tol)
-                    assert rep.f_expect_quad == f_expectation_quadrature(s, tol)
+                    # each integral on a sweep of its own
+                    assert rep.probability_quad == _quadrature(s, tol, 0)[0][0]
+                    assert rep.second_moment_quad == _quadrature(s, tol, 2)[0][0]
+                    assert rep.f_expect_quad == _quadrature(s, tol, None)[0][0]
                     counts = {evals for *_, evals in coherent_states._quadrature(s, tol, 0, 2, None)}
                     assert max(counts) == rep.quad_evals
                     staggered += len(counts) > 1
@@ -445,11 +435,6 @@ class TestSharedSweep:
         levels = math.log2((rep.quad_evals - 1) / (2 * coherent_states._T_MAX))
         assert levels == int(levels)
         assert coherent_states._MIN_LEVEL <= levels <= coherent_states._MAX_LEVEL
-
-    def test_positional_constructors_keep_working(self):
-        assert MomentReport(*([1.0] * 11)).probability_quad == 1.0
-        rep = MomentReport(*([1.0] * 12))
-        assert (rep.quad_error_estimate, rep.quad_evals) == (0.0, 0)
 
     def test_node_cache_is_read_only(self):
         before = moment_report(spec_of(0.3, 1.7))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappa_rup.coherent_states import delta_p, delta_x, f_expectation, f_expectation_quadrature, psi
+from kappa_rup.coherent_states import delta_p, delta_x, f_expectation, moment_report, psi
 from kappa_rup.deformed_algebra import (
     ORDER_X1,
     ORDER_X2,
@@ -18,7 +18,6 @@ from kappa_rup.deformed_algebra import (
     commutator_residual,
     convert_ordering,
     deformation_f,
-    deformation_f_derivatives,
     ode_residual,
     ordering_weight,
     robertson_bound,
@@ -27,7 +26,7 @@ from kappa_rup.errors import DomainError
 from kappa_rup.params import KappaParameter, StateSpec
 from kappa_rup.phenomenology import landau_zeta, minimal_length
 
-from kappa_rup.deformed_algebra import _f_core, _general_parts
+from kappa_rup.deformed_algebra import _f_core, _general_parts, _scratch
 from oracles import (
     complex_annihilation_residual,
     complex_commutator_residual,
@@ -41,12 +40,23 @@ def spec_of(k, z=1.0):
     return StateSpec(KappaParameter(k), z)
 
 
-def general_family(p, k, z, dx, dp, hbar=1.0, c1=0.0):
-    """(f, f', f'') of the general solution family for the pair (dx, dp), d/dp: the
-    kernel's d/dq at q = p sqrt(z), times sqrt(z) per derivative."""
+def f_core(q, k):
+    """_f_core's (q^2, x, s, f~) at the unit-state momenta q, on rows of their own."""
+    return _f_core(q, k, _scratch(4, np.shape(q)))
+
+
+def family(p, k, z, c0=1.0, c1=0.0):
+    """(f, f', f'') of the general family, d/dp: _general_parts' d/dq at q = p sqrt(z),
+    times sqrt(z) per derivative; c0 = 1, c1 = 0 is the selected deformation."""
     r = math.sqrt(z)
-    f, f1, f2 = _general_parts(p * r, k, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)[2:]
+    q = np.asarray(p, dtype=float) * r
+    f, f1, f2 = _general_parts(q, k, c0, c1, _scratch(8, np.shape(q)))[2:]
     return f, r * f1, z * f2
+
+
+def general_family(p, k, z, dx, dp, hbar=1.0, c1=0.0):
+    """family for the pair (dx, dp): c0 = dx / (hbar z (1-k^2) dp)."""
+    return family(p, k, z, dx / StateSpec(k, z, hbar).delta_x_for(dp), c1)
 
 
 class TestDeformationF:
@@ -89,7 +99,7 @@ class TestDeformationF:
         ]
         with np.errstate(over="raise", invalid="raise"):
             for q, k in cases:
-                _, x, s, _ = _f_core(q, k)
+                _, x, s, _ = f_core(q, k)
                 ref = np.hypot(1.0, x)
                 assert np.all(np.abs(s - ref) <= np.spacing(ref))
 
@@ -105,7 +115,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("k,z", [(0.2, 1.0), (0.5, 0.7), (0.05, 3.0)])
     def test_against_central_differences(self, k, z):
         p = np.linspace(-4.0, 4.0, 37)
-        f, f1, f2 = deformation_f_derivatives(p, k, z)
+        f, f1, f2 = family(p, k, z)
         assert np.allclose(f, deformation_f(p, k, z), rtol=0, atol=0)
         h = 1e-6
         fd1 = (deformation_f(p + h, k, z) - deformation_f(p - h, k, z)) / (2 * h)
@@ -123,7 +133,7 @@ class TestDerivatives:
         k, z = 0.3, 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f2 = deformation_f_derivatives(np.array([-1e60, 1e60]), k, z)[2]
+            f2 = family(np.array([-1e60, 1e60]), k, z)[2]
         assert np.all(np.isfinite(f2))
         assert np.allclose(f2, 2 * k * z * (k + 1), rtol=1e-14, atol=0)
 
@@ -133,7 +143,7 @@ class TestDerivatives:
         for k, x in zip(np.geomspace(1e-3, 0.6, 20), np.geomspace(1e-3, 1e3, 20)):
             k = float(k)
             p = math.sqrt(x / (k * z))
-            f2 = deformation_f_derivatives(p, k, z)[2]
+            f2 = family(p, k, z)[2]
             assert f2 == pytest.approx(mp_deformation_f2(p, k, z), rel=2e-15, abs=0)
 
     @pytest.mark.parametrize("c1,dx_scale", [(0.1, 1.0), (0.05, 1.3), (0.0, 0.8)])
@@ -186,7 +196,7 @@ class TestRobertsonBound:
 
     def test_quadrature_mean_matches_closed(self):
         s = spec_of(0.3)
-        f_quad = f_expectation_quadrature(s, 1e-10)
+        f_quad = moment_report(s, 1e-10).f_expect_quad
         assert robertson_bound(f_quad) == pytest.approx(
             robertson_bound(f_expectation(s.kappa)), rel=1e-6
         )
@@ -194,6 +204,11 @@ class TestRobertsonBound:
     def test_rejects_submean(self):
         with pytest.raises(DomainError):
             robertson_bound(0.5)
+
+    @pytest.mark.parametrize("f_mean", [math.nan, math.inf, True, "1.2"])
+    def test_rejects_a_mean_that_is_not_a_finite_number(self, f_mean):
+        with pytest.raises(DomainError, match=r"^mean deformation must be finite and >= 1"):
+            robertson_bound(f_mean)
 
 
 class TestMinimalLength:
@@ -250,6 +265,13 @@ class TestGridFunction:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             GridFunction(1.0, -1.0, np.ones(32, dtype=complex))
+
+    @pytest.mark.parametrize("p_min,p_max", [(-math.inf, math.inf), (-1e308, 1e308),
+                                             (0.0, math.inf), (math.nan, 1.0)])
+    def test_span_that_is_not_finite(self, p_min, p_max):
+        # the step (p_max - p_min) / (n - 1) and every grid kernel need a finite span
+        with pytest.raises(DomainError, match="finite span"):
+            GridFunction(p_min, p_max, np.ones(32, dtype=complex))
 
     def test_samples_read_only(self):
         g = GridFunction(-1.0, 1.0, np.ones(32, dtype=complex))
@@ -459,7 +481,7 @@ class TestBlockedKernelsMatchWholeGrid:
     def build(self, n, k, hbar, extent=400.0):
         spec = StateSpec(KappaParameter(k), 1.0, hbar)
         grid = GridFunction(-extent, extent, psi(np.linspace(-extent, extent, n), spec))
-        f, f1, _ = deformation_f_derivatives(grid.p_values(), k, 1.0)
+        f, f1, _ = family(grid.p_values(), k, 1.0)
         return spec, grid, grid.p_values(), f, f1
 
     def test_annihilation_residual(self, n, k, hbar):
@@ -492,7 +514,7 @@ class TestBlockedKernelsMatchWholeGrid:
     def test_ode_residual(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
-        ref = whole_grid_ode_residual(p, k, dx / hbar, dp, _f_core(p, k)[2],
+        ref = whole_grid_ode_residual(p, k, dx / hbar, dp, f_core(p, k)[2],
                                       *general_family(p, k, 1.0, dx, dp, hbar, 0.0))
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, dx, dp, hbar), ref)
 
@@ -500,14 +522,14 @@ class TestBlockedKernelsMatchWholeGrid:
         # f and f^2 would overflow on a wide grid at kappa = 0 (f ~ exp(z p^2))
         p = np.linspace(-10.0, 10.0, n)
         parts = general_family(p, k, 1.0, 0.77, 1.21, hbar, 0.05)
-        ref = whole_grid_ode_residual(p, k, 0.77 / hbar, 1.21, _f_core(p, k)[2], *parts)
+        ref = whole_grid_ode_residual(p, k, 0.77 / hbar, 1.21, f_core(p, k)[2], *parts)
         np.testing.assert_array_equal(ode_residual(p, k, 1.0, 0.77, 1.21, hbar, c1=0.05), ref)
 
     def test_ode_residual_with_f_parts(self, n, k, hbar):
         spec, grid, p, _, _ = self.build(n, k, hbar)
         dx, dp = delta_x(spec), delta_p(spec)
-        parts = deformation_f_derivatives(p, k, 1.0)
-        ref = whole_grid_ode_residual(p, k, 1.5 * dx / hbar, dp, _f_core(p, k)[2], *parts)
+        parts = family(p, k, 1.0)
+        ref = whole_grid_ode_residual(p, k, 1.5 * dx / hbar, dp, f_core(p, k)[2], *parts)
         got = ode_residual(p, k, 1.0, 1.5 * dx, dp, hbar, f_parts=parts)
         np.testing.assert_array_equal(got, ref)
 

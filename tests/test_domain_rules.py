@@ -1,6 +1,7 @@
 """The two kappa rules, each written once on KappaParameter, and the ordering
 label's one check: every entry point that needs kappa > 0 or kappa < 2/3, or takes
-an ordering A, raises a DomainError that names it."""
+an ordering A, raises a DomainError that names it. Every plain-float zeta or hbar
+goes through params.positive_float, whose DomainError names the parameter."""
 
 import math
 
@@ -13,7 +14,8 @@ from kappa_rup.coherent_states import (delta_p, delta_x, f_excess, f_expectation
                                        tail_exponent_estimate)
 from kappa_rup.deformed_algebra import (ORDER_X1, ORDER_X2, ORDER_X3, GridFunction,
                                         annihilation_residual, apply_position_operator,
-                                        convert_ordering, ordering_weight)
+                                        commutator_residual, convert_ordering, deformation_f,
+                                        ode_residual, ordering_weight, robertson_bound)
 from kappa_rup.errors import DomainError
 from kappa_rup.kinematics import ParticleFrame, aux_energy
 from kappa_rup.params import KappaParameter, StateSpec, as_kappa
@@ -51,6 +53,24 @@ TAKES_ORDERING = {
     "apply_position_operator": lambda a: apply_position_operator(_GRID, a, 0.3, 1.0),
 }
 
+_TRIAL_F = (np.ones(33), np.zeros(33), np.zeros(33))  # f = 1, ode_residual's rejected trial
+
+# each entry point that takes zeta or hbar as a plain float, by (entry, parameter)
+TAKES_ZETA_OR_HBAR = {
+    ("deformation_f", "zeta"): lambda v: deformation_f(1.0, 0.2, v),
+    ("ordering_weight", "zeta"): lambda v: ordering_weight(1.0, 0.3, 0.2, v),
+    ("convert_ordering", "zeta"): lambda v: convert_ordering(_GRID, ORDER_X1, ORDER_X2, 0.2, v),
+    ("apply_position_operator", "zeta"): lambda v: apply_position_operator(_GRID, 0.5, 0.2, v),
+    ("apply_position_operator", "hbar"):
+        lambda v: apply_position_operator(_GRID, 0.5, 0.2, 1.0, v),
+    ("commutator_residual", "zeta"): lambda v: commutator_residual(_GRID, 0.2, v),
+    ("ode_residual", "zeta"):
+        lambda v: ode_residual(_GRID.p_values(), 0.2, v, 1.0, 1.0, f_parts=_TRIAL_F),
+    ("ode_residual", "hbar"):
+        lambda v: ode_residual(_GRID.p_values(), 0.2, 1.0, 1.0, 1.0, v, f_parts=_TRIAL_F),
+    ("robertson_bound", "hbar"): lambda v: robertson_bound(1.2, v),
+}
+
 
 @pytest.mark.parametrize("kappa", [0.0, 5e-324])  # a subnormal kappa is stored as 0
 @pytest.mark.parametrize("name", sorted(NEEDS_POSITIVE))
@@ -72,6 +92,14 @@ def test_verify_turns_the_moment_rule_into_a_config_error(capsys, kappa):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: verify requires kappa < 2/3, got kappa={kappa!r}\n"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("entry,name", sorted(TAKES_ZETA_OR_HBAR), ids="{}".format)
+def test_zeta_and_hbar_must_be_positive_floats(entry, name, value):
+    # not a bare math domain error, ZeroDivisionError or RuntimeWarning, nor a value
+    with pytest.raises(DomainError, match=rf"^{name} must be > 0, got "):
+        TAKES_ZETA_OR_HBAR[entry, name](value)
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 0.3, math.nextafter(2.0 / 3.0, 0.0)])
