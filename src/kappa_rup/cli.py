@@ -73,8 +73,12 @@ _FILE_KEYS = ("kappas", "format", "out", "pheno", "maxent")
 _MAXENT_KEYS = ("energies", "mean_energy", "kappa")
 
 
+# every float a document writes: 17 significant digits, enough to round-trip a float
+_F17 = "%.17g"
+
+
 def _f17(x) -> str:
-    return format(float(x), ".17g")
+    return _F17 % float(x)
 
 
 def _meta(config: dict) -> dict:
@@ -97,11 +101,9 @@ def _emit(out: Optional[str], text: str):
         raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _csv_document(config: dict, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = ["# " + json.dumps(_meta(config))]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_document(config: dict, header: Sequence[str], lines: Sequence[str]) -> str:
+    """The metadata comment line, the header line and the data lines, as one document."""
+    return "\n".join(["# " + json.dumps(_meta(config)), ",".join(header), *lines]) + "\n"
 
 
 def _json_document(config: dict, body: dict) -> str:
@@ -286,7 +288,7 @@ def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
                 _f17(r.delta_x / c["hbar"] * r.delta_p * 2.0), _table_status(r, rel_tol),
             )
         )
-    return EXIT_OK, _csv_document(c, _TABLE_HEADER, rows)
+    return EXIT_OK, _csv_document(c, _TABLE_HEADER, [",".join(row) for row in rows])
 
 
 def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
@@ -300,10 +302,11 @@ def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
     p = np.linspace(lo, hi, n)
     curves = [psi(p, StateSpec(as_kappa(k), c["zeta"], c["hbar"])) for k in c["kappa"]]
     header = ["p"] + [f"psi_k{i}" for i in range(len(curves))]
-    # Python floats from whole columns, not numpy scalars indexed one at a time
+    # Python floats from whole columns, not numpy scalars indexed one at a time, each row
+    # formatted by one % with _f17's format per cell
     columns = [p.tolist()] + [curve.tolist() for curve in curves]
-    rows = [[_f17(x) for x in row] for row in zip(*columns)]
-    return EXIT_OK, _csv_document(c, header, rows)
+    row_format = ",".join([_F17] * len(columns))
+    return EXIT_OK, _csv_document(c, header, [row_format % row for row in zip(*columns)])
 
 
 # ---------------------------------------------------------------------------

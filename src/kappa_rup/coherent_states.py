@@ -34,14 +34,23 @@ the whole real line. The integrand, a power of q at both ends, decays
 exponentially in |w| and so double-exponentially in t, and all magnitudes
 stay in log space (no overflow for any k < 2/3). The rule halves its step
 until two levels agree to rel_tol / 2; the last change is its error estimate.
-All levels' nodes are built once per process, in one array. The rule evaluates its
-running integrals on levels 0-6 in one call, all that nearly every state needs at
-rel_tol 1e-10, as the rows of one array, each value exp(ln weight + w + ln N^2 +
-ln-density) summed in that order. A level sum is np.add.reduceat(values * dw, [0])[0]
-over that level's nodes, the first term plus numpy's pairwise sum of the rest, and
-one reduceat takes all of a call's. Another summation order (a BLAS dot product, say)
-moves an integral by a few ulp, within a budget of 8 ulp per integral, and its stopping
-level only where its last change sits at the threshold.
+All levels' nodes, and their 2w, are built once per process, in one array each. The
+rule evaluates its running integrals on levels 0-6 in one call, all that nearly every
+state needs at rel_tol 1e-10, as the rows of one array, each value exp(ln weight +
+((w + ln N^2) + ln-density)) summed in that order. Each node's work is done once for
+all rows: X = k q^2 = k e^(2w), with 2w capped at 40 - ln k, feeds both the ln-density
+-asinh(X)/k and ln f, whose s = sqrt(1 + X^2) and f~ = s + k X come from
+kappa_math._deformation_s_f, the one f evaluation the grid kernels use too. Past the
+cap each takes its asymptote, ln 2X or ln (1+k)X, as 2w plus a constant, rounded once.
+Against 40-digit mpmath both are within 2 ulp of their size on every level 0-6 node.
+A level sum is np.add.reduceat(values * dw, [0])[0] over that level's nodes, the first
+term plus numpy's pairwise sum of the rest, and one reduceat takes all of a call's.
+Another summation order (a BLAS dot product, say) moves an integral by a few ulp, and
+its stopping level only where its last change sits at the threshold. Next to k = 2/3,
+where the tail carries most of <p^2> and <f>, a node's exponent is terms of size 3w
+that cancel to a small one, and a change in how they round moves an integral by tens
+of ulp: over 3000 moment-sweep states, 48 at most for k > 0.65, 16 for k in 0.6-0.65,
+4 below.
 moment_report's three integrals share one sweep and report the largest relative error
 estimate and the rule's node count where the last one stopped (quad_error_estimate,
 quad_evals).
@@ -57,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NonConvergenceError
-from .kappa_math import _BLOCK, _asinh_k, elementwise
+from .kappa_math import _BLOCK, _asinh_k, _deformation_s_f, elementwise
 from .params import KappaLike, StateSpec, as_kappa
 
 __all__ = [
@@ -65,7 +74,6 @@ __all__ = [
     "delta_p", "delta_x", "f_expectation", "f_excess", "tail_exponent_estimate", "moment_report",
 ]
 
-_LN2 = math.log(2.0)
 _TAIL_POINTS = 41  # tail_exponent_estimate's fit points
 
 # The double-exponential rule's t range, its first level that may stop and
@@ -238,9 +246,9 @@ def f_excess(kappa: KappaLike) -> float:
 # ---------------------------------------------------------------------------
 
 def _nodes(first: int, last: int | None = None):
-    """(w, dw, starts) at the rule's new nodes of levels first..last (default: first alone), in
-    level order, starts each level's offset in w: cached read-only arrays, w and dw views of
-    one concatenation built once per process."""
+    """(w, dw, starts, two_w) at the rule's new nodes of levels first..last (default: first
+    alone), in level order, starts each level's offset in w and two_w = 2w: cached read-only
+    arrays, w, dw and two_w views of concatenations built once per process."""
     last = first if last is None else last
     if (first, last) not in _NODES:
         if not _NODES:
@@ -252,11 +260,12 @@ def _nodes(first: int, last: int | None = None):
                 k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
                 u = 0.5 * math.pi * np.sinh(h * k)
                 parts.append((np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)))
-            _NODES["all"] = tuple(np.concatenate(a) for a in zip(*parts))
+            w, dw = (np.concatenate(a) for a in zip(*parts))
+            _NODES["all"] = w, dw, 2.0 * w
         base = _rule_count(first - 1) if first else 0
         starts = [0] + [_rule_count(level - 1) - base for level in range(first + 1, last + 1)]
-        _NODES[first, last] = nodes = (
-            *(a[base:_rule_count(last)] for a in _NODES["all"]), np.array(starts))
+        w, dw, two_w = (a[base:_rule_count(last)] for a in _NODES["all"])
+        _NODES[first, last] = nodes = w, dw, np.array(starts), two_w
         for a in nodes:
             a.flags.writeable = False
     return _NODES[first, last]
@@ -268,10 +277,11 @@ def _rule_count(level: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _double_exponential(whats: list, evaluate: Callable, rel_tol: float) -> list:
+def _double_exponential(whats, evaluate: Callable, rel_tol: float, name: Callable = str) -> list:
     """[(integral, error estimate, evaluation count)] over the real line of each integrand
-    whats[i], all on one sweep; evaluate(w, rows) returns a new array whose rows are the
-    integrands whats[i], i in rows (ascending), at the nodes w.
+    whats[i], all on one sweep; evaluate(w, two_w, rows) returns a new array whose rows are
+    the integrands whats[i], i in rows (ascending), at the nodes w (two_w = 2w). An error
+    message names integral i as name(whats[i]), formatted only then.
 
     The sinh-sinh rule: the trapezoid rule in t on [-_T_MAX, _T_MAX] after
     w = sinh(u), u = pi/2 sinh t, under which an integrand that decays
@@ -284,90 +294,90 @@ def _double_exponential(whats: list, evaluate: Callable, rel_tol: float) -> list
     a call. Each integral stops once its change from the previous level, its error
     estimate, is at most rel_tol / 2 of its value; its count is the rule's nodes at
     that level. A level sum that is not finite ends the rule, at the first level that
-    has one, the first such integral in order.
+    has one, the first such integral in order. A value that took a level sum that is
+    not finite is not finite either, so one test of the running values per call finds
+    whether any did (one that leaves the float range from finite sums is the caller's).
     """
     results, running = [(0.0, 0.0, 0)] * len(whats), list(range(len(whats)))
     top, tol = _MAX_LEVEL, 0.5 * rel_tol
     first = min(_FIRST_CALL_LEVEL, top)
     for levels in [range(first + 1)] + [range(L, L + 1) for L in range(first + 1, top + 1)]:
-        w, dw, starts = _nodes(levels[0], levels[-1])
+        w, dw, starts, two_w = _nodes(levels[0], levels[-1])
         rows = tuple(running)
-        values = evaluate(w, rows)
+        values = evaluate(w, two_w, rows)
         values *= dw
-        overflow = top + 1, None  # (level, integral) of the first level sum not finite
-        for i, level_sums in zip(rows, np.add.reduceat(values, starts, axis=1).tolist()):
+        level_sums = np.add.reduceat(values, starts, axis=1).tolist()
+        for i, sums in zip(rows, level_sums):
             value = change = results[i][0]
-            for level, level_sum in zip(levels, level_sums):
-                if not math.isfinite(level_sum):
-                    overflow = min(overflow, (level, i))
-                    break
+            for level, level_sum in zip(levels, sums):
                 previous, value = value, 0.5 * value + level_sum
                 change = abs(value - previous)
                 if level >= _MIN_LEVEL and change <= tol * abs(value):
                     running.remove(i)
                     break
             results[i] = value, change, _rule_count(level)
-        if overflow[1] is not None:
-            level, i = overflow
-            raise NonConvergenceError(f"quadrature {whats[i]} overflowed ({_rule_count(level)} evaluations)")
+        if not math.isfinite(sum(results[i][0] for i in rows)):
+            overflows = [(level, i) for i, sums in zip(rows, level_sums)
+                         for level, level_sum in zip(levels, sums)
+                         if not math.isfinite(level_sum) and _rule_count(level) <= results[i][2]]
+            if overflows:
+                level, i = min(overflows)
+                raise NonConvergenceError(
+                    f"quadrature {name(whats[i])} overflowed ({_rule_count(level)} evaluations)")
         if not running:
             return results
     value, change, evals = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {whats[running[0]]} did not converge in {top} step halvings "
+        f"quadrature {name(whats[running[0]])} did not converge in {top} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
 
-def _log_profile_at_logq(two_w, x_log, big, k: float):
-    """-asinh(k q^2)/k at q = e^w, the unit state's ln-density up to ln N^2, given 2w,
-    x_log = ln(k q^2) = ln k + 2w and big = x_log > 40 (both None at k = 0)."""
+def _log_profile_at_logq(two_w, k: float, x, tmp, out):
+    """-asinh(k q^2)/k at q = e^w, the unit state's ln-density up to ln N^2, into out, given
+    2w; for k > 0 it leaves in x X = k q^2 = k e^(2w) with 2w capped at 40 - ln k, which ln f
+    takes too (tmp: scratch)."""
     if k == 0.0:
-        return -np.exp(np.minimum(two_w, 700.0))
-    # asinh(X) = ln(2X) + O(1/X^2), the correction below 1e-35 for ln X > 40; below
-    # that X = k e^(2w), not e^(ln k + 2w), whose rounded ln k would scale every X alike
-    x = np.minimum(two_w, 40.0 - math.log(k))
-    np.exp(x, out=x)
-    x *= k
-    np.arcsinh(x, out=x)
-    np.add(_LN2, x_log, out=x, where=big)
+        return np.negative(np.exp(np.minimum(two_w, 700.0, out=out), out=out), out=out)
+    # X = k e^(2w), not e^(ln k + 2w), whose rounded ln k would scale every X alike. The cap
+    # is 700 for k < 3e-287, where exp would overflow first: past 2w = 700 the density is 0
+    np.multiply(np.exp(np.minimum(two_w, min(40.0 - math.log(k), 700.0), out=x), out=x), k, out=x)
+    # asinh(X) > ln(2X) = 2w + ln 2k, within 1/(4X^2) < 1e-35 past the cap: there the
+    # maximum takes the uncapped ln(2X), rounded once
+    np.maximum(np.arcsinh(x, out=out), np.add(two_w, math.log(2.0 * k), out=tmp), out=out)
     # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
-    np.minimum(x, 1e300 * k, out=x)
-    return np.divide(x, -k, out=x)
+    np.minimum(out, 1e300 * k, out=out)
+    return np.divide(out, -k, out=out)
 
 
-def _log_f_at_logq(x_log, big, k: float, out):
-    """ln f(q) into out, f(q) = sqrt(1 + k^2 q^4) + k^2 q^2 the commutator deformation,
-    given x_log = ln(k q^2) and big = x_log > 40 (both None at k = 0)."""
+def _log_f_at_logq(x, two_w, k: float, out, s):
+    """ln f~(q) into out, f~(q) = sqrt(1 + k^2 q^4) + k^2 q^2 the commutator deformation,
+    from the capped X = k q^2 that _log_profile_at_logq leaves and 2w (s: scratch)."""
     if k == 0.0:
         out[...] = 0.0
         return
-    x = np.minimum(x_log, 40.0)
-    np.exp(x, out=x)  # k q^2
-    np.hypot(1.0, x, out=out)
-    x *= k
-    out += x
-    np.log(out, out=out)
-    np.add(math.log1p(k), x_log, out=out, where=big)
+    np.log(_deformation_s_f(x, k, s, out)[1], out=out)
+    # f~ > (1 + k) X, within 1/(2X^2) past the cap, where the maximum takes ln((1 + k) X)
+    np.maximum(out, np.add(two_w, math.log(k) + math.log1p(k), out=s), out=out)
 
 
-def _integrands(w, k: float, log_n2: float, powers) -> np.ndarray:
-    """One row per power (None: f) of exp(ln weight + w + ln N^2 + ln-density) at the nodes
-    w, the weight q^power or f(q), summed in that order for all rows at once."""
-    two_w = 2.0 * w
-    x_log = big = None
-    if k > 0.0:
-        x_log = math.log(k) + two_w
-        big = x_log > 40.0
+def _integrands(w, two_w, k: float, log_n2: float, powers) -> np.ndarray:
+    """One row per power (None: f) of exp(ln weight + ((w + ln N^2) + ln-density)) at the
+    nodes w, two_w = 2w. Each node's X = k q^2, ln-density, ln f and (w + ln N^2) +
+    ln-density are formed once, for all rows."""
     values = np.empty((len(powers), w.size))
+    x, base, s = np.empty((3, w.size))
+    _log_profile_at_logq(two_w, k, x, s, base)
+    if None in powers:
+        _log_f_at_logq(x, two_w, k, values[powers.index(None)], s)
+    np.add(np.add(w, log_n2, out=x), base, out=base)
     for row, power in zip(values, powers):
         if power is None:
-            _log_f_at_logq(x_log, big, k, row)
-        else:
-            np.multiply(w, power, out=row)
-    values += w
-    values += log_n2
-    values += _log_profile_at_logq(two_w, x_log, big, k)
+            row += base
+        elif power == 0:  # 0 w + base is base
+            np.copyto(row, base)
+        else:  # 2 w is two_w, bit for bit
+            np.add(two_w if power == 2 else np.multiply(w, power, out=row), base, out=row)
     # exp is 0.0 below ln 2^-1075 = -745.13; the mask skips its slow underflow path there,
     # and the maximum writes those 0.0s (a nan stays nan)
     np.exp(values, out=values, where=values > -746.0)
@@ -382,24 +392,27 @@ def _quadrature(spec: StateSpec, rel_tol: float, *powers) -> list:
         raise DomainError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
     k = spec.kappa.value
     log_n2 = _LN_N2(k) - 0.5 * math.log(math.pi)  # ln N^2 at zeta = 1
-    whats = []
     for power in powers:
         growth = 2.0 if power is None else float(power)  # f(q) grows like q^2
         # the tail of weight * pdf ~ q^(growth - 2/k) is integrable iff growth < 2/k - 1
         if k > 0.0 and growth >= 2.0 / k - 1.0:
             raise DivergentIntegralError(f"integral of p^{growth} * pdf diverges for kappa={k} "
                                          f"(needs degree < 2/kappa - 1 = {2.0 / k - 1.0:.4g})")
-        whats.append(f"<f> at kappa={k}" if power is None else f"<p^{power}> at kappa={k}")
+
+    def name(power):
+        return f"<f> at kappa={k}" if power is None else f"<p^{power}> at kappa={k}"
+
     sweep = _double_exponential(
-        whats, lambda w, rows: _integrands(w, k, log_n2, [powers[i] for i in rows]), rel_tol)
+        powers, lambda w, two_w, rows: _integrands(w, two_w, k, log_n2, [powers[i] for i in rows]),
+        rel_tol, name)
     results = []
-    for power, what, (value, change, evals) in zip(powers, whats, sweep):
+    for power, (value, change, evals) in zip(powers, sweep):
         moment = 2.0 * value
         # one division per factor of zeta: past the float range this gives inf or 0, never raises
         for _ in range((power or 0) // 2):
             moment /= spec.zeta
         if not math.isfinite(moment):
-            raise NonConvergenceError(f"quadrature {what}, zeta={spec.zeta} overflowed")
+            raise NonConvergenceError(f"quadrature {name(power)}, zeta={spec.zeta} overflowed")
         results.append((moment, change / value, evals))
     return results
 

@@ -31,9 +31,10 @@ The residuals and the position operator run in real arithmetic over blocks of
 each complex product they replace had a zero part, the stencil scales by 1/(12h)
 as numpy's complex division does, and each norm is one np.sum over the whole
 grid. Per block, q^2 and s = sqrt(1 + x^2), x = k q^2, are formed once, f'' only
-where it is used. s takes numpy's sqrt, with x capped at 2^27 before squaring
-(past it, s is x): within 1 ulp of libm's hypot(1, x) over the whole float range,
-and no overflow.
+where it is used. s and f~ = s + k x come from kappa_math._deformation_s_f, which the
+quadrature's ln f takes too, so f has one evaluation path: numpy's sqrt, with x
+capped at 2^27 before squaring (past it, s is x), within 1 ulp of libm's hypot(1, x)
+over the whole float range, and no overflow.
 
 No kernel allocates per operation. Each call takes a few scratch rows of one
 block (and its halo of two points a side) once, and every numpy operation writes
@@ -63,7 +64,7 @@ from .coherent_states import delta_p as state_delta_p
 from .coherent_states import delta_x as state_delta_x
 from .coherent_states import _psi_into, normalization_constant
 from .errors import DomainError
-from .kappa_math import _BLOCK, _asinh_k, elementwise
+from .kappa_math import _BLOCK, _asinh_k, _deformation_s_f, elementwise
 from .params import KappaLike, StateSpec, _real, as_kappa, positive_float
 
 __all__ = [
@@ -136,14 +137,11 @@ def _scratch(count: int, shape):
 
 
 def _f_core(q, k: float, rows):
-    """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x: the one place f is written.
-    Each is formed in place in one of rows[:4], buffers of q's shape."""
+    """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x, s and f~ from the package's one
+    f evaluation. Each is formed in place in one of rows[:4], buffers of q's shape."""
     q2, x, s, f = rows[:4]
     np.multiply(np.square(q, out=q2), k, out=x)
-    # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
-    np.sqrt(np.add(np.square(np.minimum(x, 2.0**27, out=s), out=s), 1.0, out=s), out=s)
-    np.maximum(s, x, out=s)
-    return q2, x, s, np.add(s, np.multiply(x, k, out=f), out=f)
+    return (q2, x, *_deformation_s_f(x, k, s, f))
 
 
 def _f_f1(q, k: float, rows):
@@ -227,8 +225,12 @@ def convert_ordering(phi: GridFunction, A_from: float, A_to: float,
 # ---------------------------------------------------------------------------
 
 def _unit_grid(p_min: float, p_max: float, n: int, r: float):
-    """(q, step) of a grid at q = p r, r = sqrt(zeta): its ends scale, so r = 1 costs nothing."""
+    """(q, step) of a grid at q = p r, r = sqrt(zeta): its ends scale, so r = 1 costs nothing.
+    DomainError unless the span in q is finite (and with it both ends)."""
     q_min, q_max = p_min * r, p_max * r
+    if not math.isfinite(q_max - q_min):
+        raise DomainError(f"the grid [{p_min!r}, {p_max!r}] times sqrt(zeta) = {r!r} "
+                          "leaves the float range")
     return np.linspace(q_min, q_max, n), (q_max - q_min) / (n - 1)
 
 
@@ -406,6 +408,9 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     k = as_kappa(kappa).value
     r, hbar = math.sqrt(positive_float("zeta", zeta)), positive_float("hbar", hbar)
     parts = () if f_parts is None else [np.asarray(part, dtype=float) for part in f_parts]
+    dx = positive_float("dx", dx)
+    if parts:  # without them, delta_x_for below holds dp to the dx it gives
+        dp = positive_float("dp", dp)
     c0 = 0.0 if parts else dx / StateSpec(k, zeta, hbar).delta_x_for(dp)
     flat = [a.ravel() for a in np.broadcast_arrays(p, *parts)]
     # each term is a quadratic form in (dq f~, dy), f~ = c0 f~_core + c1 X: max(|c0|, |c1|) into

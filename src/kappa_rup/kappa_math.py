@@ -20,7 +20,9 @@ cancellation of the naive power form.
 
 _asinh_k and _sinh_k hold those exponents and their k -> 0 limits for every module,
 in their classical form at k == 0 only; a subnormal k, whose k y would lose its low
-bits, is stored as 0. elementwise is the scalar/array decorator shared by the
+bits, is stored as 0. _deformation_s_f is the one evaluation of the commutator
+deformation f~ = s + k x, s = sqrt(1 + x^2), from x = k q^2, shared by the grid
+kernels and the quadrature. elementwise is the scalar/array decorator shared by the
 package's elementwise functions, and _BLOCK the length of the blocks that its
 grid kernels (the state psi and the residual verifiers) work through.
 """
@@ -43,6 +45,16 @@ _BLOCK = 1 << 13  # points per block: a block's float64 temporaries stay in L2
 def _asinh_k(x, k: float, out=None):
     """asinh(k x) / k, written into ``out`` (which may be x) if given; x itself at k == 0."""
     return x if k == 0.0 else np.divide(np.arcsinh(np.multiply(k, x, out=out), out=out), k, out=out)
+
+
+def _deformation_s_f(x, k: float, s, f):
+    """(s, f~): s = sqrt(1 + x^2) and f~ = s + k x from x = k q^2 >= 0, in place in the
+    buffers s and f of x's shape. s takes numpy's sqrt with x capped at 2^27 before
+    squaring: within 1 ulp of libm's hypot(1, x) over the whole float range, no overflow."""
+    # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
+    np.sqrt(np.add(np.square(np.minimum(x, 2.0**27, out=s), out=s), 1.0, out=s), out=s)
+    np.maximum(s, x, out=s)
+    return s, np.add(s, np.multiply(x, k, out=f), out=f)
 
 
 def _sinh_k(t, k: float):

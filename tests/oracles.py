@@ -64,6 +64,18 @@ def mp_state(k, z):
         return {"N": float(1 / mp.sqrt(2 * half)), "p2": float(p2 / half), "F": float(f / half)}
 
 
+def mp_log_density_and_f(w, k):
+    """([-asinh(k q^2) / k], [ln f~(q)]) at q = e^w for each float w, f~ = sqrt(1 + k^2 q^4)
+    + k^2 q^2: the unit state's ln-density up to ln N^2 and the commutator deformation's
+    logarithm, at 40 digits (for k > 0)."""
+    kq, dens, log_f = mp.mpf(k), [], []
+    for wi in w:
+        x = kq * mp.exp(2 * mp.mpf(wi))
+        dens.append(float(-mp.asinh(x) / kq))
+        log_f.append(float(mp.log(mp.sqrt(1 + x * x) + kq * x)))
+    return dens, log_f
+
+
 def mp_deformation_f2(p, k, z):
     """f''(p) of f = sqrt(1 + k^2 z^2 p^4) + k^2 z p^2 by mpmath's numerical
     differentiation at 40 digits, not from an analytic second derivative."""

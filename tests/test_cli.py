@@ -132,11 +132,11 @@ class TestVerify:
         # f without its k^2 q^2 term: <f> no longer equals 2 zeta (1 - k^2) <p^2>
         from kappa_rup import coherent_states
 
-        def log_f_without_linear_term(x_log, big, k, out):  # x_log = ln(k q^2)
+        def log_f_without_linear_term(x, two_w, k, out, s):  # x = k q^2, capped
             if k == 0.0:
                 out[...] = 0.0
             else:
-                out[...] = np.where(big, x_log, np.log(np.hypot(1.0, np.exp(np.minimum(x_log, 40.0)))))
+                out[...] = np.maximum(np.log(np.hypot(1.0, x)), two_w + math.log(k))
 
         monkeypatch.setattr(coherent_states, "_log_f_at_logq", log_f_without_linear_term)
         code, text = run(tmp_path, "--command", "verify")

@@ -23,8 +23,8 @@ from kappa_rup import coherent_states
 from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
 from kappa_rup.params import KappaParameter, StateSpec
 
-from oracles import (mp_moment, mp_state, plain_double_exponential, quadpack_moment,
-                     whole_array_psi)
+from oracles import (mp_log_density_and_f, mp_moment, mp_state, plain_double_exponential,
+                     quadpack_moment, whole_array_psi)
 from test_small_kappa import KAPPAS
 
 
@@ -438,17 +438,18 @@ class TestSharedSweep:
 
     def test_node_cache_is_read_only(self):
         before = moment_report(spec_of(0.3, 1.7))
-        w, dw, starts = coherent_states._nodes(3)
+        w, dw, starts, two_w = coherent_states._nodes(3)
         again = coherent_states._nodes(3)
-        assert again[0] is w and again[1] is dw and again[2] is starts
-        for a in (w, dw, starts, *again):
+        assert all(a is b for a, b in zip(again, (w, dw, starts, two_w)))
+        assert np.array_equal(two_w, 2.0 * w)
+        for a in (w, dw, starts, two_w, *again):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert moment_report(spec_of(0.3, 1.7)) == before
 
     def test_overflowing_f_weight_names_f(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_log_f_at_logq",
-                            lambda x_log, big, k, out: np.copyto(out, np.inf))
+                            lambda x, two_w, k, out, s: np.copyto(out, np.inf))
         with pytest.raises(NonConvergenceError, match="<f>"):
             moment_report(spec_of(0.3))
 
@@ -459,17 +460,19 @@ class TestSharedSweep:
             moment_report(spec_of(0.3))
 
 
-def _plain_rule(whats, evaluate, rel_tol):
-    """The reference rule at the module's current constants, _MAX_LEVEL included."""
+def _plain_rule(whats, evaluate, rel_tol, name=str):
+    """The reference rule at the module's current constants, _MAX_LEVEL included, with the
+    package rule's arguments: each integrand gets its nodes' 2w formed here."""
     cs = coherent_states
-    return plain_double_exponential(whats, evaluate, rel_tol, cs._T_MAX, cs._MIN_LEVEL,
-                                    cs._MAX_LEVEL)
+    return plain_double_exponential([name(what) for what in whats],
+                                    lambda w, rows: evaluate(w, 2.0 * w, rows), rel_tol,
+                                    cs._T_MAX, cs._MIN_LEVEL, cs._MAX_LEVEL)
 
 
 def _stacked(integrands):
     """The rule's (whats, evaluate) for {what: f(w)}: evaluate stacks the rows asked for."""
     fs = list(integrands.values())
-    return list(integrands), lambda w, rows: np.array([fs[i](w) for i in rows])
+    return list(integrands), lambda w, two_w, rows: np.array([fs[i](w) for i in rows])
 
 
 def _outcome(call):
@@ -550,28 +553,43 @@ class TestAgainstPlainRule:
         assert evaluated[0] > count
 
 
-def _log_profile_one_at_a_time(w, k):
-    """The unit state's ln-density as each integrand once formed it, from its own ln k + 2w."""
+class TestNodeArithmetic:
+    """Each node's ln-density and ln f against 40-digit mpmath, on the first call's nodes
+    (levels 0-6, |w| up to 2e18): within 2 ulp of the exponent's size everywhere, the
+    capped nodes (k q^2 past e^40) and the smallest kappa included."""
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-5, 0.05, 0.3, 0.6, 2.0 / 3.0 - 1e-7])
+    def test_against_mpmath(self, k):
+        w, _, _, two_w = coherent_states._nodes(0, coherent_states._FIRST_CALL_LEVEL)
+        x, tmp, dens, log_f = np.empty((4, w.size))
+        coherent_states._log_profile_at_logq(two_w, k, x, tmp, dens)
+        coherent_states._log_f_at_logq(x, two_w, k, log_f, tmp)
+        for got, ref in zip((dens, log_f), map(np.array, mp_log_density_and_f(w.tolist(), k))):
+            assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 4.5e-16
+
+
+def _log_profile_and_x(w, k):
+    """The unit state's ln-density and X = k q^2 at q = e^w as whole-array expressions: X with
+    2w capped, and ln(2X) = 2w + ln 2k where that exceeds the capped X's asinh."""
     if k == 0.0:
-        return -np.exp(np.minimum(2.0 * w, 700.0))
-    x_log = math.log(k) + 2.0 * w
-    x = k * np.exp(np.minimum(2.0 * w, 40.0 - math.log(k)))
-    asinh = np.where(x_log > 40.0, math.log(2.0) + x_log, np.arcsinh(x))
-    return -np.minimum(asinh, 1e300 * k) / k
+        return -np.exp(np.minimum(2.0 * w, 700.0)), None
+    x = k * np.exp(np.minimum(2.0 * w, min(40.0 - math.log(k), 700.0)))
+    asinh = np.maximum(np.arcsinh(x), 2.0 * w + math.log(2.0 * k))
+    return -np.minimum(asinh, 1e300 * k) / k, x
 
 
-def _log_f_one_at_a_time(w, k):
-    """ln f(e^w) as the <f> integrand once formed it, from its own ln k + 2w."""
+def _log_f_from_x(w, x, k):
+    """ln f(e^w) from the same X: s = sqrt(1 + min(X, 2^27)^2), at least X, f = s + k X, and
+    ln((1 + k) X) = 2w + ln k + ln(1 + k) where that exceeds ln f of the capped X."""
     if k == 0.0:
         return np.zeros_like(w)
-    x_log = math.log(k) + 2.0 * w
-    x = np.exp(np.minimum(x_log, 40.0))
-    return np.where(x_log > 40.0, math.log1p(k) + x_log, np.log(np.hypot(1.0, x) + k * x))
+    s = np.maximum(np.sqrt(1.0 + np.minimum(x, 2.0**27) ** 2), x)
+    return np.maximum(np.log(s + k * x), 2.0 * w + (math.log(k) + math.log1p(k)))
 
 
 class TestStackedIntegrands:
     """A rule call evaluates its running integrals as the rows of one array, each summed
-    in the order of exp(ln weight + w + ln N^2 + ln-density) formed alone."""
+    in the order of exp(ln weight + ((w + ln N^2) + ln-density)) formed alone."""
 
     @pytest.mark.parametrize("k", [*SWEEP_KAPPAS, 2.0 / 3.0 - 1e-2, 2.0 / 3.0 - 1e-7])
     def test_bit_identical_to_one_integrand_at_a_time(self, k):
@@ -580,20 +598,20 @@ class TestStackedIntegrands:
         # next to 2/3 the higher powers' tails grow: their exp overflows alike in both forms
         with np.errstate(over="ignore"):
             for levels in ((0, coherent_states._FIRST_CALL_LEVEL), (7, 7), (10, 10)):
-                w = coherent_states._nodes(*levels)[0]
-                profile = _log_profile_one_at_a_time(w, k)
-                got = coherent_states._integrands(w, k, log_n2, powers)
+                w, _, _, two_w = coherent_states._nodes(*levels)
+                profile, x = _log_profile_and_x(w, k)
+                got = coherent_states._integrands(w, two_w, k, log_n2, powers)
                 for row, power in zip(got, powers):
-                    lw = _log_f_one_at_a_time(w, k) if power is None else power * w
-                    want = np.exp(lw + w + log_n2 + profile)
+                    lw = _log_f_from_x(w, x, k) if power is None else power * w
+                    want = np.exp(lw + ((w + log_n2) + profile))
                     assert np.array_equal(row.view(np.int64), want.view(np.int64)), (levels, power)
-                subset = coherent_states._integrands(w, k, log_n2, powers[1:3])
+                subset = coherent_states._integrands(w, two_w, k, log_n2, powers[1:3])
                 assert np.array_equal(subset.view(np.int64), got[1:3].view(np.int64))
 
     def test_level_sums_are_each_slices_own_reduceat(self):
         # the one reduceat over a call's rows gives each level slice's sum bit for bit
-        w, dw, starts = coherent_states._nodes(0, coherent_states._FIRST_CALL_LEVEL)
-        values = coherent_states._integrands(w, 0.3, 0.0, (0, 2, None)) * dw
+        w, dw, starts, two_w = coherent_states._nodes(0, coherent_states._FIRST_CALL_LEVEL)
+        values = coherent_states._integrands(w, two_w, 0.3, 0.0, (0, 2, None)) * dw
         ends = [*starts[1:], w.size]
         batched = np.add.reduceat(values, starts, axis=1)
         for row, sums in zip(values, batched):

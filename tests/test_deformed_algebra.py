@@ -667,6 +667,20 @@ class TestScaleFreeResiduals:
         with pytest.raises(DomainError, match="leave the float range"):
             ode_residual(p, 0.2, 1.0, 1e-300, 1e300, f_parts=(ones, 0 * ones, 0 * ones))
 
+    @pytest.mark.parametrize("call", ["commutator", "position operator", "annihilation"])
+    def test_grid_whose_q_span_overflows_is_a_domain_error(self, call):
+        # ends +-1e200 at sqrt(zeta) = 1e150: q would reach +-1e350, past the float range
+        p = np.linspace(-1e200, 1e200, 64)
+        grid = GridFunction(-1e200, 1e200, np.exp(-np.square(p / 1e199)))
+        run = {"commutator": lambda: commutator_residual(grid, 0.2, 1e300),
+               "position operator": lambda: apply_position_operator(grid, ORDER_X3, 0.2, 1e300),
+               "annihilation": lambda: annihilation_residual(StateSpec(0.2, 1e300), -1e200,
+                                                             1e200, 64)}[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="leaves the float range"):
+                run()
+
     @pytest.mark.parametrize("e", [-1000, -530, -40, 40, 530, 1000])
     @pytest.mark.parametrize("c1", [0.0, 0.05])
     def test_ode_residual_ignores_the_common_scale(self, e, c1):

@@ -1,7 +1,8 @@
 """The two kappa rules, each written once on KappaParameter, and the ordering
 label's one check: every entry point that needs kappa > 0 or kappa < 2/3, or takes
-an ordering A, raises a DomainError that names it. Every plain-float zeta or hbar
-goes through params.positive_float, whose DomainError names the parameter."""
+an ordering A, raises a DomainError that names it. Every plain-float zeta or hbar (and
+ode_residual's dx and dp) goes through params.positive_float, whose DomainError names
+the parameter."""
 
 import math
 
@@ -55,7 +56,8 @@ TAKES_ORDERING = {
 
 _TRIAL_F = (np.ones(33), np.zeros(33), np.zeros(33))  # f = 1, ode_residual's rejected trial
 
-# each entry point that takes zeta or hbar as a plain float, by (entry, parameter)
+# each entry point that takes zeta or hbar (or ode_residual's dx and dp) as a plain float,
+# by (entry, parameter)
 TAKES_ZETA_OR_HBAR = {
     ("deformation_f", "zeta"): lambda v: deformation_f(1.0, 0.2, v),
     ("ordering_weight", "zeta"): lambda v: ordering_weight(1.0, 0.3, 0.2, v),
@@ -68,6 +70,13 @@ TAKES_ZETA_OR_HBAR = {
         lambda v: ode_residual(_GRID.p_values(), 0.2, v, 1.0, 1.0, f_parts=_TRIAL_F),
     ("ode_residual", "hbar"):
         lambda v: ode_residual(_GRID.p_values(), 0.2, 1.0, 1.0, 1.0, v, f_parts=_TRIAL_F),
+    ("ode_residual", "dx"):
+        lambda v: ode_residual(_GRID.p_values(), 0.2, 1.0, v, 1.0, f_parts=_TRIAL_F),
+    ("ode_residual", "dp"):
+        lambda v: ode_residual(_GRID.p_values(), 0.2, 1.0, 1.0, v, f_parts=_TRIAL_F),
+    # without f_parts, dp is held to the dx it gives (StateSpec.delta_x_for)
+    ("ode_residual without f_parts", "dx"):
+        lambda v: ode_residual(_GRID.p_values(), 0.2, 1.0, v, 1.0),
     ("robertson_bound", "hbar"): lambda v: robertson_bound(1.2, v),
 }
 
