@@ -187,8 +187,11 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
 @elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
     """Commutator deformation f(p) = f~(p sqrt(z)), overflow-free."""
-    q = p * math.sqrt(positive_float("zeta", zeta))
-    return _f_core(q, as_kappa(kappa).value, _scratch(4, p.shape))[3]
+    x = np.multiply(p, math.sqrt(positive_float("zeta", zeta)), out=np.empty_like(p))
+    k = as_kappa(kappa).value
+    # q, then x = k q^2, then f~ in one buffer: with s, two arrays of p's size
+    np.multiply(np.square(x, out=x), k, out=x)
+    return _deformation_s_f(x, k, np.empty_like(x), x)[1]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
@@ -332,9 +335,11 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
 
     The commutator is an operator identity, so this converges to 0 at
     the stencil order independently of the state. It runs as hbar [y, q],
-    y = x / (hbar sqrt(zeta)) = i (f~ d/dq + A f~'), free of zeta and hbar.
+    y = x / (hbar sqrt(zeta)) = i (f~ d/dq + A f~'), free of zeta and hbar: hbar is
+    checked like every other hbar, but the residual does not depend on it.
     """
     r = math.sqrt(positive_float("zeta", zeta))
+    positive_float("hbar", hbar)
     q, h = _unit_grid(psi_grid.p_min, psi_grid.p_max, psi_grid.n_points, r)
     s = psi_grid.samples
     parts = [s.real, s.imag] if s.imag.any() else [s.real]

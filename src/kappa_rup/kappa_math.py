@@ -49,8 +49,9 @@ def _asinh_k(x, k: float, out=None):
 
 def _deformation_s_f(x, k: float, s, f):
     """(s, f~): s = sqrt(1 + x^2) and f~ = s + k x from x = k q^2 >= 0, in place in the
-    buffers s and f of x's shape. s takes numpy's sqrt with x capped at 2^27 before
-    squaring: within 1 ulp of libm's hypot(1, x) over the whole float range, no overflow."""
+    buffers s and f of x's shape (f may be x itself). s takes numpy's sqrt with x capped at
+    2^27 before squaring: within 1 ulp of libm's hypot(1, x) over the whole float range, no
+    overflow."""
     # past 2^27, 1 + x^2 rounds to x^2 and s is x: the cap keeps x^2 finite
     np.sqrt(np.add(np.square(np.minimum(x, 2.0**27, out=s), out=s), 1.0, out=s), out=s)
     np.maximum(s, x, out=s)

@@ -55,6 +55,8 @@ __all__ = [
 
 # Newton steps of the solver and of the fit, at most; each converges in a handful
 _SOLVE_MAX_ITER = 200
+# the solver's target: the worst constraint residual, the energy one relative to the scale
+_SOLVE_TARGET = 1e-13
 _FIT_MAX_ITER = 100
 
 
@@ -95,9 +97,9 @@ class MaxEntProblem:
 class MaxEntSolution:
     """Optimizing distribution with multipliers and diagnostics.
 
-    beta is the energy multiplier read as the deformed inverse
-    temperature; temperature applies 1/beta = sqrt(1 - kappa^2) T and
-    is +-inf for a symmetric (beta = 0) problem.
+    The energy multiplier is the deformed inverse temperature beta;
+    temperature applies 1/beta = sqrt(1 - kappa^2) T and is +-inf for a
+    symmetric (beta = 0) problem.
     """
 
     distribution: np.ndarray
@@ -106,7 +108,6 @@ class MaxEntSolution:
     entropy: float
     kkt_residual: float
     kappa: KappaParameter
-    beta: float
     temperature: float
 
     def to_json_dict(self) -> dict:
@@ -119,7 +120,7 @@ class MaxEntSolution:
             "entropy": self.entropy,
             "kkt_residual": self.kkt_residual,
             "derived": {
-                "beta": self.beta,
+                "beta": self.multiplier_energy,
                 "temperature": self.temperature if math.isfinite(self.temperature) else None,
             },
         }
@@ -171,21 +172,19 @@ def _phi_inv(y: np.ndarray, k: float) -> np.ndarray:
     return np.exp(np.clip(log_n, -700.0, 700.0))
 
 
-def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
+def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     """Maximize the Kaniadakis entropy under the two standard constraints.
 
     Damped Newton iteration on the multipliers (lam0, lam1); the level
     populations follow from the closed-form stationarity inverse, so
     positivity holds by construction. Energies are shifted by the mean
-    internally for conditioning.
+    internally for conditioning. The iteration stops once both
+    constraints hold to _SOLVE_TARGET.
     """
-    if not 1e-12 <= tol <= 1e-4:
-        raise DomainError(f"tol must lie in [1e-12, 1e-4], got {tol}")
     k = problem.kappa.value
     u = problem.mean_energy
     e = problem.energies - u  # shifted: target mean is 0
     e_scale = max(abs(u), float(e.max() - e.min()), 1.0)
-    target = min(tol, 1e-13)
 
     w = e.size
     lam0 = -float(_phi(np.full(1, 1.0 / w), k)[0])  # uniform start
@@ -199,7 +198,7 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
 
     n, g0, g1, err = residuals(lam0, lam1)
     for _ in range(_SOLVE_MAX_ITER):
-        if err <= target:
+        if err <= _SOLVE_TARGET:
             break
         r = 1.0 / _phi_prime(n, k)
         s0, s1, s2 = float(r.sum()), float(r @ e), float(r @ (e * e))
@@ -211,14 +210,15 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
         step = 1.0
         for _ in range(40):
             trial = residuals(lam0 + step * d0, lam1 + step * d1)
-            if trial[3] < err or trial[3] <= target:
+            if trial[3] < err or trial[3] <= _SOLVE_TARGET:
                 break
             step *= 0.5
         lam0, lam1 = lam0 + step * d0, lam1 + step * d1
         n, g0, g1, err = trial
-    if not err <= target:
+    if not err <= _SOLVE_TARGET:
         raise NonConvergenceError(
-            f"maxent_solve did not reach {target} in {_SOLVE_MAX_ITER} iterations (err={err})"
+            f"maxent_solve did not reach {_SOLVE_TARGET} in {_SOLVE_MAX_ITER} iterations "
+            f"(err={err})"
         )
 
     # stationarity is closed-form exact; constraints carry the real error
@@ -227,11 +227,7 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
     )
     kkt = max(err, float(stat))
     lam0_unshifted = lam0 - lam1 * u
-    beta = lam1
-    if beta != 0.0:
-        temperature = 1.0 / (beta * math.sqrt(1.0 - k * k))
-    else:
-        temperature = math.inf
+    temperature = 1.0 / (lam1 * math.sqrt(1.0 - k * k)) if lam1 != 0.0 else math.inf
     return MaxEntSolution(
         distribution=n,
         multiplier_normalization=lam0_unshifted,
@@ -239,7 +235,6 @@ def maxent_solve(problem: MaxEntProblem, tol: float = 1e-10) -> MaxEntSolution:
         entropy=kaniadakis_entropy(n, problem.kappa),
         kkt_residual=kkt,
         kappa=problem.kappa,
-        beta=beta,
         temperature=temperature,
     )
 

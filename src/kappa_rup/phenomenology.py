@@ -108,17 +108,6 @@ class PhenoConfig:
             return mc
         return 2.0 * mc / math.sqrt(3.0)   # gac
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PhenoConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise DomainError(f"unknown PhenoConfig keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class AlphaShift:

@@ -195,23 +195,19 @@ def test_criterion_09_kinematics():
 
 def test_criterion_10_maxent():
     energies = np.arange(5.0)
-    sol0 = maxent_solve(MaxEntProblem(energies, 1.2, KappaParameter(0.0)), 1e-12)
+    sol0 = maxent_solve(MaxEntProblem(energies, 1.2, KappaParameter(0.0)))
     gibbs_gap = float(np.max(np.abs(sol0.distribution - gibbs_reference(energies, 1.2))))
-    sol = maxent_solve(MaxEntProblem(energies, 1.2, KappaParameter(0.2)), 1e-12)
+    sol = maxent_solve(MaxEntProblem(energies, 1.2, KappaParameter(0.2)))
     oracle_gap = float(
         np.max(np.abs(sol.distribution - brute_force_maxent(energies, 1.2, 0.2)))
     )
-    fit_loose = fit_kappa_exponential(
-        maxent_solve(MaxEntProblem(energies, 1.2, KappaParameter(0.2)), 1e-6), energies
-    )
-    fit_tight = fit_kappa_exponential(sol, energies)
-    drift = abs(fit_loose.max_residual - fit_tight.max_residual)
-    ok = gibbs_gap < 1e-10 and oracle_gap < 1e-3 and drift < 1e-6
+    fit = fit_kappa_exponential(sol, energies)
+    ok = gibbs_gap < 1e-10 and oracle_gap < 1e-3
     report(
         10,
         ok,
         f"Gibbs gap {gibbs_gap:.2e} < 1e-10; oracle gap {oracle_gap:.2e} < 1e-3; "
-        f"fit residual {fit_tight.max_residual:.2e} stable (drift {drift:.1e})",
+        f"fit residual {fit.max_residual:.2e}",
     )
 
 

@@ -419,8 +419,26 @@ class TestMaxentDemo:
         assert code == EXIT_CONFIG
 
     def test_bad_tolerance_is_config_error(self, tmp_path):
-        assert main(["--command", "maxent-demo", "--tol", "1e-2"]) == EXIT_CONFIG
         assert main(["--command", "table", "--tol", "1e-20"]) == EXIT_CONFIG
+
+    def test_tol_changes_only_the_echo(self, tmp_path):
+        # the solver has one fixed target: a tol is echoed and read by nothing
+        _, plain = run(tmp_path, "--command", "maxent-demo", name="a.json")
+        code, loose = run(tmp_path, "--command", "maxent-demo", "--tol", "1e-2", name="b.json")
+        assert code == EXIT_OK
+        plain, loose = json.loads(plain), json.loads(loose)
+        assert loose.pop("meta")["config"]["tol"] == 1e-2
+        assert plain.pop("meta")["config"]["tol"] is None
+        assert loose == plain
+
+    def test_solver_failure_exits_2_without_a_document(self, tmp_path, monkeypatch, capsys):
+        from kappa_rup import maxent
+
+        monkeypatch.setattr(maxent, "_SOLVE_MAX_ITER", 0)
+        code, text = run(tmp_path, "--command", "maxent-demo")
+        assert (code, text) == (EXIT_FAIL, "")
+        assert not (tmp_path / "out.txt").exists()
+        assert capsys.readouterr().err.startswith("maxent solver failed: ")
 
 
 class TestConfigHandling:
@@ -469,7 +487,28 @@ class TestConfigHandling:
         code, text = run(tmp_path, "--command", "table", "--format", "json")
         assert code == EXIT_CONFIG
         assert text == ""
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err.startswith("kappa-rup: error: unrecognized arguments: ")
+
+    @pytest.mark.parametrize("command, fmt", [("verify", "json"), ("table", "csv"),
+                                              ("plot-psi", "csv"), ("bound-alpha", "json"),
+                                              ("maxent-demo", "json")])
+    def test_format_is_no_setting(self, tmp_path, capsys, command, fmt):
+        # each command emits one format, so neither a flag nor the file names it,
+        # not even the command's own
+        code, text = run(tmp_path, "--command", command, "--format", fmt)
+        assert (code, text) == (EXIT_CONFIG, "")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        code, text = run(tmp_path, "--command", command, "--config", str(cfg))
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err.endswith("config error: unknown config keys in the file: "
+                                                "['format']\n")
+
+    @pytest.mark.parametrize("command, fmt", [("plot-psi", "csv"), ("bound-alpha", "json")])
+    def test_echo_records_the_format(self, tmp_path, command, fmt):
+        _, text = run(tmp_path, "--command", command)
+        meta = json.loads(text.splitlines()[0][2:]) if fmt == "csv" else json.loads(text)["meta"]
+        assert meta["config"]["format"] == fmt
 
     def test_bad_kappa_list(self):
         assert main(["--command", "table", "--kappa", "a,b"]) == EXIT_CONFIG
@@ -670,6 +709,18 @@ class TestTableStatus:
         row = dict(zip(header, rows[0]))
         assert float(row["F_closed"]) < 1.0
         assert row["status"] != "ok"
+
+    def test_closed_vs_quadrature_gap_is_not_ok(self, tmp_path, monkeypatch):
+        # a closed <p^2> 1% high: the gap is reported in the row, not as an exit code
+        from kappa_rup import coherent_states
+
+        second_moment = coherent_states.second_moment
+        monkeypatch.setattr(coherent_states, "second_moment",
+                            lambda spec: 1.01 * second_moment(spec))
+        code, text = run(tmp_path, "--command", "table", "--kappa", "0.2")
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(text)
+        assert dict(zip(header, rows[0]))["status"] == "fail: closed-vs-quadrature gap 0.0099"
 
     @pytest.mark.parametrize("kappa", ["1e-6", "1e-5", "1.8e-5"])
     def test_paper_regime_reads_ok(self, tmp_path, kappa):

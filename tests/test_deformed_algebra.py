@@ -356,6 +356,10 @@ class TestAnnihilationResidual:
         with pytest.raises(DomainError):
             annihilation_residual(spec_of(0.2), -5.0, 5.0, 1024)
 
+    def test_too_few_points(self):
+        with pytest.raises(DomainError, match="needs >= 16 points"):
+            annihilation_residual(spec_of(0.2), -400.0, 400.0, 15)
+
 
 class TestCommutatorResidual:
     def build(self, samples_fn, extent, n, k=0.2, z=1.0):
@@ -444,8 +448,10 @@ def test_residual_evaluates_f_once_per_point(monkeypatch, residual):
 
 # the peak memory of each grid kernel at 2^17 points, in arrays of that many floats: psi
 # takes its output and at most one block; each residual no more than the whole-grid-
-# temporaries form it replaced (which measured 4.19, 3.88 and 1.75)
-_PEAK_BOUNDS = {"psi": 1.0 + 2.0**-4, "annihilation": 4.19, "commutator": 3.88, "ode": 1.75}
+# temporaries form it replaced (which measured 4.19, 3.88 and 1.75); deformation_f its
+# output and s
+_PEAK_BOUNDS = {"psi": 1.0 + 2.0**-4, "annihilation": 4.19, "commutator": 3.88, "ode": 1.75,
+                "deformation_f": 2.0 + 2.0**-4}
 
 
 @pytest.mark.parametrize("kernel", sorted(_PEAK_BOUNDS))
@@ -456,7 +462,8 @@ def test_grid_kernel_peak_memory(kernel):
     run = {"psi": lambda: psi(p, s),
            "annihilation": lambda: annihilation_residual(s, -400.0, 400.0, n),
            "commutator": lambda: commutator_residual(grid, 0.3, 1.0),
-           "ode": lambda: ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s))}[kernel]
+           "ode": lambda: ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s)),
+           "deformation_f": lambda: deformation_f(p, 0.3, 1.0)}[kernel]
     run()  # the closed forms' one-entry caches filled
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:

@@ -66,6 +66,7 @@ TAKES_ZETA_OR_HBAR = {
     ("apply_position_operator", "hbar"):
         lambda v: apply_position_operator(_GRID, 0.5, 0.2, 1.0, v),
     ("commutator_residual", "zeta"): lambda v: commutator_residual(_GRID, 0.2, v),
+    ("commutator_residual", "hbar"): lambda v: commutator_residual(_GRID, 0.2, 1.0, v),
     ("ode_residual", "zeta"):
         lambda v: ode_residual(_GRID.p_values(), 0.2, v, 1.0, 1.0, f_parts=_TRIAL_F),
     ("ode_residual", "hbar"):

@@ -65,6 +65,11 @@ class TestProblemValidation:
         with pytest.raises(InfeasibleMeanError):
             problem(0.2, mean=mean)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy(self, bad):
+        with pytest.raises(DomainError, match="^energies must be finite$"):
+            MaxEntProblem(np.array([0.0, 1.0, bad]), 0.5, KappaParameter(0.1))
+
     def test_json_round_trip(self):
         p = problem(0.2)
         # the document's problem section, rebuilt through the constructor
@@ -77,27 +82,27 @@ class TestProblemValidation:
 
 class TestSolveClassical:
     def test_symmetric_mean_gives_uniform(self):
-        sol = maxent_solve(problem(0.0, energies=(0.0, 1.0, 2.0), mean=1.0), 1e-12)
+        sol = maxent_solve(problem(0.0, energies=(0.0, 1.0, 2.0), mean=1.0))
         assert np.allclose(sol.distribution, 1.0 / 3.0, atol=1e-13)
 
     def test_two_level_constraint_determined(self):
-        sol = maxent_solve(problem(0.0, energies=(0.0, 1.0), mean=0.25), 1e-12)
+        sol = maxent_solve(problem(0.0, energies=(0.0, 1.0), mean=0.25))
         assert np.allclose(sol.distribution, [0.75, 0.25], atol=1e-11)
 
     def test_matches_analytic_gibbs(self):
-        sol = maxent_solve(problem(0.0), 1e-12)
+        sol = maxent_solve(problem(0.0))
         ref = gibbs_reference(np.arange(5.0), 1.2)
         assert np.max(np.abs(sol.distribution - ref)) < 1e-10
 
     def test_gibbs_form_is_exact(self):
-        sol = maxent_solve(problem(0.0), 1e-12)
+        sol = maxent_solve(problem(0.0))
         fit = fit_kappa_exponential(sol, np.arange(5.0))
         assert fit.max_residual < 1e-10
 
 
 class TestSolveDeformed:
     def test_constraints_and_kkt(self):
-        sol = maxent_solve(problem(0.2), 1e-10)
+        sol = maxent_solve(problem(0.2))
         assert abs(float(np.sum(sol.distribution)) - 1.0) < 1e-12
         mean = float(sol.distribution @ np.arange(5.0))
         assert abs(mean - 1.2) / 1.2 < 1e-10
@@ -105,12 +110,12 @@ class TestSolveDeformed:
         assert np.all(sol.distribution > 0)
 
     def test_against_brute_force_oracle(self):
-        sol = maxent_solve(problem(0.2), 1e-12)
+        sol = maxent_solve(problem(0.2))
         ref = brute_force_maxent(np.arange(5.0), 1.2, 0.2)
         assert np.max(np.abs(sol.distribution - ref)) < 1e-3
 
     def test_entropy_dominates_feasible_points(self):
-        sol = maxent_solve(problem(0.35), 1e-12)
+        sol = maxent_solve(problem(0.35))
         s_star = sol.entropy
         rng = np.random.default_rng(42)
         e = np.arange(5.0)
@@ -124,34 +129,25 @@ class TestSolveDeformed:
                 assert kaniadakis_entropy(n, 0.35) <= s_star + 1e-12
 
     def test_energy_shift_invariance(self):
-        base = maxent_solve(problem(0.25), 1e-12)
-        shifted = maxent_solve(
-            problem(0.25, energies=(7.0, 8.0, 9.0, 10.0, 11.0), mean=8.2), 1e-12
-        )
+        base = maxent_solve(problem(0.25))
+        shifted = maxent_solve(problem(0.25, energies=(7.0, 8.0, 9.0, 10.0, 11.0), mean=8.2))
         assert np.max(np.abs(base.distribution - shifted.distribution)) < 1e-10
-
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            maxent_solve(problem(0.2), 1e-2)
-        with pytest.raises(DomainError):
-            maxent_solve(problem(0.2), 1e-14)
 
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.6, 0.9])
     def test_wide_kappa_range_converges(self, k):
-        sol = maxent_solve(problem(k), 1e-12)
+        sol = maxent_solve(problem(k))
         assert sol.kkt_residual < 1e-12
 
     def test_metadata_temperature(self):
-        sol = maxent_solve(problem(0.2), 1e-12)
-        assert sol.beta == sol.multiplier_energy
-        assert sol.temperature == pytest.approx(
-            1.0 / (sol.beta * math.sqrt(1.0 - 0.04)), rel=1e-14
-        )
-        symmetric = maxent_solve(problem(0.2, energies=(0.0, 1.0, 2.0), mean=1.0), 1e-12)
+        sol = maxent_solve(problem(0.2))
+        beta = sol.to_json_dict()["derived"]["beta"]
+        assert beta == sol.multiplier_energy
+        assert sol.temperature == pytest.approx(1.0 / (beta * math.sqrt(1.0 - 0.04)), rel=1e-14)
+        symmetric = maxent_solve(problem(0.2, energies=(0.0, 1.0, 2.0), mean=1.0))
         assert symmetric.temperature == math.inf
 
     def test_solution_json_shape(self):
-        sol = maxent_solve(problem(0.2), 1e-12)
+        sol = maxent_solve(problem(0.2))
         doc = sol.to_json_dict()
         assert set(doc) == {"distribution", "multipliers", "entropy", "kkt_residual", "derived"}
         assert set(doc["multipliers"]) == {"normalization", "energy"}
@@ -160,21 +156,16 @@ class TestSolveDeformed:
 
 class TestFit:
     def test_two_level_exact(self):
-        sol = maxent_solve(problem(0.3, energies=(0.0, 1.0), mean=0.3), 1e-12)
+        sol = maxent_solve(problem(0.3, energies=(0.0, 1.0), mean=0.3))
         fit = fit_kappa_exponential(sol, np.array([0.0, 1.0]))
         assert fit.max_residual < 1e-6
 
     def test_five_level_reports_residual(self):
-        sol = maxent_solve(problem(0.2), 1e-12)
+        sol = maxent_solve(problem(0.2))
         fit = fit_kappa_exponential(sol, np.arange(5.0))
         assert math.isfinite(fit.max_residual)
         assert fit.amplitude > 0
         assert fit.beta_fit > 0
-
-    def test_stable_under_tolerance_tightening(self):
-        loose = fit_kappa_exponential(maxent_solve(problem(0.2), 1e-6), np.arange(5.0))
-        tight = fit_kappa_exponential(maxent_solve(problem(0.2), 1e-12), np.arange(5.0))
-        assert abs(loose.max_residual - tight.max_residual) < 1e-6
 
     def test_fit_past_the_first_bracket_is_a_stationary_minimum(self):
         # a strongly deformed case whose ssq falls past the first bracket b0 +- 10 (|b0| +
@@ -209,7 +200,7 @@ class TestFit:
         assert mp_fit_ssq(fit.beta_fit, n, e, k) < mp_fit_ssq(-42.94470472157211, n, e, k)
 
     def test_shape_mismatch(self):
-        sol = maxent_solve(problem(0.2), 1e-12)
+        sol = maxent_solve(problem(0.2))
         with pytest.raises(DomainError):
             fit_kappa_exponential(sol, np.arange(4.0))
 
@@ -238,7 +229,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("levels", [5, 50, 200])
     def test_solution_is_the_canonical_distribution(self, k, levels):
         prob = problem(k) if levels == 5 else many_level_problem(k, 2, levels)
-        sol = maxent_solve(prob, 1e-12)
+        sol = maxent_solve(prob)
         lam = math.sqrt(1.0 - k * k)
         alpha = math.exp(-math.atanh(k) / k) if k > 0.0 else math.exp(-1.0)
         affine = sol.multiplier_normalization + sol.multiplier_energy * prob.energies

@@ -302,6 +302,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             PhenoConfig(**kw)
 
+    @pytest.mark.parametrize("alpha_inverse", [0.5, 1.0])
+    def test_alpha_at_or_past_one(self, alpha_inverse):
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\)$"):
+            PhenoConfig(alpha_inverse=alpha_inverse)
+
     # rho = delta_alpha_exp / alpha = alpha_inverse_uncertainty / alpha_inverse; from
     # rho = 1/2 on, the resolution exceeds the largest shift alpha / 2: no bound exists
     @pytest.mark.parametrize("uncertainty", [100.0, 137.035999206 / 2])
@@ -313,12 +318,3 @@ class TestConfig:
         cfg = PhenoConfig(alpha_inverse_uncertainty=math.nextafter(137.035999206 / 2, 0.0))
         assert cfg.delta_alpha_exp / cfg.alpha < 0.5
         assert math.isfinite(kappa_bound(cfg).bound_kappa)
-
-    def test_json_round_trip(self):
-        cfg = PhenoConfig(alpha_inverse_uncertainty=2e-8)
-        again = PhenoConfig.from_json_dict(cfg.to_json_dict())
-        assert again == cfg
-
-    def test_json_rejects_unknown(self):
-        with pytest.raises(DomainError):
-            PhenoConfig.from_json_dict({"bogus_key": 1.0})
