@@ -8,7 +8,9 @@ One executable, five commands selected by --command:
   bound-alpha  JSON fine-structure-constant bound pipeline
   maxent-demo  JSON MaxEnt solve + deformed-exponential fit
 
-Exit codes: 0 success, 1 usage/config error, 2 verification or solver
+Exit codes: 0 success, 1 usage/config error or an output that cannot be
+written (--out, or stdout: a closed pipe or a full device ends with one
+"config error" line and no traceback), 2 verification or solver
 failure. Output is deterministic: identical configuration produces
 byte-identical files (floats printed with 17 significant digits in
 CSV, shortest round-trip representation in JSON; no timestamps). JSON
@@ -91,13 +93,20 @@ def _meta(config: dict) -> dict:
 
 
 def _emit(out: Optional[str], text: str):
-    if not out:
-        sys.stdout.write(text)
-        return
     try:
+        if not out:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except OSError as exc:
+    except OSError as exc:  # BrokenPipeError too
+        if not out:
+            # what stays in stdout's buffer would fail again at the exit-time flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write stdout: {exc}") from exc
         raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 

@@ -34,14 +34,19 @@ the whole real line. The integrand, a power of q at both ends, decays
 exponentially in |w| and so double-exponentially in t, and all magnitudes
 stay in log space (no overflow for any k < 2/3). The rule halves its step
 until two levels agree to rel_tol / 2; the last change is its error estimate.
-All levels' nodes, and their 2w, are built once per process, in one array each. The
-rule evaluates its running integrals on levels 0-6 in one call, all that nearly every
-state needs at rel_tol 1e-10, as the rows of one array, each value exp(ln weight +
-((w + ln N^2) + ln-density)) summed in that order. Each node's work is done once for
-all rows: X = k q^2 = k e^(2w), with 2w capped at 40 - ln k, feeds both the ln-density
--asinh(X)/k and ln f, whose s = sqrt(1 + X^2) and f~ = s + k X come from
-kappa_math._deformation_s_f, the one f evaluation the grid kernels use too. Past the
-cap each takes its asymptote, ln 2X or ln (1+k)X, as 2w plus a constant, rounded once.
+All levels' nodes, and their 2w, are built once per process, in one array each, and
+the rule's plan of calls (each call's levels, node views and counts) once per value of
+_FIRST_CALL_LEVEL and _MAX_LEVEL. The rule evaluates its running integrals on levels
+0-6 in one call, all that nearly every state needs at rel_tol 1e-10, as the rows of one
+array, each value exp(ln weight + ((w + ln N^2) + ln-density)) summed in that order.
+A call's work: one allocation for the rows and three scratch rows ((w + ln N^2) +
+ln-density is formed in the <p^0> row), one exp, one product with dw, one reduceat for
+all level sums, and a scan of each integral's level sums from _MIN_LEVEL on. Each
+node's work is done once for all rows: X = k q^2 = k e^(2w), with 2w capped at
+40 - ln k, feeds both the ln-density -asinh(X)/k and ln f, whose s = sqrt(1 + X^2)
+and f~ = s + k X come from kappa_math._deformation_s_f, the one f evaluation the
+grid kernels use too. Past the cap each takes its asymptote, ln 2X or ln (1+k)X, as
+2w plus a constant, rounded once.
 Against 40-digit mpmath both are within 2 ulp of their size on every level 0-6 node.
 A level sum is np.add.reduceat(values * dw, [0])[0] over that level's nodes, the first
 term plus numpy's pairwise sum of the rest, and one reduceat takes all of a call's.
@@ -85,7 +90,7 @@ _MAX_LEVEL = 10
 _NODE_LEVELS = _MAX_LEVEL + 1
 # the first call's levels: at rel_tol 1e-10 nearly every state stops at level 5 or 6
 _FIRST_CALL_LEVEL = 6
-_NODES: dict = {}  # "all": every level's (w, dw), 8193 nodes, 128 KiB; (first, last) -> _nodes
+_NODES: dict = {}  # "all": (w, dw, 2w), 8193 nodes, 192 KiB; (first, last) -> _nodes; plans
 
 
 def _log_profile(p, k: float, z: float, out):
@@ -262,6 +267,7 @@ def _nodes(first: int, last: int | None = None):
                 parts.append((np.sinh(u), 0.5 * math.pi * h * np.cosh(h * k) * np.cosh(u)))
             w, dw = (np.concatenate(a) for a in zip(*parts))
             _NODES["all"] = w, dw, 2.0 * w
+            _NODES["two_w_max"] = float(_NODES["all"][2].max())
         base = _rule_count(first - 1) if first else 0
         starts = [0] + [_rule_count(level - 1) - base for level in range(first + 1, last + 1)]
         w, dw, two_w = (a[base:_rule_count(last)] for a in _NODES["all"])
@@ -299,36 +305,42 @@ def _double_exponential(whats, evaluate: Callable, rel_tol: float, name: Callabl
     whether any did (one that leaves the float range from finite sums is the caller's).
     """
     results, running = [(0.0, 0.0, 0)] * len(whats), list(range(len(whats)))
-    top, tol = _MAX_LEVEL, 0.5 * rel_tol
-    first = min(_FIRST_CALL_LEVEL, top)
-    for levels in [range(first + 1)] + [range(L, L + 1) for L in range(first + 1, top + 1)]:
-        w, dw, starts, two_w = _nodes(levels[0], levels[-1])
+    tol, plan = 0.5 * rel_tol, ("plan", _FIRST_CALL_LEVEL, _MAX_LEVEL)
+    if plan not in _NODES:  # per call: its nodes, its levels below _MIN_LEVEL, its counts
+        first = min(_FIRST_CALL_LEVEL, _MAX_LEVEL)
+        calls = [range(first + 1)] + [range(L, L + 1) for L in range(first + 1, _MAX_LEVEL + 1)]
+        _NODES[plan] = [(_nodes(levels[0], levels[-1]), sum(L < _MIN_LEVEL for L in levels),
+                         [_rule_count(L) for L in levels]) for levels in calls]
+    for (w, dw, starts, two_w), lead, counts in _NODES[plan]:
         rows = tuple(running)
         values = evaluate(w, two_w, rows)
         values *= dw
         level_sums = np.add.reduceat(values, starts, axis=1).tolist()
         for i, sums in zip(rows, level_sums):
-            value = change = results[i][0]
-            for level, level_sum in zip(levels, sums):
+            value = previous = results[i][0]
+            for level_sum in sums[:lead]:  # below _MIN_LEVEL no integral stops
+                previous, value = value, 0.5 * value + level_sum
+            change, count = abs(value - previous), counts[lead - 1]
+            for count, level_sum in zip(counts[lead:], sums[lead:]):
                 previous, value = value, 0.5 * value + level_sum
                 change = abs(value - previous)
-                if level >= _MIN_LEVEL and change <= tol * abs(value):
+                if change <= tol * abs(value):
                     running.remove(i)
                     break
-            results[i] = value, change, _rule_count(level)
+            results[i] = value, change, count
         if not math.isfinite(sum(results[i][0] for i in rows)):
-            overflows = [(level, i) for i, sums in zip(rows, level_sums)
-                         for level, level_sum in zip(levels, sums)
-                         if not math.isfinite(level_sum) and _rule_count(level) <= results[i][2]]
+            overflows = [(count, i) for i, sums in zip(rows, level_sums)
+                         for count, level_sum in zip(counts, sums)
+                         if not math.isfinite(level_sum) and count <= results[i][2]]
             if overflows:
-                level, i = min(overflows)
+                count, i = min(overflows)
                 raise NonConvergenceError(
-                    f"quadrature {name(whats[i])} overflowed ({_rule_count(level)} evaluations)")
+                    f"quadrature {name(whats[i])} overflowed ({count} evaluations)")
         if not running:
             return results
     value, change, evals = results[running[0]]
     raise NonConvergenceError(
-        f"quadrature {name(whats[running[0]])} did not converge in {top} step halvings "
+        f"quadrature {name(whats[running[0]])} did not converge in {_MAX_LEVEL} step halvings "
         f"({evals} evaluations, last change {change:.3g} of {value:.6g})"
     )
 
@@ -345,8 +357,10 @@ def _log_profile_at_logq(two_w, k: float, x, tmp, out):
     # asinh(X) > ln(2X) = 2w + ln 2k, within 1/(4X^2) < 1e-35 past the cap: there the
     # maximum takes the uncapped ln(2X), rounded once
     np.maximum(np.arcsinh(x, out=out), np.add(two_w, math.log(2.0 * k), out=tmp), out=out)
-    # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k
-    np.minimum(out, 1e300 * k, out=out)
+    # past 1e300 the density is 0 whatever the weight; the cap keeps /k finite for a tiny k.
+    # As asinh(X) <= 41, it binds only where 1e300 k < the nodes' largest 2w: k < 4.2e-282
+    if 1e300 * k < _NODES["two_w_max"]:
+        np.minimum(out, 1e300 * k, out=out)
     return np.divide(out, -k, out=out)
 
 
@@ -364,19 +378,19 @@ def _log_f_at_logq(x, two_w, k: float, out, s):
 def _integrands(w, two_w, k: float, log_n2: float, powers) -> np.ndarray:
     """One row per power (None: f) of exp(ln weight + ((w + ln N^2) + ln-density)) at the
     nodes w, two_w = 2w. Each node's X = k q^2, ln-density, ln f and (w + ln N^2) +
-    ln-density are formed once, for all rows."""
-    values = np.empty((len(powers), w.size))
-    x, base, s = np.empty((3, w.size))
+    ln-density are formed once, for all rows, the last in the <p^0> row if there is one
+    (0 w + base is base). The rows and three scratch rows are one allocation."""
+    buf = np.empty((len(powers) + 3, w.size))
+    zero = powers.index(0) if 0 in powers else -1  # the base's row: <p^0>, or scratch
+    values, x, s, base = buf[:-3], buf[-3], buf[-2], buf[zero]
     _log_profile_at_logq(two_w, k, x, s, base)
     if None in powers:
         _log_f_at_logq(x, two_w, k, values[powers.index(None)], s)
     np.add(np.add(w, log_n2, out=x), base, out=base)
-    for row, power in zip(values, powers):
+    for i, (row, power) in enumerate(zip(values, powers)):
         if power is None:
             row += base
-        elif power == 0:  # 0 w + base is base
-            np.copyto(row, base)
-        else:  # 2 w is two_w, bit for bit
+        elif i != zero:  # 2 w is two_w, bit for bit
             np.add(two_w if power == 2 else np.multiply(w, power, out=row), base, out=row)
     # exp is 0.0 below ln 2^-1075 = -745.13; the mask skips its slow underflow path there,
     # and the maximum writes those 0.0s (a nan stays nan)
@@ -456,26 +470,22 @@ class MomentReport:
     quad_evals: int
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"MomentReport.{name} must be finite and >= 0")
+        values = self.__dict__.values()
+        if not (all(map(math.isfinite, values)) and min(values) >= 0.0):  # min sees no nan
+            name = next(n for n, v in self.__dict__.items() if not math.isfinite(v) or v < 0.0)
+            raise DomainError(f"MomentReport.{name} must be finite and >= 0")
 
 
 def moment_report(spec: StateSpec, rel_tol: float = 1e-10) -> MomentReport:
     """Evaluate all closed forms and their quadrature counterparts."""
     spec.kappa.require_moment_safe("moment_report")
-
-    def with_uncertainties(n, p2, f):
-        dp = math.sqrt(p2)
-        return n, p2, dp, spec.delta_x_for(dp), f
-
-    closed = with_uncertainties(
-        normalization_constant(spec), second_moment(spec), f_expectation(spec.kappa)
-    )
+    n, p2, f = normalization_constant(spec), second_moment(spec), f_expectation(spec.kappa)
+    dp = math.sqrt(p2)
+    closed = n, p2, dp, spec.delta_x_for(dp), f
     # one sweep for <p^0>, <p^2> and <f>; <p^0> integrates N^2 * exp_k(-zeta p^2),
     # and the normalization that would make it exactly 1 is the independent N
-    (total, *_), (p2, *_), (f, *_) = sweep = _quadrature(spec, rel_tol, 0, 2, None)
-    quadrature = with_uncertainties(closed[0] / math.sqrt(total), p2, f)
-    disc = max(abs(c - q) / abs(c) for c, q in zip(closed, quadrature))
-    _, errors, evals = zip(*sweep)
-    return MomentReport(*closed, *quadrature, disc, total, max(errors), max(evals))
+    (total, e0, c0), (p2_q, e2, c2), (f_q, ef, cf) = _quadrature(spec, rel_tol, 0, 2, None)
+    n_q, dp_q = n / math.sqrt(total), math.sqrt(p2_q)
+    quadrature = n_q, p2_q, dp_q, spec.delta_x_for(dp_q), f_q
+    disc = max([abs(c - q) / abs(c) for c, q in zip(closed, quadrature)])
+    return MomentReport(*closed, *quadrature, disc, total, max(e0, e2, ef), max(c0, c2, cf))

@@ -24,7 +24,8 @@ Each maps its momenta to q once, on entry (a grid by its two ends, so zeta = 1
 adds no array pass). With dp = dq / sqrt(z), x/dx, p/dp and the commutator
 identity are free of zeta and hbar; the ODE holds only dq = dp sqrt(z) and
 dy = dx / (hbar sqrt(z)). Only q is squared, never p, so every zeta that
-StateSpec takes leaves the residuals finite.
+StateSpec takes leaves the residuals finite. At k = 0, x is 0 and f~' is q 0, and only
+the ODE forms q^2, so past |q| ~ 1.34e154, where q^2 is inf, f is 1, not nan.
 
 The residuals and the position operator run in real arithmetic over blocks of
 2^13 points, which stay in L2, with the bits of the complex whole-grid form:
@@ -138,9 +139,14 @@ def _scratch(count: int, shape):
 
 def _f_core(q, k: float, rows):
     """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x, s and f~ from the package's one
-    f evaluation. Each is formed in place in one of rows[:4], buffers of q's shape."""
+    f evaluation. Each is formed in place in one of rows[:4], buffers of q's shape. At
+    k = 0, x is 0, the bits of 0 q^2 where q^2 is finite, and q^2 is not formed (rows[0]
+    is left as it was): past |q| ~ 1.34e154 it overflows, and 0 q^2 is nan."""
     q2, x, s, f = rows[:4]
-    np.multiply(np.square(q, out=q2), k, out=x)
+    if k == 0.0:
+        x[...] = 0.0
+    else:
+        np.multiply(np.square(q, out=q2), k, out=x)
     return (q2, x, *_deformation_s_f(x, k, s, f))
 
 
@@ -149,6 +155,8 @@ def _f_f1(q, k: float, rows):
     the last one scratch."""
     q2, x, s, f = _f_core(q, k, rows)
     f1, tmp = rows[4], rows[5]
+    if k == 0.0:  # f~' = q 0, the bits of the product below where q^2 / s is finite
+        return q2, x, s, f, np.multiply(q, 0.0, out=f1)
     # f~' = 2 k^2 q (1 + q^2 / s)
     np.add(np.divide(q2, s, out=f1), 1.0, out=f1)
     return q2, x, s, f, np.multiply(np.multiply(q, 2.0 * k * k, out=tmp), f1, out=f1)
@@ -159,6 +167,8 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
     c0 = dx / (hbar z (1-k^2) dp); c0 = 1, c1 = 0 is the selected deformation. In rows[:7]
     (rows[:8] if c1 != 0), buffers of q's shape, of which rows 1 and 5 end as scratch."""
     q2, u, s, f, f1 = _f_f1(q, k, rows)
+    if k == 0.0:  # the ODE's q^2, which _f_core forms only for k != 0
+        np.square(q, out=q2)
     tmp, f2 = rows[5], rows[6]
     # u = x / s in [0, 1), not q^6 / s^3: that overflows past |q| ~ 2e51
     np.divide(u, s, out=u)
@@ -187,10 +197,13 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
 @elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
     """Commutator deformation f(p) = f~(p sqrt(z)), overflow-free."""
-    x = np.multiply(p, math.sqrt(positive_float("zeta", zeta)), out=np.empty_like(p))
-    k = as_kappa(kappa).value
-    # q, then x = k q^2, then f~ in one buffer: with s, two arrays of p's size
-    np.multiply(np.square(x, out=x), k, out=x)
+    r, k, x = math.sqrt(positive_float("zeta", zeta)), as_kappa(kappa).value, np.empty_like(p)
+    # q, then x = k q^2, then f~ in one buffer: with s, two arrays of p's size. At k = 0, x
+    # is 0 with no q formed, as in _f_core, so f is 1 for every p
+    if k == 0.0:
+        x[...] = 0.0
+    else:
+        np.multiply(np.square(np.multiply(p, r, out=x), out=x), k, out=x)
     return _deformation_s_f(x, k, np.empty_like(x), x)[1]
 
 
@@ -326,7 +339,10 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
         q_psi = np.multiply(np.multiply(q[sl], psi[at], out=x), inv_dp, out=x)
         np.square(np.add(np.multiply(x_psi, inv_dx, out=x_psi), q_psi, out=x_psi), out=r2[sl])
         np.square(psi[at], out=psi2[sl])
-    return math.sqrt(float(np.sum(r2)) * h) / math.sqrt(float(np.sum(psi2)) * h)
+    psi_norm = math.sqrt(float(np.sum(psi2)) * h)
+    if psi_norm == 0.0:
+        raise DomainError("annihilation_residual needs a state that is not 0 on the grid")
+    return math.sqrt(float(np.sum(r2)) * h) / psi_norm
 
 
 def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
@@ -436,6 +452,8 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
             q = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
             if parts:
                 q2, _, s, _ = _f_core(q, k, b)
+                if k == 0.0:
+                    np.square(q, out=q2)
                 f, f1, f2 = (np.divide(a[sl], r**i, out=row)
                              for i, (a, row) in enumerate(zip(flat[1:], (b[3], b[4], b[6]))))
             else:

@@ -12,13 +12,14 @@ from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def cli(cwd, *args, warnings_are_errors=False):
+def cli(cwd, *args, warnings_are_errors=False, stdout=subprocess.PIPE):
     """(exit code, stderr) of one fresh process run in cwd."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     flags = ["-W", "error::RuntimeWarning"] if warnings_are_errors else []
     proc = subprocess.run([sys.executable, *flags, "-m", "kappa_rup.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=300)
     return proc.returncode, proc.stderr
 
 
@@ -33,6 +34,35 @@ def test_bound_alpha_config_errors(tmp_path, args):
     assert code == EXIT_CONFIG
     assert err.splitlines()[0].startswith("config error: ")
     assert "Traceback" not in err
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed: a write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+# stdouts that cannot be written: a pipe with no reader, and a full device where there is one
+SINKS = {"closed pipe": _closed_pipe}
+if os.path.exists("/dev/full"):
+    SINKS["/dev/full"] = lambda: os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("sink", sorted(SINKS))
+@pytest.mark.parametrize("command", ["bound-alpha", "plot-psi"])
+def test_stdout_that_cannot_be_written(tmp_path, sink, command):
+    # bound-alpha's document fits stdout's buffer, so the explicit flush fails; plot-psi's
+    # does not, so the write itself fails. Either way: one config error line, and nothing
+    # more from the exit-time flush of what is left in the buffer
+    fd = SINKS[sink]()
+    try:
+        code, err = cli(tmp_path, "--command", command, stdout=fd)
+    finally:
+        os.close(fd)
+    assert code == EXIT_CONFIG
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: cannot write stdout: ")
 
 
 def test_table_integral_past_the_float_range(tmp_path):

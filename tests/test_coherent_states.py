@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -336,9 +337,15 @@ class TestMomentReport:
         with pytest.raises(DomainError):
             moment_report(spec_of(0.7))
 
-    def test_field_validation(self):
-        with pytest.raises(DomainError):
-            MomentReport(*([1.0] * 10 + [float("nan")] + [1.0] * 2 + [0]))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("field", [0, 4, 10, 11, 13])
+    def test_field_validation(self, field, bad):
+        # every value is checked; the error names the field that failed
+        values = [1.0] * 13 + [0]
+        values[field] = bad
+        name = dataclasses.fields(MomentReport)[field].name
+        with pytest.raises(DomainError, match=rf"MomentReport\.{name} must be finite and >= 0"):
+            MomentReport(*values)
 
 
 # every 30th kappa of the small-kappa sweep, and two next to kappa = 2/3
@@ -446,6 +453,28 @@ class TestSharedSweep:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert moment_report(spec_of(0.3, 1.7)) == before
+
+    def test_plan_built_once_and_never_stale(self, monkeypatch):
+        # the rule's plan of calls and their nodes is built on the first report, from a
+        # cache emptied here; a later report builds nothing, and a new _FIRST_CALL_LEVEL or
+        # _MAX_LEVEL takes effect on the next report
+        calls, nodes = [], coherent_states._nodes
+        monkeypatch.setattr(coherent_states, "_NODES", {})
+        monkeypatch.setattr(coherent_states, "_nodes",
+                            lambda *levels: calls.append(levels) or nodes(*levels))
+        s = spec_of(0.3, 1.7)
+        first = moment_report(s)
+        plan = [(0, 6), (7, 7), (8, 8), (9, 9), (10, 10)]
+        assert calls == plan
+        assert moment_report(s) == first and calls == plan
+        # the level sums do not depend on how levels are grouped into calls
+        monkeypatch.setattr(coherent_states, "_FIRST_CALL_LEVEL", 4)
+        assert moment_report(s) == first
+        assert calls[len(plan):] == [(0, 4), (5, 5), (6, 6), *plan[1:]]
+        monkeypatch.setattr(coherent_states, "_MAX_LEVEL", coherent_states._MIN_LEVEL)
+        with pytest.raises(NonConvergenceError, match="did not converge in 3 step halvings"):
+            moment_report(s)
+        assert calls[-1] == (0, 3)
 
     def test_overflowing_f_weight_names_f(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_log_f_at_logq",

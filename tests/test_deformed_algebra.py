@@ -360,6 +360,11 @@ class TestAnnihilationResidual:
         with pytest.raises(DomainError, match="needs >= 16 points"):
             annihilation_residual(spec_of(0.2), -400.0, 400.0, 15)
 
+    def test_state_zero_on_the_grid(self):
+        # 16 points over +-1e6 miss the origin, and exp(-q^2/2) is 0 at every one
+        with pytest.raises(DomainError, match="not 0 on the grid"):
+            annihilation_residual(spec_of(0.0), -1e6, 1e6, 16)
+
 
 class TestCommutatorResidual:
     def build(self, samples_fn, extent, n, k=0.2, z=1.0):
@@ -718,3 +723,47 @@ class TestScaleFreeResiduals:
             StateSpec(0.2, 1.0, hbar).delta_x_for(dp)
         with pytest.raises(DomainError, match="not a positive normal float"):
             ode_residual(np.linspace(-5.0, 5.0, 20), 0.2, 1.0, 1.0, dp, hbar)
+
+
+class TestClassicalPastTheSquareRange:
+    """At kappa 0, x = k q^2 is 0 and f~' is q 0, with no q^2 formed for them: past
+    |q| ~ 1.34e154, where q^2 is inf, f is 1, not inf * 0 = nan. On a grid whose ends are
+    scaled by 2^520 (q^2 is inf at every point but the middle one) the commutator residual
+    and the position operator give the unscaled grid's results, scaled exactly, with no
+    RuntimeWarning."""
+
+    SCALE = 2.0**520
+
+    def test_deformation_f(self):
+        assert deformation_f(1e155, 0.0, 1.0) == 1.0
+        assert deformation_f(1e200, 0.0, 1e300) == 1.0  # q = 1e350 itself overflows
+        p = np.array([-1.7e308, -1e155, -1.3e154, 0.0, 1e155, 1.7e308])
+        np.testing.assert_array_equal(deformation_f(p, 0.0, 1.0), np.ones(p.size))
+
+    def grids(self):
+        samples = np.exp(-np.square(np.linspace(-10.0, 10.0, 65)))
+        big = 10.0 * self.SCALE
+        return GridFunction(-10.0, 10.0, samples), GridFunction(-big, big, samples)
+
+    def test_commutator_residual(self):
+        unit, scaled = self.grids()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = commutator_residual(scaled, 0.0, 1.0)
+        assert got == commutator_residual(unit, 0.0, 1.0)
+
+    def test_position_operator(self):
+        unit, scaled = self.grids()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = apply_position_operator(scaled, ORDER_X3, 0.0, 1.0)
+        np.testing.assert_array_equal(got.samples * self.SCALE,
+                                      apply_position_operator(unit, ORDER_X3, 0.0, 1.0).samples)
+
+    def test_annihilation_residual(self):
+        # only the middle point, q = 0, holds a state that is not 0, so the residual is
+        # finite. psi squares q itself, and takes exp(-inf) to its 0 with an overflow
+        # warning; an inf * 0 = nan would raise here
+        with np.errstate(over="ignore", invalid="raise"):
+            got = annihilation_residual(spec_of(0.0), -1e155, 1e155, 65)
+        assert math.isfinite(got) and got > 0.0
