@@ -18,7 +18,16 @@ is strict: a verify measurement that is not finite is null and fails,
 and any other number that is not finite is an error (exit 2).
 Every emitted document starts with a metadata record (a '#'-prefixed
 JSON line for CSV) carrying the tool version, the command, and the
-fully resolved configuration.
+resolved configuration: the command, each setting the command reads
+(from its flag, else the config file, else its default) and its format.
+
+Each command reads only some settings (_COMMANDS names them; every one
+reads --out, which is never echoed). A flag that the command does not read
+is a config error naming the flag and the command. A config-file key that
+it does not read is ignored, neither checked nor echoed, so that one file
+(also through $KAPPA_RUP_CONFIG) can serve every command; a top-level key
+that no command reads, or an unknown key in a section the command reads,
+is a config error.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ class ConfigError(KappaRupError):
 # The number settings, in echo order. Each gives its key path in the config
 # file, which is also its path in the echoed configuration and, joined by "-",
 # its flag; its default (tol's None leaves each command its own); and whether
-# it must be an integer.
+# it must be an integer. A command reads a path's first key: grid's three at once.
 _SETTINGS = (
     (("zeta",), 1.0, False),
     (("hbar",), 1.0, False),
@@ -70,9 +79,16 @@ _PHENO_FLAGS = (
     "electron_mass", "zeta_fixing",
 )
 
-# the config file's keys besides the settings' own
+# maxent-demo's problem where its file's maxent section gives none; --kappa sets its kappa
+_MAXENT_DEFAULTS = {"energies": [0.0, 1.0, 2.0, 3.0, 4.0], "mean_energy": 1.2, "kappa": 0.2}
+
+# each flag, by dest, with the settings it sets: --kappa the kappa list, or
+# maxent-demo's one maxent.kappa
+_FLAGS = {"kappa": ("kappa", "maxent"), **{"_".join(path): (path[0],) for path, *_ in _SETTINGS},
+          **{name: ("pheno",) for name in _PHENO_FLAGS}, "out": ("out",)}
+
+# the config file's keys besides the number settings' own
 _FILE_KEYS = ("kappas", "out", "pheno", "maxent")
-_MAXENT_KEYS = ("energies", "mean_energy", "kappa")
 
 
 # every float a document writes: 17 significant digits, enough to round-trip a float
@@ -251,18 +267,8 @@ def cmd_verify(c: dict) -> Tuple[int, Optional[str]]:
 # table / plot commands
 # ---------------------------------------------------------------------------
 
-_TABLE_HEADER = (
-    "kappa",
-    "N",
-    "p2_closed",
-    "p2_quad",
-    "delta_p",
-    "delta_x",
-    "F_closed",
-    "F_quad",
-    "dxdp_over_halfhbar",
-    "status",
-)
+_TABLE_HEADER = ("kappa", "N", "p2_closed", "p2_quad", "delta_p", "delta_x", "F_closed", "F_quad",
+                 "dxdp_over_halfhbar", "status")
 
 
 def _table_status(report, rel_tol: float) -> str:
@@ -276,27 +282,22 @@ def _table_status(report, rel_tol: float) -> str:
 
 
 def cmd_table(c: dict) -> Tuple[int, Optional[str]]:
+    rel_tol = c["tol"] if c["tol"] is not None else 1e-10
+    if not 1e-12 <= rel_tol <= 1e-3:
+        raise ConfigError(f"table needs a tol in [1e-12, 1e-3], got {rel_tol}")
     from .coherent_states import moment_report, normalization_constant
 
-    rel_tol = c["tol"] if c["tol"] is not None else 1e-10
     rows = []
     for k in c["kappa"]:
         spec = StateSpec(as_kappa(k), c["zeta"], c["hbar"])
         if not spec.kappa.moment_safe:
-            rows.append(
-                (_f17(k), _f17(normalization_constant(spec))) + ("",) * 7
-                + ("error: moments diverge for kappa >= 2/3",)
-            )
+            rows.append((_f17(k), _f17(normalization_constant(spec))) + ("",) * 7
+                        + ("error: moments diverge for kappa >= 2/3",))
             continue
         r = moment_report(spec, rel_tol)
-        rows.append(
-            (
-                _f17(k), _f17(r.norm_constant), _f17(r.second_moment),
-                _f17(r.second_moment_quad), _f17(r.delta_p), _f17(r.delta_x),
-                _f17(r.f_expect), _f17(r.f_expect_quad),
-                _f17(r.delta_x / c["hbar"] * r.delta_p * 2.0), _table_status(r, rel_tol),
-            )
-        )
+        values = (k, r.norm_constant, r.second_moment, r.second_moment_quad, r.delta_p, r.delta_x,
+                  r.f_expect, r.f_expect_quad, r.delta_x / c["hbar"] * r.delta_p * 2.0)
+        rows.append(tuple(map(_f17, values)) + (_table_status(r, rel_tol),))
     return EXIT_OK, _csv_document(c, _TABLE_HEADER, [",".join(row) for row in rows])
 
 
@@ -309,7 +310,7 @@ def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
     if not 0.0 < hi - lo < math.inf or not 2 <= n <= _MAX_GRID_N:
         raise ConfigError(f"plot-psi needs 0 < grid max - min < inf and 2 <= n <= {_MAX_GRID_N}")
     p = np.linspace(lo, hi, n)
-    curves = [psi(p, StateSpec(as_kappa(k), c["zeta"], c["hbar"])) for k in c["kappa"]]
+    curves = [psi(p, StateSpec(as_kappa(k), c["zeta"])) for k in c["kappa"]]
     header = ["p"] + [f"psi_k{i}" for i in range(len(curves))]
     # Python floats from whole columns, not numpy scalars indexed one at a time, each row
     # formatted by one % with _f17's format per cell
@@ -324,27 +325,19 @@ def cmd_plot_psi(c: dict) -> Tuple[int, Optional[str]]:
 
 def cmd_bound_alpha(c: dict) -> Tuple[int, Optional[str]]:
     pheno = PhenoConfig(**c["pheno"])
-    bound = kappa_bound(pheno)
-    return EXIT_OK, _json_document(c, {
-        "alpha_inverse": pheno.alpha_inverse,
-        "alpha_inverse_uncertainty": pheno.alpha_inverse_uncertainty,
-        "delta_alpha_exp": pheno.delta_alpha_exp,
-        "characteristic_momentum": pheno.characteristic_momentum,
-        "zeta_fixing": pheno.zeta_fixing,
-        **dataclasses.asdict(bound),
-    })
+    inputs = ("alpha_inverse", "alpha_inverse_uncertainty", "delta_alpha_exp",
+              "characteristic_momentum", "zeta_fixing")
+    return EXIT_OK, _json_document(c, {**{name: getattr(pheno, name) for name in inputs},
+                                       **dataclasses.asdict(kappa_bound(pheno))})
 
 
 def cmd_maxent_demo(c: dict) -> Tuple[int, Optional[str]]:
     import numpy as np
     from .maxent import MaxEntProblem, fit_kappa_exponential, maxent_solve
 
-    section = c["maxent"] or {}
-    energies = section.get("energies", [0.0, 1.0, 2.0, 3.0, 4.0])
-    mean = section.get("mean_energy", 1.2)
-    kap = section.get("kappa", c["kappa"][0])
+    m = c["maxent"]
     try:
-        problem = MaxEntProblem(np.asarray(energies, dtype=float), float(mean), as_kappa(kap))
+        problem = MaxEntProblem(np.asarray(m["energies"]), m["mean_energy"], as_kappa(m["kappa"]))
     except KappaRupError as exc:
         raise ConfigError(f"invalid maxent problem: {exc}") from exc
     try:
@@ -370,25 +363,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _help(dest: str, what: str) -> str:
+    """A flag's help: what it sets, and the commands that read it."""
+    readers = [name for name, (_, _, reads) in _COMMANDS.items() if set(_FLAGS[dest]) & set(reads)]
+    return f"{what}; read by {', '.join(readers)}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kappa-rup",
         description="kappa-deformed uncertainty toolkit, batch interface",
     )
     parser.add_argument("--command", required=True, choices=_COMMANDS)
-    parser.add_argument("--kappa", help="comma-separated kappa list, e.g. 0,0.2,0.4")
+    parser.add_argument("--kappa", help=_help("kappa", "comma-separated list, e.g. 0,0.2,0.4, config "
+                                              "key kappas; maxent-demo takes one, over maxent.kappa"))
     for path, _, integral in _SETTINGS:
-        parser.add_argument(
-            "--" + "-".join(path), type=int if integral else float, dest="_".join(path)
-        )
+        dest = "_".join(path)
+        parser.add_argument("--" + "-".join(path), type=int if integral else float, dest=dest,
+                            help=_help(dest, "config key " + ".".join(path)))
     parser.add_argument("--config", help=f"JSON config path (fallback: ${ENV_CONFIG})")
-    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--out", help=_help("out", "output path (default: stdout), config key out"))
     pheno = parser.add_argument_group("phenomenology overrides")
     for name in _PHENO_FLAGS:
         # typed like the field's default: float, or str for zeta_fixing
-        pheno.add_argument(
-            "--" + name.replace("_", "-"), type=type(getattr(PhenoConfig, name)), dest=name
-        )
+        pheno.add_argument("--" + name.replace("_", "-"), type=type(getattr(PhenoConfig, name)),
+                           dest=name, help=_help(name, "config key pheno." + name))
     return parser
 
 
@@ -439,7 +438,9 @@ def _given(flag, file_cfg: dict, key: str):
     return flag if flag is not None else file_cfg.get(key)
 
 
-def _resolve_kappas(flag: Optional[str], file_value, default: list) -> list:
+def _number_list(flag: Optional[str], file_value, default, name: str) -> list:
+    """A non-empty list of numbers: the comma-separated flag if given, else the file's
+    list, else the default."""
     values = default if file_value is None else file_value
     if flag is not None:
         try:
@@ -447,23 +448,28 @@ def _resolve_kappas(flag: Optional[str], file_value, default: list) -> list:
         except ValueError as exc:
             raise ConfigError(f"bad --kappa list {flag!r}") from exc
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"the kappa list must be a non-empty list, got {values!r}")
-    return [_config_number(k, "kappa") for k in values]
+        raise ConfigError(f"the {name} list must be a non-empty list, got {values!r}")
+    return [_config_number(v, name) for v in values]
 
 
 def resolve_config(args: argparse.Namespace) -> Tuple[dict, Optional[str]]:
-    """The resolved configuration, each value from its flag, else the config
-    file, else its default; and the output path."""
-    file_cfg = _load_config_file(args.config)
+    """The settings that the command reads, each from its flag, else the config
+    file, else its default, as the configuration to echo; and the output path."""
     command = args.command
-    _, command_fmt, default_kappas, (tol_lo, tol_hi) = _COMMANDS[command]
+    _, command_fmt, reads = _COMMANDS[command]
+    for dest, settings in _FLAGS.items():
+        if getattr(args, dest) is not None and not set(settings) & set(reads):
+            raise ConfigError(f"{command} does not read --{dest.replace('_', '-')}")
+    file_cfg = _load_config_file(args.config)
     _reject_unknown(file_cfg, {path[0] for path, *_ in _SETTINGS}.union(_FILE_KEYS), "the file")
 
-    config = {
-        "command": command,
-        "kappa": _resolve_kappas(args.kappa, file_cfg.get("kappas"), list(default_kappas)),
-    }
+    config = {"command": command}
+    if "kappa" in reads:
+        config["kappa"] = _number_list(args.kappa, file_cfg.get("kappas"),
+                                       list(_DEFAULT_KAPPAS[command]), "kappa")
     for path, default, integral in _SETTINGS:
+        if path[0] not in reads:
+            continue
         *sections, key = path
         file_node, node = file_cfg, config
         for name in sections:
@@ -472,50 +478,50 @@ def resolve_config(args: argparse.Namespace) -> Tuple[dict, Optional[str]]:
             node = node.setdefault(name, {})
         value = _given(getattr(args, "_".join(path)), file_node, key)
         node[key] = default if value is None else _config_number(value, ".".join(path), integral)
-    tol = config["tol"]
-    if tol is not None and not (0.0 < tol and tol_lo <= tol <= tol_hi):
-        raise ConfigError(f"{command} needs a positive tol in [{tol_lo:g}, {tol_hi:g}], got {tol}")
+    if config.get("tol") is not None and not config["tol"] > 0.0:
+        raise ConfigError(f"{command} needs a positive tol, got {config['tol']}")
+    if "maxent" in reads:
+        m = {**_MAXENT_DEFAULTS, **_config_object(file_cfg, "maxent", _MAXENT_DEFAULTS)}
+        kappa = _number_list(args.kappa, [m["kappa"]], None, "maxent.kappa")
+        if len(kappa) != 1:
+            raise ConfigError(f"maxent-demo reads one kappa, got {kappa}")
+        config["maxent"] = {"energies": _number_list(None, m["energies"], None, "maxent.energies"),
+                            "mean_energy": _config_number(m["mean_energy"], "maxent.mean_energy"),
+                            "kappa": kappa[0]}
+    try:
+        if "pheno" in reads:
+            pheno_keys = [f.name for f in dataclasses.fields(PhenoConfig)]
+            pheno = dict(_config_object(file_cfg, "pheno", pheno_keys))
+            pheno.update((name, getattr(args, name)) for name in _PHENO_FLAGS
+                         if getattr(args, name) is not None)
+            config["pheno"] = dataclasses.asdict(PhenoConfig(**pheno))
+        # kappa (0 <= k < 1), zeta and hbar (> 0) are config-level concerns
+        for k in config.get("kappa", ()):
+            StateSpec(as_kappa(k), config["zeta"], config.get("hbar", 1.0))
+    except KappaRupError as exc:
+        raise ConfigError(str(exc)) from exc
     config["format"] = command_fmt
 
     out = _given(args.out, file_cfg, "out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")
-
-    for key, value in _config_object(file_cfg, "maxent", _MAXENT_KEYS).items():
-        numbers = value if key == "energies" and isinstance(value, list) else [value]
-        for number in numbers:
-            _config_number(number, f"maxent.{key}")
-
-    pheno_keys = [f.name for f in dataclasses.fields(PhenoConfig)]
-    pheno = dict(_config_object(file_cfg, "pheno", pheno_keys))
-    for name in _PHENO_FLAGS:
-        if getattr(args, name) is not None:
-            pheno[name] = getattr(args, name)
-    try:
-        pheno = PhenoConfig(**pheno)
-        # kappa (0 <= k < 1), zeta and hbar (> 0) are config-level concerns for every command
-        for k in config["kappa"]:
-            StateSpec(as_kappa(k), config["zeta"], config["hbar"])
-    except KappaRupError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if command == "bound-alpha":
-        config["pheno"] = dataclasses.asdict(pheno)
-    if command == "maxent-demo":
-        config["maxent"] = file_cfg.get("maxent")
     return config, out
 
 
-# per command: its function, the one document format it emits, its default
-# kappas and the range its tol must lie in; 1e-6 and 1e-5 put the paper's
-# regime (bound kappa ~ 1.8e-5) in every verify run
+# per command: its function, the one document format it emits and the settings
+# it reads, in echo order ("out", read by all, shapes no document and is not echoed)
 _COMMANDS = {
-    "verify": (cmd_verify, "json", (1e-6, 1e-5, 0.05, 0.1, 0.3, 0.6), (0.0, math.inf)),
-    "table": (cmd_table, "csv", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6), (1e-12, 1e-3)),
-    "plot-psi": (cmd_plot_psi, "csv", (0.0, 0.2, 0.4, 0.6), (0.0, math.inf)),
-    "bound-alpha": (cmd_bound_alpha, "json", (0.2,), (0.0, math.inf)),
-    "maxent-demo": (cmd_maxent_demo, "json", (0.2,), (0.0, math.inf)),
+    "verify": (cmd_verify, "json", ("kappa", "zeta", "hbar", "tol", "out")),
+    "table": (cmd_table, "csv", ("kappa", "zeta", "hbar", "tol", "out")),
+    "plot-psi": (cmd_plot_psi, "csv", ("kappa", "zeta", "grid", "out")),
+    "bound-alpha": (cmd_bound_alpha, "json", ("pheno", "out")),
+    "maxent-demo": (cmd_maxent_demo, "json", ("maxent", "out")),
 }
+
+# the default kappas of the commands that read a kappa list; 1e-6 and 1e-5 put the
+# paper's regime (bound kappa ~ 1.8e-5) in every verify run
+_DEFAULT_KAPPAS = {"verify": (1e-6, 1e-5, 0.05, 0.1, 0.3, 0.6),
+                   "table": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6), "plot-psi": (0.0, 0.2, 0.4, 0.6)}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -121,14 +121,16 @@ def psi(p, spec: StateSpec):
     points of the flattened p, each computed in place in its slice of the one
     output array, so the only memory it takes is that output (and, for a p that
     is not C-contiguous, one block read out of it at a time); every value has the
-    bits of the whole-array expression.
+    bits of the whole-array expression. Past |q| = 2^512, q^2 overflows to inf and
+    psi is its limit, 0, with no warning.
     """
     k, z, n_const = spec.kappa.value, spec.zeta, normalization_constant(spec)
     out = np.empty(p.shape)  # C-contiguous, so its flat view is no copy
     flat, src = out.reshape(-1), p.reshape(-1) if p.flags.c_contiguous else p.flat
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _psi_into(src[block], k, z, n_const, flat[block])
+    with np.errstate(over="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _psi_into(src[block], k, z, n_const, flat[block])
     return out
 
 

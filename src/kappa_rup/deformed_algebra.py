@@ -331,14 +331,16 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     n_const = normalization_constant(unit)
     r2, psi2 = np.empty_like(q), np.empty_like(q)
     rows = _scratch(7, (min(q.size, _BLOCK + 4),))
-    for sl, halo, at in _blocks(q.size):
-        psi = _psi_into(q[halo], k, 1.0, n_const, rows[6][:halo.stop - halo.start])
-        q2, x, _, f, f1 = _f_f1(q[sl], k, [row[:sl.stop - sl.start] for row in rows])
-        # q^2 and x are scratch from here on
-        x_psi = _x_block(psi, h, at, f, np.multiply(f1, ORDER_X3, out=f1), q2, x)
-        q_psi = np.multiply(np.multiply(q[sl], psi[at], out=x), inv_dp, out=x)
-        np.square(np.add(np.multiply(x_psi, inv_dx, out=x_psi), q_psi, out=x_psi), out=r2[sl])
-        np.square(psi[at], out=psi2[sl])
+    # psi's q^2 overflows past |q| = 2^512, where psi is its limit 0, as in psi itself
+    with np.errstate(over="ignore"):
+        for sl, halo, at in _blocks(q.size):
+            psi = _psi_into(q[halo], k, 1.0, n_const, rows[6][:halo.stop - halo.start])
+            q2, x, _, f, f1 = _f_f1(q[sl], k, [row[:sl.stop - sl.start] for row in rows])
+            # q^2 and x are scratch from here on
+            x_psi = _x_block(psi, h, at, f, np.multiply(f1, ORDER_X3, out=f1), q2, x)
+            q_psi = np.multiply(np.multiply(q[sl], psi[at], out=x), inv_dp, out=x)
+            np.square(np.add(np.multiply(x_psi, inv_dx, out=x_psi), q_psi, out=x_psi), out=r2[sl])
+            np.square(psi[at], out=psi2[sl])
     psi_norm = math.sqrt(float(np.sum(psi2)) * h)
     if psi_norm == 0.0:
         raise DomainError("annihilation_residual needs a state that is not 0 on the grid")
@@ -424,7 +426,9 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     ``f_parts`` = (f, f', f'') arrays substitute an arbitrary trial
     function (e.g. f = 1) to show the equation rejects it. The raw
     left-hand side spans many orders of magnitude in p, so it is
-    divided by the largest of its three additive terms.
+    divided by the largest of its three additive terms. At kappa = 0, past
+    |q| = |p| sqrt(zeta) = 2^512, where q^2 overflows, it is the residual's
+    large-|q| limit, (dy^2 - (dq f)^2) / max((dq f)^2, dy^2), with no warning.
     """
     k = as_kappa(kappa).value
     r, hbar = math.sqrt(positive_float("zeta", zeta)), positive_float("hbar", hbar)
@@ -450,6 +454,9 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
             b = [row[:sl.stop - sl.start] for row in rows]
             # onto the unit state: q = p sqrt(zeta), and f_parts' d/dp to d/dq = d/dp / sqrt(zeta)
             q = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
+            if k == 0.0:  # past |q| = 2^512, where q^2 overflows, run at q = 0; see below
+                far = np.abs(q) >= 2.0**512
+                q = np.where(far, 0.0, q)
             if parts:
                 q2, _, s, _ = _f_core(q, k, b)
                 if k == 0.0:
@@ -459,6 +466,12 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
             else:
                 q2, s, f, f1, f2 = _general_parts(q, k, c0, c1, b)
             _ode_terms(q, k, dy, dq, (q2, s, f, f1, f2, b[1], b[5]), out[sl])
+            if k == 0.0:
+                # the residual's large-|q| limit at k = 0 (for f~' / q -> 0), in which only
+                # the q^2 terms of t1 and t2 are left: f~ is f_parts' f or c0, the family's
+                # (a c1 != 0 member solves the ODE too, so its limit is the same)
+                dqf2 = np.square(dq * (flat[1][sl][far] if parts else c0))
+                out[sl][far] = (dy * dy - dqf2) / np.maximum(dqf2, dy * dy)
     except OverflowError:
         raise DomainError("ode_residual's terms leave the float range: dp sqrt(zeta) f and "
                           "dx / (hbar sqrt(zeta)) differ by more than it spans") from None

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kappa_rup.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _f17, _gibbs_distribution, main
+from kappa_rup.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _f17, _gibbs_distribution, build_parser,
+                           main, resolve_config)
 from kappa_rup.coherent_states import normalization_constant, psi
 from kappa_rup.params import KappaParameter, StateSpec
 
@@ -421,15 +422,22 @@ class TestMaxentDemo:
     def test_bad_tolerance_is_config_error(self, tmp_path):
         assert main(["--command", "table", "--tol", "1e-20"]) == EXIT_CONFIG
 
-    def test_tol_changes_only_the_echo(self, tmp_path):
-        # the solver has one fixed target: a tol is echoed and read by nothing
-        _, plain = run(tmp_path, "--command", "maxent-demo", name="a.json")
-        code, loose = run(tmp_path, "--command", "maxent-demo", "--tol", "1e-2", name="b.json")
+    def test_kappa_flag_overrides_the_file(self, tmp_path):
+        # --kappa sets the one kappa over the file's maxent.kappa, like every flag over its key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"maxent": {"kappa": 0.3}}))
+        code, text = run(tmp_path, "--command", "maxent-demo", "--kappa", "0.1", "--config", str(cfg))
         assert code == EXIT_OK
-        plain, loose = json.loads(plain), json.loads(loose)
-        assert loose.pop("meta")["config"]["tol"] == 1e-2
-        assert plain.pop("meta")["config"]["tol"] is None
-        assert loose == plain
+        doc = json.loads(text)
+        assert doc["problem"]["kappa"] == 0.1
+        assert doc["meta"]["config"]["maxent"] == {
+            "energies": [0.0, 1.0, 2.0, 3.0, 4.0], "mean_energy": 1.2, "kappa": 0.1}
+
+    @pytest.mark.parametrize("kappa", ["0.1,0.3", ""])
+    def test_one_kappa(self, tmp_path, capsys, kappa):
+        code, text = run(tmp_path, "--command", "maxent-demo", "--kappa", kappa)
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_solver_failure_exits_2_without_a_document(self, tmp_path, monkeypatch, capsys):
         from kappa_rup import maxent
@@ -545,9 +553,12 @@ class TestConfigHandling:
             ("bound-alpha", {"pheno": {"alpha_inverse": 10**400}}),
             # a finite grid whose span overflows
             ("plot-psi", {"grid": {"min": -1e308, "max": 1e308}}),
-            # unknown keys, at the top level and in every section; a document's
-            # own metadata says "kappa" where the file says "kappas"
+            # unknown keys, at the top level for every command and in every section
+            # for its readers; a document's own metadata says "kappa" where the file
+            # says "kappas"
             ("table", {"kappa": [0.15]}),
+            ("bound-alpha", {"kappa": [0.15]}),
+            ("maxent-demo", {"kappa": [0.15]}),
             ("plot-psi", {"grid": {"nn": 5}}),
             ("maxent-demo", {"maxent": {"levels": 3}}),
             ("bound-alpha", {"pheno": {"bogus": 1.0}}),
@@ -563,7 +574,7 @@ class TestConfigHandling:
         "args",
         [
             ("--command", "plot-psi", "--grid-max", "inf"),
-            ("--command", "bound-alpha", "--tol", "inf"),
+            ("--command", "verify", "--tol", "inf"),
             ("--command", "table", "--zeta", "nan"),
         ],
     )
@@ -621,6 +632,82 @@ class TestConfigHandling:
         assert meta["config"]["zeta"] == 2.0 and isinstance(meta["config"]["zeta"], float)
         assert meta["config"]["grid"] == {"min": -4.0, "max": 8.0, "n": 41}
         assert isinstance(meta["config"]["grid"]["min"], float)
+
+
+# each setting flag with a value of its type, and the flags each command reads
+SETTING_FLAGS = {
+    "--kappa": "0.2", "--zeta": "2", "--hbar": "3", "--grid-min": "-4", "--grid-max": "4",
+    "--grid-n": "9", "--tol": "1e-6", "--out": "x.txt", "--alpha-inverse": "137",
+    "--alpha-inverse-uncertainty": "1e-8", "--characteristic-momentum": "4e-3",
+    "--electron-mass": "0.5", "--zeta-fixing": "landau",
+}
+READS = {
+    "verify": {"--kappa", "--zeta", "--hbar", "--tol", "--out"},
+    "table": {"--kappa", "--zeta", "--hbar", "--tol", "--out"},
+    "plot-psi": {"--kappa", "--zeta", "--grid-min", "--grid-max", "--grid-n", "--out"},
+    "bound-alpha": {"--alpha-inverse", "--alpha-inverse-uncertainty", "--characteristic-momentum",
+                    "--electron-mass", "--zeta-fixing", "--out"},
+    "maxent-demo": {"--kappa", "--out"},
+}
+# each config-file key with a value that no command takes; the keys each command reads
+BAD_FILE_VALUES = {
+    "kappas": [1.5], "zeta": -1.0, "hbar": "x", "grid": {"n": 1, "nn": 5}, "tol": -1.0,
+    "pheno": {"alpha_inverse": -1.0, "bogus": 1.0}, "maxent": {"mean_energy": "x", "levels": 3},
+}
+FILE_READS = {
+    "verify": {"kappas", "zeta", "hbar", "tol"},
+    "table": {"kappas", "zeta", "hbar", "tol"},
+    "plot-psi": {"kappas", "zeta", "grid"},
+    "bound-alpha": {"pheno"},
+    "maxent-demo": {"maxent"},
+}
+
+
+class TestSettingsRead:
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in SETTING_FLAGS
+                                               if f not in READS[c]])
+    def test_unread_flag_is_a_config_error(self, tmp_path, capsys, command, flag):
+        code, text = run(tmp_path, "--command", command, flag, SETTING_FLAGS[flag])
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {command} does not read {flag}\n"
+
+    @pytest.mark.parametrize("command", READS)
+    def test_read_flags_resolve(self, command):
+        # every flag the command reads at once: resolved, and each echoed where it is a setting
+        argv = ["--command", command]
+        for flag in sorted(READS[command]):
+            argv += [flag, SETTING_FLAGS[flag]]
+        config, out = resolve_config(build_parser().parse_args(argv))
+        # out shapes no document, so it is not echoed; every other setting read is
+        assert out == "x.txt"
+        assert set(config) - {"command", "format"} == {
+            "kappa" if key == "kappas" else key for key in FILE_READS[command]}
+
+    @pytest.mark.parametrize("command", READS)
+    def test_unread_file_key_changes_nothing(self, tmp_path, command):
+        # a key that the command does not read is neither checked nor echoed: the
+        # document is byte-identical to the one without it
+        code, plain = run(tmp_path, "--command", command, name="plain.txt")
+        assert code == EXIT_OK
+        for key in set(BAD_FILE_VALUES) - FILE_READS[command]:
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: BAD_FILE_VALUES[key]}))
+            code, text = run(tmp_path, "--command", command, "--config", str(cfg), name=f"{key}.txt")
+            assert (key, code, text) == (key, EXIT_OK, plain)
+
+    @pytest.mark.parametrize("command", READS)
+    def test_read_file_key_is_checked(self, tmp_path, capsys, command):
+        for key in FILE_READS[command]:
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: BAD_FILE_VALUES[key]}))
+            assert run(tmp_path, "--command", command, "--config", str(cfg))[0] == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_flag_help_names_its_commands(self):
+        helps = {a.option_strings[0]: a.help for a in build_parser()._actions}
+        for flag in SETTING_FLAGS:
+            readers = ", ".join(c for c in READS if flag in READS[c])
+            assert helps[flag].endswith("; read by " + readers), flag
 
 
 class TestDeterminism:

@@ -24,8 +24,8 @@ from kappa_rup import coherent_states
 from kappa_rup.errors import DivergentIntegralError, DomainError, NonConvergenceError
 from kappa_rup.params import KappaParameter, StateSpec
 
-from oracles import (mp_log_density_and_f, mp_moment, mp_state, plain_double_exponential,
-                     quadpack_moment, whole_array_psi)
+from oracles import (mp_closed_state, mp_log_density_and_f, mp_moment, mp_state,
+                     plain_double_exponential, quadpack_moment, whole_array_psi)
 from test_small_kappa import KAPPAS
 
 
@@ -105,6 +105,14 @@ class TestPsi:
             got = psi(p, s) / normalization_constant(s)
             ref = psi(q, unit) / normalization_constant(unit)
         assert 0.0 < ref and abs(got - ref) <= 2.0 * math.ulp(ref)
+
+    @pytest.mark.parametrize("k", [0.0, 0.3])
+    def test_zero_where_q_squared_overflows(self, k):
+        # past |q| = 2^512, q^2 is inf and psi its limit 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert psi(1e155, spec_of(k)) == 0.0
+            np.testing.assert_array_equal(psi(np.array([-1.7e308, -1e155, 1e155]), spec_of(k)), 0.0)
 
     def test_even_positive_decreasing(self):
         s = spec_of(0.3, 0.8)
@@ -360,6 +368,14 @@ class TestDoubleExponentialRule:
         got = {"N": rep.norm_constant_quad, "p2": rep.second_moment_quad, "F": rep.f_expect_quad}
         errors = {name: abs(got[name] / ref[name] - 1.0) for name in got}
         assert max(errors.values()) <= 1e-14, errors
+
+    @pytest.mark.parametrize("k", [0.6, 0.65, 0.66])
+    def test_mpmath_quadrature_matches_the_closed_forms(self, k):
+        # the quadrature oracle is itself within rounding of the loggamma closed forms
+        # next to 2/3, where the tail carries most of <p^2> and F
+        ref, got = mp_closed_state(k, 1.3), mp_state(k, 1.3)
+        errors = {name: abs(got[name] / ref[name] - 1.0) for name in ref}
+        assert max(errors.values()) <= 5e-16, errors
 
     @pytest.mark.parametrize("k,z", [(0.0, 1.0), (0.2, 0.3), (0.45, 2.0), (0.66, 1.3)])
     def test_matches_quadpack(self, k, z):

@@ -762,8 +762,20 @@ class TestClassicalPastTheSquareRange:
 
     def test_annihilation_residual(self):
         # only the middle point, q = 0, holds a state that is not 0, so the residual is
-        # finite. psi squares q itself, and takes exp(-inf) to its 0 with an overflow
-        # warning; an inf * 0 = nan would raise here
-        with np.errstate(over="ignore", invalid="raise"):
+        # finite. psi squares q itself and takes exp(-inf) to its 0 with its overflow
+        # silenced; any other overflow, or an inf * 0 = nan, would raise here
+        with np.errstate(over="raise", invalid="raise"):
             got = annihilation_residual(spec_of(0.0), -1e155, 1e155, 65)
         assert math.isfinite(got) and got > 0.0
+
+    @pytest.mark.parametrize("f_parts", [False, True])
+    def test_ode_residual(self, f_parts):
+        # the Gaussian solves the ODE with f = 1: where q^2 is inf, the residual is its
+        # large-|q| limit, 0, with no warning; at 1e150 it is -1/q^2
+        s = spec_of(0.0)
+        p = np.array([-1.7e308, -1e155, -1e150, 0.0, 1e150, 1e155, 1.7e308])
+        parts = (np.ones(p.size), np.zeros(p.size), np.zeros(p.size)) if f_parts else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ode_residual(p, 0.0, 1.0, delta_x(s), delta_p(s), f_parts=parts)
+        np.testing.assert_allclose(got, [0.0, 0.0, -1e-300, 0.0, -1e-300, 0.0, 0.0], rtol=1e-15)
