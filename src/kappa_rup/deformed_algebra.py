@@ -25,17 +25,21 @@ adds no array pass). With dp = dq / sqrt(z), x/dx, p/dp and the commutator
 identity are free of zeta and hbar; the ODE holds only dq = dp sqrt(z) and
 dy = dx / (hbar sqrt(z)). Only q is squared, never p, so every zeta that
 StateSpec takes leaves the residuals finite. At k = 0, x is 0 and f~' is q 0, and only
-the ODE forms q^2, so past |q| ~ 1.34e154, where q^2 is inf, f is 1, not nan.
+the ODE forms q^2, so past |q| ~ 1.34e154, where q^2 is inf, f is 1, not nan. The
+ODE's terms are of degree 8 in q: past |q| ~ 3e38 (6.7e153 at k = 0) they leave the
+float range while q^2 does not, and there the family's are formed again, each scaled by
+a power of two per point (_far_ode_terms), exactly.
 
 The residuals and the position operator run in real arithmetic over blocks of
 2^13 points, which stay in L2, with the bits of the complex whole-grid form:
 each complex product they replace had a zero part, the stencil scales by 1/(12h)
 as numpy's complex division does, and each norm is one np.sum over the whole
-grid. Per block, q^2 and s = sqrt(1 + x^2), x = k q^2, are formed once, f'' only
-where it is used. s and f~ = s + k x come from kappa_math._deformation_s_f, which the
-quadrature's ln f takes too, so f has one evaluation path: numpy's sqrt, with x
-capped at 2^27 before squaring (past it, s is x), within 1 ulp of libm's hypot(1, x)
-over the whole float range, and no overflow.
+grid. Per block, q^2, s = sqrt(1 + x^2), x = k q^2, and in the ODE s^2 (and s^3 as
+s^2 s, not a libm pow per point) are formed once, f'' only where it is used. s and
+f~ = s + k x come from kappa_math._deformation_s_f, which the quadrature's ln f takes
+too, so f has one evaluation path: numpy's sqrt, with x capped at 2^27 before squaring
+(past it, s is x), within 1 ulp of libm's hypot(1, x) over the whole float range, and
+no overflow.
 
 No kernel allocates per operation. Each call takes a few scratch rows of one
 block (and its halo of two points a side) once, and every numpy operation writes
@@ -184,12 +188,13 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
         # X' = 2 q X / s
         np.multiply(np.multiply(q, c1 * 2.0, out=tmp), big_x, out=tmp)
         np.add(f1, np.divide(tmp, s, out=tmp), out=f1)
-        # X'' = (2 X / s^3) (s s + 2 q^2 s - 2 k^2 q^4), with big_x and u as scratch
-        np.divide(np.multiply(big_x, 2.0, out=big_x), np.power(s, 3, out=tmp), out=big_x)
+        # X'' = (2 X / s^3) (s s + 2 q^2 s - 2 k^2 q^4), with big_x and u as scratch: s s in
+        # u, s^3 = (s s) s and q^4 = (q^2)^2
+        np.multiply(np.square(s, out=u), s, out=tmp)
+        np.divide(np.multiply(big_x, 2.0, out=big_x), tmp, out=big_x)
         np.multiply(big_x, c1, out=big_x)
-        np.add(np.multiply(s, s, out=u), np.multiply(np.multiply(q2, 2.0, out=tmp), s, out=tmp),
-               out=u)
-        np.subtract(u, np.multiply(np.power(q, 4, out=tmp), 2.0 * k**2, out=tmp), out=u)
+        np.add(u, np.multiply(np.multiply(q2, 2.0, out=tmp), s, out=tmp), out=u)
+        np.subtract(u, np.multiply(np.square(q2, out=tmp), 2.0 * k**2, out=tmp), out=u)
         np.add(f2, np.multiply(big_x, u, out=big_x), out=f2)
     return q2, s, f, f1, f2
 
@@ -391,28 +396,52 @@ def commutator_residual(psi_grid: GridFunction, kappa: KappaLike, zeta: float,
 # minimum-uncertainty ODE residual
 # ---------------------------------------------------------------------------
 
-def _ode_terms(q, k, dy, dq, parts, out):
+def _ode_terms(q, k, dy, dq, parts, out, one=1.0):
     """The ODE's normalized residual on one block in q, into out, from parts = (q^2, s, f~,
-    f~', f~'', scratch, scratch): seven rows of the block's length, all overwritten."""
+    f~', f~'', scratch, scratch): seven rows of the block's length, all overwritten. ``one``
+    is t1's 1, an array where the parts are scaled (see _far_ode_terms)."""
     q2, s, f, f1, f2, t1, tmp = parts
     dq2, dy2 = dq**2, dy**2
     # t1 = 4 (1 - q^2 (k^2 q^2 + s)) dq^2 f^2
     np.multiply(q2, np.add(np.multiply(q2, k * k, out=t1), s, out=t1), out=t1)
-    np.multiply(np.multiply(np.subtract(1.0, t1, out=t1), 4.0, out=t1), dq2, out=t1)
+    np.multiply(np.multiply(np.subtract(one, t1, out=t1), 4.0, out=t1), dq2, out=t1)
     np.multiply(t1, np.square(f, out=tmp), out=t1)
-    # t2 = s^3 (4 q^2 dy^2 - dq^2 f'^2), in q2
+    # t2's bracket 4 q^2 dy^2 - dq^2 f'^2, in q2
     np.multiply(np.square(f1, out=tmp), dq2, out=tmp)
     t2 = np.subtract(np.multiply(np.multiply(q2, 4.0, out=q2), dy2, out=q2), tmp, out=q2)
-    np.multiply(np.power(s, 3, out=tmp), t2, out=t2)
-    # t3 = 2 s^2 dq f (4 q dq f' - s (2 dy + dq f'')), in f1
+    # t3's bracket 4 q dq f' - s (2 dy + dq f''), in tmp
     np.multiply(np.multiply(np.multiply(q, 4.0, out=tmp), dq, out=tmp), f1, out=tmp)
     np.multiply(s, np.add(np.multiply(f2, dq, out=f2), 2.0 * dy, out=f2), out=f2)
     np.subtract(tmp, f2, out=tmp)
-    t3 = np.multiply(np.multiply(np.square(s, out=f1), 2.0, out=f1), dq, out=f1)
+    # s^2 once, in f1: t2 = s^2 s (bracket), in q2, and t3 = 2 s^2 dq f (bracket), in f1
+    np.multiply(np.multiply(np.square(s, out=f1), s, out=f2), t2, out=t2)
+    t3 = np.multiply(np.multiply(f1, 2.0, out=f1), dq, out=f1)
     np.multiply(np.multiply(t3, f, out=t3), tmp, out=t3)
     scale = np.maximum(np.abs(t1, out=s),
                        np.maximum(np.abs(t2, out=f), np.abs(t3, out=f2), out=f), out=s)
     return np.divide(np.add(np.add(t1, t2, out=out), t3, out=out), scale, out=out)
+
+
+def _far_ode_terms(q, k: float, c0: float, dy: float, dq: float):
+    """The family's (c1 = 0) normalized residual at unit-state momenta q where its terms
+    leave the float range but q^2 does not. The terms are homogeneous of degree 8 when q
+    counts 1, q^2, s and f~ count 2, f~' 1, f~'' 0 and t1's 1 counts 4, so scaling each of
+    them by 2^-(m * count) scales every term by 2^-8m, exactly: the residual is the one of
+    an unbounded exponent range. Each point's m brings its largest term, estimated from the
+    parts' exponents, below 2^8. Where x = k q^2 > 2^29 the parts are taken at q / 2: there
+    s = x at both, and they are the parts at q scaled with m = 1, finite even where
+    c0 f~(q) overflows."""
+    half = np.multiply(np.square(q), k) > 2.0**29
+    q = np.ldexp(q, -half.astype(int))
+    q2, s, f, f1, f2 = _general_parts(q, k, c0, 0.0, _scratch(8, q.shape))
+    eq, es, ef, e1, e2 = (np.frexp(a)[1] for a in (q, s, f, f1, f2))
+    top = np.maximum(np.maximum(2 * eq + es + 2 * ef, 3 * es + 2 * np.maximum(eq, e1)),
+                     2 * es + ef + np.maximum(eq + e1, es + np.maximum(e2, 0)))
+    m = np.maximum(-(-top // 8), 0)
+    parts = (np.ldexp(q2, -2 * m), np.ldexp(s, -2 * m), np.ldexp(f, -2 * m), np.ldexp(f1, -m),
+             f2, np.empty(q.shape), np.empty(q.shape))
+    return _ode_terms(np.ldexp(q, -m), k, dy, dq, parts, np.empty(q.shape),
+                      np.ldexp(1.0, -4 * (m + half)))
 
 
 @elementwise
@@ -429,6 +458,11 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     divided by the largest of its three additive terms. At kappa = 0, past
     |q| = |p| sqrt(zeta) = 2^512, where q^2 overflows, it is the residual's
     large-|q| limit, (dy^2 - (dq f)^2) / max((dq f)^2, dy^2), with no warning.
+    For the family with c1 = 0 it is finite, with no warning, wherever q^2 is: where its
+    terms leave the float range (past |q| ~ 3e38 for kappa > 0, 6.7e153 at kappa = 0) it
+    is formed from terms scaled by a power of two (_far_ode_terms). With c1 != 0, terms
+    that leave the float range (from |q| ~ 20 at kappa = 0, as exp(q^2) grows) are a
+    DomainError.
     """
     k = as_kappa(kappa).value
     r, hbar = math.sqrt(positive_float("zeta", zeta)), positive_float("hbar", hbar)
@@ -441,37 +475,52 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     # each term is a quadratic form in (dq f~, dy), f~ = c0 f~_core + c1 X: max(|c0|, |c1|) into
     # [1, 2) against dq, then dq and dy by the power of two that brings their product near 1
     f_shift = 0 if parts else 1 - math.frexp(max(abs(c0), abs(c1)))[1]
-    c0, c1 = math.ldexp(c0, f_shift), math.ldexp(c1, f_shift)
+    c0, c1_shifted = math.ldexp(c0, f_shift), math.ldexp(c1, f_shift)
     out = np.empty_like(flat[0])
     # rows 0-7 as _general_parts lays them out (f~, f~', f~'' in 3, 4 and 6; 1 and 5 left
     # as scratch), row 8 for q when zeta != 1
     rows = _scratch(9, (min(out.size, _BLOCK),))
+    # the family's terms that overflow are found in its residual and formed again, with no
+    # warning; f_parts' arithmetic is left as it is
+    quiet = {} if parts else {"over": "ignore", "invalid": "ignore"}
     try:
         dq, dy = math.ldexp(dp * r, -f_shift), dx / hbar / r
         shift = -(math.frexp(dq)[1] + math.frexp(dy)[1]) // 2
         dq, dy = math.ldexp(dq, shift), math.ldexp(dy, shift)
-        for sl, _, _ in _blocks(out.size):
-            b = [row[:sl.stop - sl.start] for row in rows]
-            # onto the unit state: q = p sqrt(zeta), and f_parts' d/dp to d/dq = d/dp / sqrt(zeta)
-            q = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
-            if k == 0.0:  # past |q| = 2^512, where q^2 overflows, run at q = 0; see below
-                far = np.abs(q) >= 2.0**512
-                q = np.where(far, 0.0, q)
-            if parts:
-                q2, _, s, _ = _f_core(q, k, b)
+        with np.errstate(**quiet):
+            for sl, _, _ in _blocks(out.size):
+                b, res = [row[:sl.stop - sl.start] for row in rows], out[sl]
+                # onto the unit state: q = p sqrt(zeta), and f_parts' d/dp to
+                # d/dq = d/dp / sqrt(zeta)
+                q = q_in = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
+                if k == 0.0:  # past |q| = 2^512, where q^2 overflows, run at q = 0; see below
+                    far = np.abs(q) >= 2.0**512
+                    q = np.where(far, 0.0, q)
+                if parts:
+                    q2, _, s, _ = _f_core(q, k, b)
+                    if k == 0.0:
+                        np.square(q, out=q2)
+                    f, f1, f2 = (np.divide(a[sl], r**i, out=row) for i, (a, row)
+                                 in enumerate(zip(flat[1:], (b[3], b[4], b[6]))))
+                else:
+                    q2, s, f, f1, f2 = _general_parts(q, k, c0, c1_shifted, b)
+                _ode_terms(q, k, dy, dq, (q2, s, f, f1, f2, b[1], b[5]), res)
                 if k == 0.0:
-                    np.square(q, out=q2)
-                f, f1, f2 = (np.divide(a[sl], r**i, out=row)
-                             for i, (a, row) in enumerate(zip(flat[1:], (b[3], b[4], b[6]))))
-            else:
-                q2, s, f, f1, f2 = _general_parts(q, k, c0, c1, b)
-            _ode_terms(q, k, dy, dq, (q2, s, f, f1, f2, b[1], b[5]), out[sl])
-            if k == 0.0:
-                # the residual's large-|q| limit at k = 0 (for f~' / q -> 0), in which only
-                # the q^2 terms of t1 and t2 are left: f~ is f_parts' f or c0, the family's
-                # (a c1 != 0 member solves the ODE too, so its limit is the same)
-                dqf2 = np.square(dq * (flat[1][sl][far] if parts else c0))
-                out[sl][far] = (dy * dy - dqf2) / np.maximum(dqf2, dy * dy)
+                    # the residual's large-|q| limit at k = 0 (for f~' / q -> 0), in which only
+                    # the q^2 terms of t1 and t2 are left: f~ is f_parts' f or c0, the family's
+                    # (a c1 != 0 member solves the ODE too, so its limit is the same)
+                    dqf2 = np.square(dq * (flat[1][sl][far] if parts else c0))
+                    res[far] = (dy * dy - dqf2) / np.maximum(dqf2, dy * dy)
+                # each residual is at most 3 in size: their sum is finite unless one is not
+                if not parts and not math.isfinite(np.add.reduce(res)):
+                    at = np.flatnonzero(~np.isfinite(res) & (np.abs(q_in) < 2.0**512))
+                    if at.size and c1:
+                        raise DomainError(
+                            "ode_residual's terms leave the float range at |q| = |p| sqrt(zeta) "
+                            f"= {abs(q_in[at[0]]):.6g} (kappa={k}, c1={c1!r}): c1 exp_k(q^2) "
+                            "grows past what they span")
+                    if at.size:
+                        res[at] = _far_ode_terms(q_in[at], k, c0, dy, dq)
     except OverflowError:
         raise DomainError("ode_residual's terms leave the float range: dp sqrt(zeta) f and "
                           "dx / (hbar sqrt(zeta)) differ by more than it spans") from None

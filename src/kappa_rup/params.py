@@ -41,7 +41,7 @@ class KappaParameter:
 
     def __post_init__(self):
         v = _real(self.value)
-        if not math.isfinite(v) or not 0.0 <= v < 1.0:
+        if not 0.0 <= v < 1.0:  # nan and inf fail it too
             raise DomainError(f"kappa must satisfy 0 <= kappa < 1, got {self.value!r}")
         object.__setattr__(self, "value", v if v >= sys.float_info.min else 0.0)
 
@@ -58,7 +58,7 @@ class KappaParameter:
 
     def require_moment_safe(self, what: str) -> float:
         """The value if kappa < 2/3; else DomainError naming ``what``, which needs it."""
-        if not self.moment_safe:
+        if not self.value < MOMENT_SAFE_LIMIT:  # moment_safe, without a property call
             raise DomainError(f"{what} requires kappa < 2/3, got kappa={self.value!r}")
         return self.value
 
@@ -90,8 +90,8 @@ class StateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", as_kappa(self.kappa))
-        for name in ("zeta", "hbar"):
-            object.__setattr__(self, name, positive_float(name, getattr(self, name)))
+        object.__setattr__(self, "zeta", positive_float("zeta", self.zeta))
+        object.__setattr__(self, "hbar", positive_float("hbar", self.hbar))
         # <p^2> is 1/(2 zeta) at kappa 0, 400/zeta by kappa ~ 0.6663 and unbounded as
         # kappa -> 2/3: a zeta whose 400/zeta overflows is rejected as input, and
         # second_moment raises where <p^2> itself overflows

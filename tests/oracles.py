@@ -317,9 +317,9 @@ def complex_commutator_residual(samples, q, h, f, f1):
 def whole_grid_ode_residual(q, k, dy, dq, s, f, f1, f2):
     """The minimum-uncertainty ODE residual on the unit state, each term over the whole
     grid at once, from s = sqrt(1 + k^2 q^4) and f, f', f'' (d/dq) on that grid, for the
-    pair dq = dp sqrt(zeta) and dy = dx / (hbar sqrt(zeta))."""
+    pair dq = dp sqrt(zeta) and dy = dx / (hbar sqrt(zeta)); s^3 is s^2 s."""
     t1 = 4.0 * (1.0 - np.square(q) * (k * k * np.square(q) + s)) * dq**2 * f**2
-    t2 = s**3 * (4.0 * np.square(q) * dy**2 - dq**2 * f1**2)
+    t2 = s**2 * s * (4.0 * np.square(q) * dy**2 - dq**2 * f1**2)
     t3 = 2.0 * s**2 * dq * f * (4.0 * q * dq * f1 - s * (2.0 * dy + dq * f2))
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
     return (t1 + t2 + t3) / scale

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -510,14 +511,14 @@ def _plain_rule(whats, evaluate, rel_tol, name=str):
     package rule's arguments: each integrand gets its nodes' 2w formed here."""
     cs = coherent_states
     return plain_double_exponential([name(what) for what in whats],
-                                    lambda w, rows: evaluate(w, 2.0 * w, rows), rel_tol,
+                                    lambda w, rows: evaluate(w, 2.0 * w, [whats[i] for i in rows]),
+                                    rel_tol,
                                     cs._T_MAX, cs._MIN_LEVEL, cs._MAX_LEVEL)
 
 
 def _stacked(integrands):
     """The rule's (whats, evaluate) for {what: f(w)}: evaluate stacks the rows asked for."""
-    fs = list(integrands.values())
-    return list(integrands), lambda w, two_w, rows: np.array([fs[i](w) for i in rows])
+    return list(integrands), lambda w, two_w, live: np.array([integrands[what](w) for what in live])
 
 
 def _outcome(call):
@@ -570,6 +571,21 @@ class TestAgainstPlainRule:
                     with monkeypatch.context() as m:
                         m.setattr(coherent_states, "_double_exponential", _plain_rule)
                         assert got == coherent_states._quadrature(s, tol, 0, 2, None), (k, z, tol)
+
+    def test_seeded_sweep_like_states(self, monkeypatch):
+        # drawn like the moment sweep's two classes: paper (kappa log-uniform in 1e-8 to
+        # 1e-2) and heavy tail (kappa uniform in 0.01 to 0.66), zeta log-uniform in 1e-2 to
+        # 1e2; some heavy-tail state stops one integral at 257 nodes and another at 513
+        rng, counts = random.Random(33), set()
+        for _ in range(250):
+            for k in (10.0 ** rng.uniform(-8.0, -2.0), rng.uniform(0.01, 0.66)):
+                s = spec_of(k, 10.0 ** rng.uniform(-2.0, 2.0))
+                got = coherent_states._quadrature(s, 1e-10, 0, 2, None)
+                with monkeypatch.context() as m:
+                    m.setattr(coherent_states, "_double_exponential", _plain_rule)
+                    assert got == coherent_states._quadrature(s, 1e-10, 0, 2, None), (k, s.zeta)
+                counts.add(tuple(sorted({evals for *_, evals in got})))
+        assert (257, 513) in counts
 
     def test_capped_level(self, monkeypatch):
         monkeypatch.setattr(coherent_states, "_MAX_LEVEL", 3)

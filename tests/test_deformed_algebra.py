@@ -26,7 +26,8 @@ from kappa_rup.errors import DomainError
 from kappa_rup.params import KappaParameter, StateSpec
 from kappa_rup.phenomenology import landau_zeta, minimal_length
 
-from kappa_rup.deformed_algebra import _f_core, _general_parts, _scratch
+from kappa_rup.deformed_algebra import (_f_core, _far_ode_terms, _general_parts, _ode_terms,
+                                        _scratch)
 from oracles import (
     complex_annihilation_residual,
     complex_commutator_residual,
@@ -779,3 +780,61 @@ class TestClassicalPastTheSquareRange:
             warnings.simplefilter("error", RuntimeWarning)
             got = ode_residual(p, 0.0, 1.0, delta_x(s), delta_p(s), f_parts=parts)
         np.testing.assert_allclose(got, [0.0, 0.0, -1e-300, 0.0, -1e-300, 0.0, 0.0], rtol=1e-15)
+
+
+class TestOdeTermsPastTheFloatRange:
+    """Past |q| ~ 3e38 (kappa > 0) or 6.7e153 (kappa = 0) the ODE's terms, of degree 8 in
+    q, leave the float range while q^2 does not. There the family's residual is formed
+    from terms scaled by a power of two: finite, with no warning, and where the unscaled
+    terms stay in range, the same bits."""
+
+    Q = np.array([1e38, 1e40, 1e100, 1e153, 2.0**511])
+
+    @pytest.mark.parametrize("zeta", [1.0, 1e6])
+    @pytest.mark.parametrize("k", [0.0, 1e-5, 0.3, 0.6])
+    def test_finite_with_no_warning(self, k, zeta):
+        s = spec_of(k, zeta)
+        p = np.concatenate([-self.Q, [0.0, 1.0], self.Q]) / math.sqrt(zeta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ode_residual(p, k, zeta, delta_x(s), delta_p(s))
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 1e-9
+        if k == 0.0 and zeta == 1.0:  # dq f = dy exactly: the residual is -1/q^2
+            np.testing.assert_allclose(got[-3:], -1.0 / self.Q[-3:] ** 2, rtol=1e-6)
+
+    def test_where_f_itself_overflows(self):
+        # at kappa 0.65, f~ = s + k x ~ 1.07 q^2 overflows from |q| ~ 1.296e154 on
+        s, q = spec_of(0.65), np.array([1.3e154, 1.34e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ode_residual(q, 0.65, 1.0, delta_x(s), delta_p(s))
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 1e-9
+
+    @pytest.mark.parametrize("k", [1e-5, 0.3, 0.6])
+    def test_scaled_terms_keep_the_bits_in_range(self, k):
+        # below the overflow the scaled terms are the unscaled ones, bit for bit: the scaling
+        # is exact, q / 2 where x > 2^29 included
+        q = np.geomspace(1e-3, 1e37, 2001)
+        rows = _scratch(8, q.shape)
+        parts = (*_general_parts(q, k, 1.3, 0.0, rows), rows[1], rows[5])
+        want = _ode_terms(q, k, 0.9, 1.1, parts, np.empty(q.shape))
+        np.testing.assert_array_equal(_far_ode_terms(q, k, 1.3, 0.9, 1.1), want)
+
+    def test_other_points_keep_their_bits(self):
+        s, q = spec_of(0.3), np.linspace(-50.0, 50.0, 101)
+        alone = ode_residual(q, 0.3, 1.0, delta_x(s), delta_p(s))
+        mixed = ode_residual(np.concatenate([q, self.Q]), 0.3, 1.0, delta_x(s), delta_p(s))
+        np.testing.assert_array_equal(mixed[:q.size], alone)
+
+    def test_c1_past_the_float_range_is_a_domain_error(self):
+        # c1 exp(q^2) and its squares overflow the terms from |q| ~ 20 at kappa 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"\|q\| = \|p\| sqrt\(zeta\) = 20 .*c1=0.5"):
+                ode_residual(np.array([1.0, 20.0, 30.0]), 0.0, 1.0, 1.0, 1.0, c1=0.5)
+
+    def test_c1_at_kappa_0_3_stays_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ode_residual(np.array([1.0, 20.0, 30.0]), 0.3, 1.0, 1.0, 1.0, c1=0.5)
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 1e-9
