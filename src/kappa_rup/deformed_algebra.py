@@ -24,11 +24,18 @@ Each maps its momenta to q once, on entry (a grid by its two ends, so zeta = 1
 adds no array pass). With dp = dq / sqrt(z), x/dx, p/dp and the commutator
 identity are free of zeta and hbar; the ODE holds only dq = dp sqrt(z) and
 dy = dx / (hbar sqrt(z)). Only q is squared, never p, so every zeta that
-StateSpec takes leaves the residuals finite. At k = 0, x is 0 and f~' is q 0, and only
-the ODE forms q^2, so past |q| ~ 1.34e154, where q^2 is inf, f is 1, not nan. The
-ODE's terms are of degree 8 in q: past |q| ~ 3e38 (6.7e153 at k = 0) they leave the
-float range while q^2 does not, and there the family's are formed again, each scaled by
-a power of two per point (_far_ode_terms), exactly.
+StateSpec takes leaves the residuals finite. The kernels take q^2 from _f_core, which
+forms it at every k, its overflow to inf past |q| = 2^512 silenced. Three k == 0.0
+tests are left, each a different formula, since 0 inf is nan where q^2 is inf:
+_f_core's x = 0 (so f is 1 there, not nan), _f_f1's f~' = q 0, and ode_residual's
+large-|q| limit.
+
+The ODE's terms are of degree 8 in q: past |q| ~ 3e38 (6.7e153 at k = 0) they leave
+the float range while q^2 does not. ode_residual forms every block's terms under one
+errstate, tests the whole output for finiteness once, and repairs what is not finite
+in one pass, in this order: past |q| = 2^512, the large-|q| limit at k = 0 (nan stays
+at k > 0); below it, the family's (c1 = 0) terms formed again, each scaled by a power
+of two per point (_far_ode_terms), exactly; with c1 != 0 or f_parts, a DomainError.
 
 The residuals and the position operator run in real arithmetic over blocks of
 2^13 points, which stay in L2, with the bits of the complex whole-grid form:
@@ -112,7 +119,9 @@ class GridFunction:
         arr = np.array(self.samples, dtype=complex)  # a private copy
         if arr.ndim != 1 or arr.size < 16:
             raise DomainError("GridFunction needs a 1-d array of >= 16 samples")
-        if not np.isfinite(arr.view(float)).all():
+        # max and min carry any nan and inf through, with no array of the grid's size
+        parts = arr.view(float)
+        if not (math.isfinite(parts.max()) and math.isfinite(parts.min())):
             raise DomainError("GridFunction samples must be finite")
         if not (self.p_max > self.p_min and math.isfinite(self.p_max - self.p_min)):
             raise DomainError("GridFunction needs p_max > p_min, a finite span apart")
@@ -143,14 +152,16 @@ def _scratch(count: int, shape):
 
 def _f_core(q, k: float, rows):
     """q^2, x = k q^2, s = sqrt(1 + x^2) and f~ = s + k x, s and f~ from the package's one
-    f evaluation. Each is formed in place in one of rows[:4], buffers of q's shape. At
-    k = 0, x is 0, the bits of 0 q^2 where q^2 is finite, and q^2 is not formed (rows[0]
-    is left as it was): past |q| ~ 1.34e154 it overflows, and 0 q^2 is nan."""
+    f evaluation. Each is formed in place in one of rows[:4], buffers of q's shape. q^2 is
+    formed at every k, its overflow to inf past |q| = 2^512 silenced; at k = 0, x is 0,
+    the bits of 0 q^2 where q^2 is finite, not the nan of 0 inf where it is not."""
     q2, x, s, f = rows[:4]
+    with np.errstate(over="ignore"):
+        np.square(q, out=q2)
     if k == 0.0:
         x[...] = 0.0
     else:
-        np.multiply(np.square(q, out=q2), k, out=x)
+        np.multiply(q2, k, out=x)
     return (q2, x, *_deformation_s_f(x, k, s, f))
 
 
@@ -171,8 +182,6 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
     c0 = dx / (hbar z (1-k^2) dp); c0 = 1, c1 = 0 is the selected deformation. In rows[:7]
     (rows[:8] if c1 != 0), buffers of q's shape, of which rows 1 and 5 end as scratch."""
     q2, u, s, f, f1 = _f_f1(q, k, rows)
-    if k == 0.0:  # the ODE's q^2, which _f_core forms only for k != 0
-        np.square(q, out=q2)
     tmp, f2 = rows[5], rows[6]
     # u = x / s in [0, 1), not q^6 / s^3: that overflows past |q| ~ 2e51
     np.divide(u, s, out=u)
@@ -202,14 +211,12 @@ def _general_parts(q, k: float, c0: float, c1: float, rows):
 @elementwise
 def deformation_f(p, kappa: KappaLike, zeta: float):
     """Commutator deformation f(p) = f~(p sqrt(z)), overflow-free."""
-    r, k, x = math.sqrt(positive_float("zeta", zeta)), as_kappa(kappa).value, np.empty_like(p)
-    # q, then x = k q^2, then f~ in one buffer: with s, two arrays of p's size. At k = 0, x
-    # is 0 with no q formed, as in _f_core, so f is 1 for every p
-    if k == 0.0:
-        x[...] = 0.0
-    else:
-        np.multiply(np.square(np.multiply(p, r, out=x), out=x), k, out=x)
-    return _deformation_s_f(x, k, np.empty_like(x), x)[1]
+    r, k, q = math.sqrt(positive_float("zeta", zeta)), as_kappa(kappa).value, np.empty_like(p)
+    # q, then q^2, then x = k q^2, then f~ in one buffer: with s, two arrays of p's size. Where
+    # q itself overflows, f is 1 at k = 0 and inf otherwise, as where q^2 does
+    with np.errstate(over="ignore"):
+        np.multiply(p, r, out=q)
+    return _f_core(q, k, [q, q, np.empty_like(q), q])[3]
 
 
 def robertson_bound(f_mean: float, hbar: float = 1.0) -> float:
@@ -316,13 +323,12 @@ def apply_position_operator(psi_grid: GridFunction, A: float,
 
 
 def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
-                          n_points: int, delta_p_factor: float = 1.0) -> float:
+                          n_points: int) -> float:
     """|| (x/dx + i p/dp) psi || / ||psi|| on the sampled state.
 
     x is applied with the symmetric ordering and the closed-form dx, dp.
-    Converges to 0 at the stencil order for the true state;
-    ``delta_p_factor`` != 1 is the wrong-state control and leaves an
-    O(1) floor. Free of zeta and hbar, it runs on the unit state.
+    Converges to 0 at the stencil order for the true state, and to an O(1)
+    floor for any other. Free of zeta and hbar, it runs on the unit state.
     """
     bound = 8.0 / math.sqrt(spec.zeta)
     if p_min > -bound or p_max < bound:
@@ -332,7 +338,7 @@ def annihilation_residual(spec: StateSpec, p_min: float, p_max: float,
     unit, k = StateSpec(spec.kappa, 1.0), spec.kappa.require_moment_safe("annihilation_residual")
     q, h = _unit_grid(p_min, p_max, n_points, math.sqrt(spec.zeta))
     inv_dx = 1.0 / state_delta_x(unit)
-    inv_dp = 1.0 / (state_delta_p(unit) * delta_p_factor)
+    inv_dp = 1.0 / state_delta_p(unit)
     n_const = normalization_constant(unit)
     r2, psi2 = np.empty_like(q), np.empty_like(q)
     rows = _scratch(7, (min(q.size, _BLOCK + 4),))
@@ -462,7 +468,8 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     terms leave the float range (past |q| ~ 3e38 for kappa > 0, 6.7e153 at kappa = 0) it
     is formed from terms scaled by a power of two (_far_ode_terms). With c1 != 0, terms
     that leave the float range (from |q| ~ 20 at kappa = 0, as exp(q^2) grows) are a
-    DomainError.
+    DomainError, and so are f_parts' (past |q| ~ 1e38 at kappa 0.3 for f = 1), which are
+    taken as given, not rescaled. Past |q| = 2^512 at kappa > 0 the residual is nan.
     """
     k = as_kappa(kappa).value
     r, hbar = math.sqrt(positive_float("zeta", zeta)), positive_float("hbar", hbar)
@@ -480,47 +487,44 @@ def ode_residual(p, kappa: KappaLike, zeta: float, dx: float, dp: float,
     # rows 0-7 as _general_parts lays them out (f~, f~', f~'' in 3, 4 and 6; 1 and 5 left
     # as scratch), row 8 for q when zeta != 1
     rows = _scratch(9, (min(out.size, _BLOCK),))
-    # the family's terms that overflow are found in its residual and formed again, with no
-    # warning; f_parts' arithmetic is left as it is
-    quiet = {} if parts else {"over": "ignore", "invalid": "ignore"}
     try:
         dq, dy = math.ldexp(dp * r, -f_shift), dx / hbar / r
         shift = -(math.frexp(dq)[1] + math.frexp(dy)[1]) // 2
         dq, dy = math.ldexp(dq, shift), math.ldexp(dy, shift)
-        with np.errstate(**quiet):
+        # the terms that leave the float range show in the residual, and are repaired below
+        with np.errstate(over="ignore", invalid="ignore"):
             for sl, _, _ in _blocks(out.size):
-                b, res = [row[:sl.stop - sl.start] for row in rows], out[sl]
+                b = [row[:sl.stop - sl.start] for row in rows]
                 # onto the unit state: q = p sqrt(zeta), and f_parts' d/dp to
                 # d/dq = d/dp / sqrt(zeta)
-                q = q_in = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
-                if k == 0.0:  # past |q| = 2^512, where q^2 overflows, run at q = 0; see below
-                    far = np.abs(q) >= 2.0**512
-                    q = np.where(far, 0.0, q)
+                q = flat[0][sl] if r == 1.0 else np.multiply(flat[0][sl], r, out=b[8])
                 if parts:
                     q2, _, s, _ = _f_core(q, k, b)
-                    if k == 0.0:
-                        np.square(q, out=q2)
                     f, f1, f2 = (np.divide(a[sl], r**i, out=row) for i, (a, row)
                                  in enumerate(zip(flat[1:], (b[3], b[4], b[6]))))
                 else:
                     q2, s, f, f1, f2 = _general_parts(q, k, c0, c1_shifted, b)
-                _ode_terms(q, k, dy, dq, (q2, s, f, f1, f2, b[1], b[5]), res)
+                _ode_terms(q, k, dy, dq, (q2, s, f, f1, f2, b[1], b[5]), out[sl])
+            # each residual is at most 3 in size: their sum is finite unless one is not
+            if not math.isfinite(np.add.reduce(out)):
+                at = np.flatnonzero(~np.isfinite(out))
+                q = flat[0][at] * r
+                far = np.abs(q) >= 2.0**512
                 if k == 0.0:
-                    # the residual's large-|q| limit at k = 0 (for f~' / q -> 0), in which only
-                    # the q^2 terms of t1 and t2 are left: f~ is f_parts' f or c0, the family's
-                    # (a c1 != 0 member solves the ODE too, so its limit is the same)
-                    dqf2 = np.square(dq * (flat[1][sl][far] if parts else c0))
-                    res[far] = (dy * dy - dqf2) / np.maximum(dqf2, dy * dy)
-                # each residual is at most 3 in size: their sum is finite unless one is not
-                if not parts and not math.isfinite(np.add.reduce(res)):
-                    at = np.flatnonzero(~np.isfinite(res) & (np.abs(q_in) < 2.0**512))
-                    if at.size and c1:
-                        raise DomainError(
-                            "ode_residual's terms leave the float range at |q| = |p| sqrt(zeta) "
-                            f"= {abs(q_in[at[0]]):.6g} (kappa={k}, c1={c1!r}): c1 exp_k(q^2) "
-                            "grows past what they span")
-                    if at.size:
-                        res[at] = _far_ode_terms(q_in[at], k, c0, dy, dq)
+                    # past |q| = 2^512, where q^2 overflows, the residual's large-|q| limit at
+                    # k = 0 (for f~' / q -> 0), in which only the q^2 terms of t1 and t2 are
+                    # left: f~ is f_parts' f or c0, the family's (a c1 != 0 member solves the
+                    # ODE too, so its limit is the same). At k > 0 it stays nan
+                    dqf2 = np.square(dq * (flat[1][at[far]] if parts else c0))
+                    out[at[far]] = (dy * dy - dqf2) / np.maximum(dqf2, dy * dy)
+                at, q = at[~far], q[~far]
+                if at.size and (parts or c1):
+                    what, why = (("f_parts", "a trial f's terms are not rescaled") if parts else
+                                 (f"c1={c1!r}", "c1 exp_k(q^2) grows past what they span"))
+                    raise DomainError("ode_residual's terms leave the float range at |q| = |p| "
+                                      f"sqrt(zeta) = {abs(q[0]):.6g} (kappa={k}, {what}): {why}")
+                if at.size:
+                    out[at] = _far_ode_terms(q, k, c0, dy, dq)
     except OverflowError:
         raise DomainError("ode_residual's terms leave the float range: dp sqrt(zeta) f and "
                           "dx / (hbar sqrt(zeta)) differ by more than it spans") from None

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -32,6 +34,34 @@ def parse_csv(text):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return meta, header, rows
+
+
+# verify's checks with no control test of their own below: for each, a patch of the one
+# quantity it guards (module, name, and a function from the true value to the patched one),
+# just past its default tolerance, which fails that check and no other
+_CONTROLS = {
+    "moment_agreement": ("coherent_states", "second_moment",
+                         lambda true: lambda spec: true(spec) * (1.0 + 2e-6)),
+    "saturation_quadrature": ("coherent_states", "f_expectation",
+                              lambda true: lambda kappa: true(kappa) * (1.0 + 2e-6)),
+    # eps, and with it E, 2e-12 relative off the boost's
+    "kinematics": ("kinematics", "aux_energy",
+                   lambda true: lambda p_tilde, kappa: true(p_tilde, kappa) * (1.0 + 2e-12)),
+    "maxent_gibbs": ("maxent", "maxent_solve", lambda true: lambda problem: dataclasses.replace(
+        true(problem), distribution=true(problem).distribution + 2e-10)),
+    # a stationarity inverse 3e-10 off: the multipliers absorb it in the constraints, and
+    # the stationarity residual, over max(1, |lam0| + |lam1| e_scale) ~ 2, reads 1.45e-10
+    "maxent_kkt": ("maxent", "_phi_inv", lambda true: lambda y, k: true(y, k) * (1.0 + 3e-10)),
+}
+
+# the checks whose control is a test of TestVerify's own, by name
+_CONTROL_TESTS = {
+    "normalization": "test_shifted_normalization_fails",
+    "saturation_identity": "test_saturation_identity_catches_a_wrong_f_weight",
+    "ode_residual": "test_ode_residual_fails_at_kappa_zero",
+    "annihilation_convergence": "test_loose_tol_still_fails_a_broken_stencil",
+    "commutator_convergence": "test_loose_tol_still_fails_a_broken_stencil",
+}
 
 
 class TestVerify:
@@ -93,6 +123,24 @@ class TestVerify:
         assert code == EXIT_FAIL
         failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
         assert failing == {"ode_residual"}
+
+    @pytest.mark.parametrize("check", sorted(_CONTROLS))
+    def test_control_fails_its_check_alone(self, tmp_path, monkeypatch, check):
+        # verify imports what it runs when it runs, so patch each where it lives
+        module, name, patched = _CONTROLS[check]
+        home = importlib.import_module(f"kappa_rup.{module}")
+        monkeypatch.setattr(home, name, patched(getattr(home, name)))
+        code, text = run(tmp_path, "--command", "verify")
+        assert code == EXIT_FAIL
+        failing = {c["check_name"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+        assert failing == {check}
+
+    def test_every_check_has_a_control(self, tmp_path):
+        # a check added to the document fails here until it gets a control
+        doc = json.loads(run(tmp_path, "--command", "verify")[1])
+        checks = sorted(c["check_name"] for c in doc["checks"])
+        assert checks == sorted(list(_CONTROLS) + list(_CONTROL_TESTS))
+        assert all(callable(getattr(TestVerify, test, None)) for test in _CONTROL_TESTS.values())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_measurement_not_finite_is_null_and_fails(self, tmp_path, monkeypatch, bad):

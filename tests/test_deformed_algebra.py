@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappa_rup import deformed_algebra
 from kappa_rup.coherent_states import delta_p, delta_x, f_expectation, moment_report, psi
 from kappa_rup.deformed_algebra import (
     ORDER_X1,
@@ -346,10 +348,12 @@ class TestAnnihilationResidual:
         r2 = annihilation_residual(s, -400.0, 400.0, 8192)
         assert r1 / r2 > 12.0
 
-    def test_wrong_state_control(self):
-        s = spec_of(0.2)
-        r_a = annihilation_residual(s, -400.0, 400.0, 4096, delta_p_factor=1.5)
-        r_b = annihilation_residual(s, -400.0, 400.0, 8192, delta_p_factor=1.5)
+    def test_wrong_state_control(self, monkeypatch):
+        # p/dp with dp 1.5 times the state's: the residual keeps an O(1) floor
+        s, true_dp = spec_of(0.2), deformed_algebra.state_delta_p
+        monkeypatch.setattr(deformed_algebra, "state_delta_p", lambda spec: 1.5 * true_dp(spec))
+        r_a = annihilation_residual(s, -400.0, 400.0, 4096)
+        r_b = annihilation_residual(s, -400.0, 400.0, 8192)
         assert r_a > 0.01 and r_b > 0.01
         assert r_a / r_b < 2.0  # no 4th-order decay
 
@@ -415,8 +419,6 @@ class TestCommutatorResidual:
 def _kernel_calls(monkeypatch, residual, n):
     """The arguments of each (f, f') kernel call one residual makes on an
     n-point grid over [-400, 400]."""
-    from kappa_rup import deformed_algebra
-
     kernel, calls = deformed_algebra._f_f1, []
 
     def counted(*args):
@@ -455,9 +457,9 @@ def test_residual_evaluates_f_once_per_point(monkeypatch, residual):
 # the peak memory of each grid kernel at 2^17 points, in arrays of that many floats: psi
 # takes its output and at most one block; each residual no more than the whole-grid-
 # temporaries form it replaced (which measured 4.19, 3.88 and 1.75); deformation_f its
-# output and s
+# output and s; a GridFunction its private complex copy, with no array to test it finite
 _PEAK_BOUNDS = {"psi": 1.0 + 2.0**-4, "annihilation": 4.19, "commutator": 3.88, "ode": 1.75,
-                "deformation_f": 2.0 + 2.0**-4}
+                "deformation_f": 2.0 + 2.0**-4, "grid_function": 2.0 + 2.0**-4}
 
 
 @pytest.mark.parametrize("kernel", sorted(_PEAK_BOUNDS))
@@ -469,7 +471,8 @@ def test_grid_kernel_peak_memory(kernel):
            "annihilation": lambda: annihilation_residual(s, -400.0, 400.0, n),
            "commutator": lambda: commutator_residual(grid, 0.3, 1.0),
            "ode": lambda: ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s)),
-           "deformation_f": lambda: deformation_f(p, 0.3, 1.0)}[kernel]
+           "deformation_f": lambda: deformation_f(p, 0.3, 1.0),
+           "grid_function": lambda: GridFunction(-400.0, 400.0, grid.samples)}[kernel]
     run()  # the closed forms' one-entry caches filled
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
@@ -838,3 +841,48 @@ class TestOdeTermsPastTheFloatRange:
             warnings.simplefilter("error", RuntimeWarning)
             got = ode_residual(np.array([1.0, 20.0, 30.0]), 0.3, 1.0, 1.0, 1.0, c1=0.5)
         assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 1e-9
+
+
+class TestSquareAtEveryKappa:
+    """_f_core forms q^2 at every kappa, its overflow silenced, so at kappa 0 as elsewhere
+    q^2 is inf past |q| = 2^512; x = 0 there is a formula of its own, not 0 inf = nan.
+    ode_residual repairs what is not finite in one pass after its blocks: at kappa > 0,
+    past 2^512, the residual stays nan, and f_parts' terms that leave the float range
+    below it are a DomainError."""
+
+    def test_f_core_at_kappa_0(self):
+        q = np.array([0.0, -3.0, 1e150, 2.0**511, 1.35e154, -1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q2, x, s, f = f_core(q, 0.0)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(q2, np.square(q))
+        assert np.all(np.isinf(q2[4:])) and np.all(np.isfinite(q2[:4]))
+        np.testing.assert_array_equal(x, np.zeros(q.size))
+        np.testing.assert_array_equal(s, np.ones(q.size))
+        np.testing.assert_array_equal(f, np.ones(q.size))
+
+    @pytest.mark.parametrize("q", [1e40, 1e100])
+    def test_f_parts_past_the_float_range_is_a_domain_error(self, q):
+        p = np.array([1.0, q])
+        ones = np.ones_like(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=re.escape(f"= {q:.6g} (kappa=0.3, f_parts)")):
+                ode_residual(p, 0.3, 1.0, 1.0, 1.0, f_parts=(ones, 0 * ones, 0 * ones))
+
+    def test_f_parts_in_range_keep_their_bits_next_to_the_far_points(self):
+        # the points past 2^512 are nan at kappa > 0, with no error and no warning
+        s = spec_of(0.3)
+        p = np.array([-2.0**512, 0.5, 1.0, 2.0**512, 1.7e308])
+        ones = np.ones_like(p)
+        parts = (ones, 0 * ones, 0 * ones)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s), f_parts=parts)
+            family = ode_residual(p, 0.3, 1.0, delta_x(s), delta_p(s))
+        want = ode_residual(p[1:3], 0.3, 1.0, delta_x(s), delta_p(s),
+                            f_parts=tuple(a[1:3] for a in parts))
+        np.testing.assert_array_equal(got[1:3], want)
+        assert np.all(np.isnan(got[[0, 3, 4]])) and np.all(np.isnan(family[[0, 3, 4]]))
+        assert np.all(np.isfinite(family[1:3]))
